@@ -5,8 +5,6 @@ delta-discretized incidence counts, set-class certifiers, and the
 experiment CLI.
 """
 
-from ._kernels import NUMBA_ENABLED
-
 __version__ = "0.1.0"
 
-__all__ = ["NUMBA_ENABLED", "__version__"]
+__all__ = ["__version__"]

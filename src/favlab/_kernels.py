@@ -1,41 +1,18 @@
-"""Numeric inner loops, with numba-compiled and pure-numpy variants.
-
-The numba path is the default.  Set the environment variable
-``FAVLAB_NO_NUMBA=1`` (before import) to force the pure-numpy fallback,
-e.g. for debugging or on platforms where numba is unavailable.  Both
-paths compute identical results; ``benchmarks/bench_kernels.py`` compares
-their throughput.
-"""
+"""Numeric inner loops in plain numpy: interval merges, projection unions,
+Riesz sums and the per-direction count rows of the delta-line family."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("FAVLAB_NO_NUMBA", "").strip() not in ("", "0")
 
-if not _DISABLED:
-    try:
-        import numba
-        from numba import njit, prange
-    except ImportError:  # pragma: no cover
-        _DISABLED = True
-
-NUMBA_ENABLED = not _DISABLED
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def union_measure_np(lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
-    """Total length of the union of closed intervals [lo_i, hi_i].
+def merge_intervals(lo: np.ndarray, hi: np.ndarray, tol: float):
+    """Merge intervals into a disjoint sorted family; returns (lo, hi) arrays.
 
     Intervals whose gap is <= tol are treated as touching.
     """
     if lo.size == 0:
-        return 0.0
+        return lo.copy(), hi.copy()
     order = np.argsort(lo, kind="stable")
     lo = lo[order]
     hi = hi[order]
@@ -49,29 +26,16 @@ def union_measure_np(lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
     seg_hi = np.empty(idx.size)
     seg_hi[:-1] = run[idx[1:] - 1]
     seg_hi[-1] = run[-1]
-    return float(np.sum(seg_hi - seg_lo))
-
-
-def merge_intervals_np(lo: np.ndarray, hi: np.ndarray, tol: float):
-    """Merge intervals into a disjoint sorted family; returns (lo, hi) arrays."""
-    if lo.size == 0:
-        return lo.copy(), hi.copy()
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    hi = hi[order]
-    run = np.maximum.accumulate(hi)
-    starts = np.empty(lo.size, dtype=bool)
-    starts[0] = True
-    starts[1:] = lo[1:] > run[:-1] + tol
-    idx = np.flatnonzero(starts)
-    seg_lo = lo[idx]
-    seg_hi = np.empty(idx.size)
-    seg_hi[:-1] = run[idx[1:] - 1]
-    seg_hi[-1] = run[-1]
     return seg_lo, seg_hi
 
 
-def projection_measures_np(x0, y0, side, thetas, tol) -> np.ndarray:
+def union_measure_np(lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
+    """Total length of the union of closed intervals [lo_i, hi_i]."""
+    seg_lo, seg_hi = merge_intervals(lo, hi, tol)
+    return float(np.sum(seg_hi - seg_lo))
+
+
+def projection_measures(x0, y0, side, thetas, tol) -> np.ndarray:
     """Union measure of the theta-projections of axis-aligned squares.
 
     x0, y0: lower-left corners; side: common side length.
@@ -87,7 +51,7 @@ def projection_measures_np(x0, y0, side, thetas, tol) -> np.ndarray:
     return out
 
 
-def riesz_energy_np(px, py, w, s, floor) -> float:
+def riesz_energy_sum(px, py, w, s, floor) -> float:
     """Sum_{i != j} w_i w_j max(|p_i - p_j|, floor)^(-s), blocked."""
     m = px.size
     total = 0.0
@@ -113,195 +77,47 @@ def _k2_windows(t, delta, reach, k2min, k2max):
     return a, b
 
 
-def f_delta_stats_np(px, py, delta, c_mult, dir_mask, k2min, k2max):
-    """Per-line richness sweep over the whole line family.
-
-    For every direction k1 with dir_mask[k1], counts points within
-    c_mult*delta of each line ell_{k1,k2} and accumulates the sum of
-    squared counts plus a dyadic histogram of the counts
-    (hist[j] = number of lines with 2^(j-1) < f <= 2^j, f >= 1).
-    """
-    n_dir = dir_mask.size
+def _count_rows(px, py, delta, c_mult, k1s, k2min, k2max):
+    """Yield, for each direction k1 in k1s, the row whose entry k2 - k2min
+    counts the points within c_mult*delta of the line ell_{k1,k2}."""
     nk2 = k2max - k2min + 1
     reach = c_mult * delta
-    sum_sq = 0.0
-    nlevels = max(1, int(np.ceil(np.log2(max(px.size, 2)))) + 2)
-    hist = np.zeros(nlevels, dtype=np.int64)
-    diff = np.empty(nk2 + 1, dtype=np.int64)
-    for k1 in range(n_dir):
-        if not dir_mask[k1]:
-            continue
+    for k1 in k1s:
         th = k1 * delta
         t = -np.sin(th) * px + np.cos(th) * py
         a, b = _k2_windows(t, delta, reach, k2min, k2max)
         ok = a <= b
-        diff[:] = 0
-        np.add.at(diff, a[ok] - k2min, 1)
-        np.add.at(diff, b[ok] - k2min + 1, -1)
-        cnt = np.cumsum(diff[:-1])
-        sum_sq += float(np.sum(cnt.astype(np.float64) ** 2))
-        pos = cnt[cnt > 0]
-        if pos.size:
-            lev = np.ceil(np.log2(pos)).astype(np.int64)
-            np.add.at(hist, np.clip(lev, 0, nlevels - 1), 1)
+        # +1 where a point's window opens, -1 just past where it closes
+        diff = (np.bincount(a[ok] - k2min, minlength=nk2 + 1)
+                - np.bincount(b[ok] - k2min + 1, minlength=nk2 + 1))
+        yield np.cumsum(diff[:-1])
+
+
+def f_delta_stats(px, py, delta, c_mult, dir_mask, k2min, k2max):
+    """Per-line richness sweep over the directions with dir_mask[k1].
+
+    Returns the sum of squared counts and a dyadic histogram of the counts
+    (hist[j] = number of lines with 2^(j-1) < f <= 2^j, f >= 1).
+    """
+    # lines_with[f] = number of lines with count f; a line counts a point
+    # at most once, so f <= px.size
+    lines_with = np.zeros(px.size + 1, dtype=np.int64)
+    for cnt in _count_rows(px, py, delta, c_mult, np.flatnonzero(dir_mask),
+                           k2min, k2max):
+        lines_with += np.bincount(cnt, minlength=px.size + 1)
+    f = np.arange(px.size + 1, dtype=np.int64)
+    sum_sq = float(np.sum(lines_with * f * f))
+    nlevels = max(1, int(np.ceil(np.log2(max(px.size, 2)))) + 2)
+    hist = np.zeros(nlevels, dtype=np.int64)
+    lev = np.ceil(np.log2(f[1:])).astype(np.int64)
+    np.add.at(hist, np.clip(lev, 0, nlevels - 1), lines_with[1:])
     return sum_sq, hist
 
 
-def line_counts_table_np(px, py, delta, c_mult, n_dir, k2min, k2max):
+def line_counts_table(px, py, delta, c_mult, n_dir, k2min, k2max):
     """Dense table cnt[k1, k2-k2min] of point counts near each family line."""
-    nk2 = k2max - k2min + 1
-    out = np.zeros((n_dir, nk2), dtype=np.int32)
-    reach = c_mult * delta
-    diff = np.empty(nk2 + 1, dtype=np.int32)
-    for k1 in range(n_dir):
-        th = k1 * delta
-        t = -np.sin(th) * px + np.cos(th) * py
-        a, b = _k2_windows(t, delta, reach, k2min, k2max)
-        ok = a <= b
-        diff[:] = 0
-        np.add.at(diff, a[ok] - k2min, 1)
-        np.add.at(diff, b[ok] - k2min + 1, -1)
-        out[k1] = np.cumsum(diff[:-1])
+    out = np.empty((n_dir, k2max - k2min + 1), dtype=np.int32)
+    for k1, row in enumerate(_count_rows(px, py, delta, c_mult, range(n_dir),
+                                         k2min, k2max)):
+        out[k1] = row
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _union_measure_sorted_nb(lo, hi, tol):
-        total = 0.0
-        cur_lo = lo[0]
-        cur_hi = hi[0]
-        for i in range(1, lo.size):
-            if lo[i] > cur_hi + tol:
-                total += cur_hi - cur_lo
-                cur_lo = lo[i]
-                cur_hi = hi[i]
-            elif hi[i] > cur_hi:
-                cur_hi = hi[i]
-        total += cur_hi - cur_lo
-        return total
-
-    @njit(cache=True)
-    def union_measure_nb(lo, hi, tol):
-        if lo.size == 0:
-            return 0.0
-        order = np.argsort(lo)
-        return _union_measure_sorted_nb(lo[order], hi[order], tol)
-
-    @njit(parallel=True, cache=True)
-    def projection_measures_nb(x0, y0, side, thetas, tol):
-        out = np.empty(thetas.size)
-        for i in prange(thetas.size):
-            c = np.cos(thetas[i])
-            s = np.sin(thetas[i])
-            lo = x0 * c + y0 * s + side * (min(c, 0.0) + min(s, 0.0))
-            hi = lo + side * (abs(c) + abs(s))
-            order = np.argsort(lo)
-            out[i] = _union_measure_sorted_nb(lo[order], hi[order], tol)
-        return out
-
-    @njit(parallel=True, cache=True)
-    def riesz_energy_nb(px, py, w, s, floor):
-        m = px.size
-        total = 0.0
-        for i in prange(m):
-            acc = 0.0
-            for j in range(m):
-                if j == i:
-                    continue
-                dx = px[i] - px[j]
-                dy = py[i] - py[j]
-                d = np.sqrt(dx * dx + dy * dy)
-                if d < floor:
-                    d = floor
-                acc += w[j] * d ** (-s)
-            total += w[i] * acc
-        return total
-
-    @njit(cache=True)
-    def f_delta_stats_nb(px, py, delta, c_mult, dir_mask, k2min, k2max):
-        n_dir = dir_mask.size
-        nk2 = k2max - k2min + 1
-        reach = c_mult * delta
-        sum_sq = 0.0
-        nlevels = max(1, int(np.ceil(np.log2(max(px.size, 2)))) + 2)
-        hist = np.zeros(nlevels, dtype=np.int64)
-        diff = np.zeros(nk2 + 1, dtype=np.int64)
-        for k1 in range(n_dir):
-            if not dir_mask[k1]:
-                continue
-            th = k1 * delta
-            sn = np.sin(th)
-            cs = np.cos(th)
-            for i in range(nk2 + 1):
-                diff[i] = 0
-            for p in range(px.size):
-                t = -sn * px[p] + cs * py[p]
-                a = int(np.ceil((t - reach) / delta))
-                b = int(np.floor((t + reach) / delta))
-                if a < k2min:
-                    a = k2min
-                if b > k2max:
-                    b = k2max
-                if a <= b:
-                    diff[a - k2min] += 1
-                    diff[b - k2min + 1] -= 1
-            cnt = 0
-            for i in range(nk2):
-                cnt += diff[i]
-                if cnt > 0:
-                    sum_sq += float(cnt) * float(cnt)
-                    lev = int(np.ceil(np.log2(cnt)))
-                    if lev < 0:
-                        lev = 0
-                    if lev > nlevels - 1:
-                        lev = nlevels - 1
-                    hist[lev] += 1
-        return sum_sq, hist
-
-    @njit(cache=True)
-    def line_counts_table_nb(px, py, delta, c_mult, n_dir, k2min, k2max):
-        nk2 = k2max - k2min + 1
-        out = np.zeros((n_dir, nk2), dtype=np.int32)
-        reach = c_mult * delta
-        diff = np.zeros(nk2 + 1, dtype=np.int32)
-        for k1 in range(n_dir):
-            th = k1 * delta
-            sn = np.sin(th)
-            cs = np.cos(th)
-            for i in range(nk2 + 1):
-                diff[i] = 0
-            for p in range(px.size):
-                t = -sn * px[p] + cs * py[p]
-                a = int(np.ceil((t - reach) / delta))
-                b = int(np.floor((t + reach) / delta))
-                if a < k2min:
-                    a = k2min
-                if b > k2max:
-                    b = k2max
-                if a <= b:
-                    diff[a - k2min] += 1
-                    diff[b - k2min + 1] -= 1
-            cnt = 0
-            for i in range(nk2):
-                cnt += diff[i]
-                out[k1, i] = cnt
-        return out
-
-    projection_measures = projection_measures_nb
-    riesz_energy_sum = riesz_energy_nb
-    f_delta_stats = f_delta_stats_nb
-    line_counts_table = line_counts_table_nb
-else:
-    projection_measures = projection_measures_np
-    riesz_energy_sum = riesz_energy_np
-    f_delta_stats = f_delta_stats_np
-    line_counts_table = line_counts_table_np
-
-union_measure = union_measure_np
-merge_intervals = merge_intervals_np

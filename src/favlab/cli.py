@@ -16,12 +16,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from .geometry import Line, Point2
 from .ifs import (DEFAULT_NODE_BUDGET, IFSystem, ResourceBudgetError,
                   generate_generation, resolve_ifs, subword_census)
@@ -39,6 +39,10 @@ EXPERIMENTS = ("favard-scaling", "visibility-point", "vis-delta-sweep",
                "line-scan", "certify-set", "energy", "box-dim-sweep",
                "stacking", "bad-angles", "generic-census", "bridge")
 
+#: angle count of each experiment that takes one, when --angles is unset
+DEFAULT_ANGLES = {"favard-scaling": 4096, "bad-angles": 4096,
+                  "box-dim-sweep": 360, "stacking": 16}
+
 
 @dataclass
 class ExperimentConfig:
@@ -47,7 +51,7 @@ class ExperimentConfig:
     n_lo: int = 4
     n_hi: int = 4
     delta: float | None = None
-    angles: int = 4096
+    angles: int | None = None
     vantages: list[tuple[float, float]] = field(default_factory=list)
     lambdas: list[float] = field(default_factory=list)
     c: float = DEFAULT_C
@@ -79,7 +83,7 @@ def validate(cfg: ExperimentConfig) -> list[str]:
                     f"({sys_.s}^{cfg.n_hi} > {cfg.budget})")
     if cfg.delta is not None and cfg.delta <= 0:
         errs.append("delta: must be positive")
-    if cfg.angles < 1:
+    if cfg.angles is not None and cfg.angles < 1:
         errs.append("angles: must be >= 1")
     if cfg.experiment == "line-scan":
         for lam in cfg.lambdas:
@@ -87,6 +91,8 @@ def validate(cfg: ExperimentConfig) -> list[str]:
                 errs.append(f"lambda: {lam} outside (0, 1]")
     if cfg.c <= 0:
         errs.append("c: must be positive")
+    if not cfg.C > 0:
+        errs.append("C: must be positive")
     if cfg.seed < 0:
         errs.append("seed: must be >= 0")
     return errs
@@ -118,25 +124,33 @@ def run(cfg: ExperimentConfig) -> int:
         for v in violations:
             print(f"error: {v}", file=sys.stderr)
         return 2
+    if cfg.angles is None:
+        cfg = replace(cfg, angles=DEFAULT_ANGLES.get(cfg.experiment))
     start = time.monotonic()
     try:
         rows, header, summary = _dispatch(cfg)
     except ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _write_csv(cfg.out, header, rows)
+    except ValueError as exc:       # the library's input errors
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     sidecar = Path(cfg.out).with_suffix(".json")
     if str(sidecar) == cfg.out:
         sidecar = Path(cfg.out + ".summary.json")
-    payload = {
-        "config": asdict(cfg),
-        "version": __version__,
-        "numba": _kernels.NUMBA_ENABLED,
-        "wall_time_s": time.monotonic() - start,
-        "csv": cfg.out,
-        **summary,
-    }
-    sidecar.write_text(json.dumps(payload, indent=2))
+    try:
+        _write_csv(cfg.out, header, rows)
+        payload = {
+            "config": asdict(cfg),
+            "version": __version__,
+            "wall_time_s": time.monotonic() - start,
+            "csv": cfg.out,
+            **summary,
+        }
+        sidecar.write_text(json.dumps(payload, indent=2))
+    except OSError as exc:
+        print(f"error: out: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {cfg.out} and {sidecar}")
     return 0
 
@@ -211,8 +225,7 @@ def _dispatch(cfg: ExperimentConfig):
         gen = generate_generation(sys_, n, budget=cfg.budget)
         kmax = max(6, 2 * n)
         scales = [2.0 ** -k for k in range(2, kmax + 1)]
-        count = cfg.angles if cfg.angles != 4096 else 360
-        thetas = AngleGrid(count).thetas
+        thetas = AngleGrid(cfg.angles).thetas
         rows = []
         for th in thetas:
             iv = project_generation(gen, float(th))
@@ -222,9 +235,8 @@ def _dispatch(cfg: ExperimentConfig):
 
     if cfg.experiment == "stacking":
         gen = generate_generation(sys_, cfg.n_hi, budget=cfg.budget)
-        count = cfg.angles if cfg.angles != 4096 else 16
         rows = []
-        for th in AngleGrid(count).thetas:
+        for th in AngleGrid(cfg.angles).thetas:
             rep = stacked_census(gen, float(th), cfg.k)
             rows.append([rep.n, rep.theta, rep.K, rep.stacked_fraction,
                          rep.support_measure])
@@ -315,6 +327,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: value type of each scalar field a JSON config file may set
+_FIELD_TYPES = {"experiment": str, "ifs": str, "n_lo": int, "n_hi": int,
+                "delta": float, "angles": int, "c": float, "k": float,
+                "alpha": float, "C": float, "samples": int, "seed": int,
+                "out": str, "budget": int}
+
+
+def _typed(key: str, val, kind: type):
+    """A config-file value checked against its field's type; ints are
+    accepted where a float is expected."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(val, bool) or not isinstance(val, allowed):
+        raise ValueError(f"config: {key} must be {kind.__name__}, "
+                         f"got {val!r}")
+    return float(val) if kind is float else val
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(experiment=args.experiment)
     if args.config:
@@ -322,9 +351,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         for key, val in file_vals.items():
             if key == "n":
                 cfg.n_lo, cfg.n_hi = _parse_n(str(val))
-            elif key == "vantage":
-                cfg.vantages = [tuple(v) for v in val]
-            elif hasattr(cfg, key):
+            elif key in ("vantage", "vantages"):
+                cfg.vantages = [(_typed(key, x, float), _typed(key, y, float))
+                                for x, y in val]
+            elif key == "lambdas":
+                cfg.lambdas = [_typed(key, v, float) for v in val]
+            elif key in _FIELD_TYPES:
+                if not (val is None and key in ("delta", "angles")):
+                    val = _typed(key, val, _FIELD_TYPES[key])
                 setattr(cfg, key, val)
     if args.ifs is not None:
         cfg.ifs = args.ifs
@@ -350,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return run(cfg)

@@ -193,10 +193,6 @@ class IntervalSet:
         return self._hi
 
 
-def interval_union_insert(s: IntervalSet, lo: float, hi: float) -> IntervalSet:
-    return s.insert(lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # interval sets on the circle
 # ---------------------------------------------------------------------------
@@ -287,11 +283,6 @@ class CircularIntervalSet:
 
     def __repr__(self) -> str:
         return f"CircularIntervalSet({self._arcs!r})"
-
-
-def circular_union_insert(s: CircularIntervalSet, lo: float,
-                          length: float) -> CircularIntervalSet:
-    return s.insert(lo, length)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,8 @@ def check_discrete_alpha_set(A: PointCloud, alpha: float, C: float,
     line-unconcentration conditions over a deterministic plus seeded design."""
     if len(A) == 0:
         raise ValueError("empty point cloud")
+    if not C > 0:
+        raise ValueError(f"C must be positive, got {C}")
     rng = np.random.default_rng(seed)
     m = len(A)
     checks: dict[str, CheckResult] = {}

@@ -174,12 +174,6 @@ def apply_diffeo(d: DiffeoPreset, A: PointCloud) -> PointCloud:
 # polar Cantor visibility from the origin
 # ---------------------------------------------------------------------------
 
-def polar_arc_of_square(sq: Square) -> tuple[float, float]:
-    """Exact direction arc of the polar image of an axis-aligned square as
-    seen from the origin: the angle of phi(x, y) is pi*y, independent of x."""
-    return (math.pi * sq.corner.y, math.pi * sq.side)
-
-
 def polar_visibility_from_origin(gen: Generation) -> float:
     """vis(0, phi(J_n)) via exact circular unions of the polar image arcs."""
     starts = math.pi * gen.corner_y

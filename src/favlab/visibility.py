@@ -60,29 +60,6 @@ class PointCloud:
     def y(self) -> np.ndarray:
         return self.points[:, 1]
 
-    def to_text(self, path: str) -> None:
-        with open(path, "w") as fh:
-            for i, (px, py) in enumerate(self.points):
-                if self.weights is None:
-                    fh.write(f"{px!r} {py!r}\n")
-                else:
-                    fh.write(f"{px!r} {py!r} {self.weights[i]!r}\n")
-
-    @classmethod
-    def from_text(cls, path: str, delta: float) -> "PointCloud":
-        pts = []
-        wts = []
-        with open(path) as fh:
-            for raw in fh:
-                parts = raw.split()
-                if not parts:
-                    continue
-                pts.append((float(parts[0]), float(parts[1])))
-                if len(parts) > 2:
-                    wts.append(float(parts[2]))
-        weights = np.array(wts) if wts else None
-        return cls(np.array(pts), delta, weights)
-
 
 def cloud_from_generation(gen: Generation) -> PointCloud:
     """Square centers of a generation as a delta-separated cloud."""
@@ -212,13 +189,6 @@ def counts_table(A: PointCloud, fam: LineFamily,
         fam.delta, c, fam.k1_count, fam.k2_min, fam.k2_max)
 
 
-def _k2_window(t: np.ndarray, delta: float, reach: float, k2min: int,
-               k2max: int):
-    a = np.ceil((t - reach) / delta).astype(np.int64)
-    b = np.floor((t + reach) / delta).astype(np.int64)
-    return np.clip(a, k2min, k2max + 1), np.clip(b, k2min - 1, k2max)
-
-
 def _vantage_projections(a: Point2, fam: LineFamily) -> np.ndarray:
     th = fam.thetas
     return -np.sin(th) * a.x + np.cos(th) * a.y
@@ -247,7 +217,8 @@ def _vis_delta_from_table(vantages: np.ndarray, fam: LineFamily,
     offsets = np.arange(width)
     for i, (ax, ay) in enumerate(vantages):
         t = -sin_t * ax + cos_t * ay
-        lo, hi = _k2_window(t, delta, 2 * delta, fam.k2_min, fam.k2_max)
+        lo, hi = _kernels._k2_windows(t, delta, 2 * delta, fam.k2_min,
+                                      fam.k2_max)
         cand = lo[:, None] + offsets[None, :]
         valid = cand <= hi[:, None]
         cand = np.clip(cand - fam.k2_min, 0, table.shape[1] - 1)
@@ -279,13 +250,10 @@ def _direction_mask(fam: LineFamily, theta_set: Arc,
                     antipodal: bool = True) -> np.ndarray:
     """Which family directions fall in the arc (optionally union its
     antipode), with directions read as angles in [0, pi)."""
-    mask = np.empty(fam.k1_count, dtype=bool)
-    for k1 in range(fam.k1_count):
-        ang = k1 * fam.delta
-        ok = _arc_contains(theta_set, ang)
-        if antipodal:
-            ok = ok or _arc_contains(theta_set, ang + math.pi)
-        mask[k1] = ok
+    start, length = theta_set
+    mask = np.remainder(fam.thetas - start, TWO_PI) <= length
+    if antipodal:
+        mask |= np.remainder(fam.thetas + math.pi - start, TWO_PI) <= length
     return mask
 
 
@@ -295,14 +263,12 @@ def mass(a: Point2, theta_set: Arc, A: PointCloud, fam: LineFamily,
     direction lies in the arc or its antipode."""
     if len(A) == 0:
         return 0
-    if theta_set[1] <= 0:
-        # degenerate arc: only an exactly landing direction index qualifies
-        pass
     if table is None:
         table = counts_table(A, fam, c)
     dmask = _direction_mask(fam, theta_set, antipodal=True)
     t = _vantage_projections(a, fam)
-    lo, hi = _k2_window(t, fam.delta, 2 * fam.delta, fam.k2_min, fam.k2_max)
+    lo, hi = _kernels._k2_windows(t, fam.delta, 2 * fam.delta, fam.k2_min,
+                                  fam.k2_max)
     total = 0
     for k1 in np.flatnonzero(dmask):
         if lo[k1] <= hi[k1]:
@@ -322,7 +288,7 @@ def cone_count(a: Point2, theta_set: Arc, A: PointCloud, fam: LineFamily,
     dmask = _direction_mask(fam, theta_set, antipodal=False)
     t = _vantage_projections(a, fam)
     reach = c * fam.delta
-    lo, hi = _k2_window(t, fam.delta, reach, fam.k2_min, fam.k2_max)
+    lo, hi = _kernels._k2_windows(t, fam.delta, reach, fam.k2_min, fam.k2_max)
     a_in_cloud = bool(np.any((A.x == a.x) & (A.y == a.y)))
     total = 0
     for k1 in np.flatnonzero(dmask):

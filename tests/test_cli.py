@@ -43,6 +43,74 @@ class TestValidation:
         cfg = ExperimentConfig(experiment="favard-scaling", n_lo=3, n_hi=1)
         assert any(e.startswith("n:") for e in validate(cfg))
 
+    def test_unset_angles_valid(self):
+        cfg = ExperimentConfig(experiment="box-dim-sweep")
+        assert cfg.angles is None
+        assert validate(cfg) == []
+
+    @pytest.mark.parametrize("C", ["0", "-1"])
+    def test_nonpositive_C(self, tmp_path, capsys, C):
+        rc = main(["certify-set", "--n", "2", "--C", C,
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "C: must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+
+def _bad_config(tmp_path):
+    cfg_file = tmp_path / "bad.json"
+    cfg_file.write_text(json.dumps({"angles": "many"}))
+    return ["favard-scaling", "--n", "1", "--config", str(cfg_file),
+            "--out", str(tmp_path / "o.csv")]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["bridge", "--n", "2", "--vantage=5,0",
+                 "--out", str(tmp / "o.csv")],
+    lambda tmp: ["generic-census", "--n", "2", "--k", "3",
+                 "--samples", "100", "--out", str(tmp / "o.csv")],
+    _bad_config,
+    lambda tmp: ["favard-scaling", "--n", "1", "--angles", "8",
+                 "--out", str(tmp / "no-such-dir" / "o.csv")],
+], ids=["bridge-domain", "census-L-over-N", "config-type", "unwritable-out"])
+def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
+    rc = main(argv(tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestAngles:
+    def run_box_dim(self, tmp_path, extra):
+        out = tmp_path / "box.csv"
+        assert main(["box-dim-sweep", "--n", "1", *extra,
+                     "--out", str(out)]) == 0
+        blob = json.loads((tmp_path / "box.json").read_text())
+        return len(read_csv(out)) - 1, blob["config"]["angles"]
+
+    def test_explicit_4096_is_honoured(self, tmp_path):
+        assert self.run_box_dim(tmp_path, ["--angles", "4096"]) == (4096, 4096)
+
+    def test_default_is_resolved_and_echoed(self, tmp_path):
+        assert self.run_box_dim(tmp_path, []) == (360, 360)
+
+    def test_stacking_default(self, tmp_path):
+        out = tmp_path / "st.csv"
+        assert main(["stacking", "--n", "1", "--out", str(out)]) == 0
+        blob = json.loads((tmp_path / "st.json").read_text())
+        assert blob["config"]["angles"] == 16
+        assert len(read_csv(out)) - 1 == 16
+
+    def test_config_file_null_angles(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"angles": None, "n": 1}))
+        out = tmp_path / "o.csv"
+        assert main(["favard-scaling", "--config", str(cfg_file),
+                     "--out", str(out)]) == 0
+        blob = json.loads((tmp_path / "o.json").read_text())
+        assert blob["config"]["angles"] == 4096
+
 
 class TestRuns:
     def test_favard_scaling_monotone_and_deterministic(self, tmp_path):

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 
 from favlab.geometry import (FULL, MERGE_TOL, TWO_PI, CircularIntervalSet,
                              GeometryError, IntervalSet, Line, Point2,
-                             RotRect, Square, angular_hull,
-                             circular_union_insert, dist_point_line,
-                             hull_arcs_of_squares, interval_union_insert)
+                             RotRect, Square, angular_hull, dist_point_line,
+                             hull_arcs_of_squares)
 
 
 def grid_measure(pairs, lo=-5.0, hi=15.0, n=200_001):
@@ -30,19 +29,19 @@ def grid_measure(pairs, lo=-5.0, hi=15.0, n=200_001):
 
 class TestIntervalSet:
     def test_empty_insert(self):
-        s = interval_union_insert(IntervalSet(), 0.0, 1.0)
+        s = IntervalSet().insert(0.0, 1.0)
         assert s.intervals == [(0.0, 1.0)]
         assert s.measure() == 1.0
 
     def test_overlap_merge(self):
         s = IntervalSet.from_pairs([(0, 1)])
-        s = interval_union_insert(s, 0.5, 2.0)
+        s = s.insert(0.5, 2.0)
         assert s.intervals == [(0.0, 2.0)]
         assert s.measure() == 2.0
 
     def test_bridge_merge(self):
         s = IntervalSet.from_pairs([(0, 1), (2, 3)])
-        s = interval_union_insert(s, 0.9, 2.1)
+        s = s.insert(0.9, 2.1)
         assert s.intervals == [(0.0, 3.0)]
         assert s.measure() == 3.0
         # [DERIVED] grid oracle agreement
@@ -90,7 +89,7 @@ class TestIntervalSet:
 
 class TestCircularIntervalSet:
     def test_wraparound(self):
-        s = circular_union_insert(CircularIntervalSet(), 6.0, 0.6)
+        s = CircularIntervalSet().insert(6.0, 0.6)
         assert len(s) == 1
         assert s.measure() == pytest.approx(0.6, abs=1e-12)
         assert s.contains(6.2) and s.contains(0.2)

@@ -1,119 +1,154 @@
-"""Numpy/numba kernel twins must agree bit-for-bit on integer outputs and
-to rounding error on float ones."""
+"""Regression values for the numpy kernels and the identities that tie the
+count table to the richness statistics.
+
+The frozen values below were computed by the kernels as they stood before
+the count-row sweep was shared between the table and the statistics; the
+integer outputs must match bit for bit.
+"""
+
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from favlab import _kernels
 
-pytestmark = pytest.mark.skipif(
-    not _kernels.NUMBA_ENABLED,
-    reason="numba disabled; only the numpy path is active")
+
+def uniform_cloud(seed, m):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)
 
 
-@pytest.fixture(scope="module")
-def rng():
-    return np.random.default_rng(123)
+def family_shape(delta, d):
+    """(direction count, k2 max) of the maximal delta-family meeting B(0, d)."""
+    return int(np.floor(np.pi / delta)) + 1, int(np.floor(d / delta))
 
 
-def random_squares(rng, m=300):
-    x0 = rng.uniform(-1, 1, m)
-    y0 = rng.uniform(-1, 1, m)
-    return x0, y0, 0.05
-
-
-class TestProjectionMeasures:
-    def test_matches_numpy(self, rng):
-        x0, y0, side = random_squares(rng)
-        thetas = rng.uniform(0, np.pi, 64)
-        a = _kernels.projection_measures_np(x0, y0, side, thetas, 1e-12)
-        b = _kernels.projection_measures_nb(x0, y0, side, thetas, 1e-12)
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-
-    def test_single_square(self):
-        thetas = np.array([0.0, 0.5, 1.3])
-        a = _kernels.projection_measures_np(np.zeros(1), np.zeros(1), 1.0,
-                                            thetas, 1e-12)
-        b = _kernels.projection_measures_nb(np.zeros(1), np.zeros(1), 1.0,
-                                            thetas, 1e-12)
-        np.testing.assert_allclose(a, b, atol=1e-15)
-
-
-class TestRieszEnergy:
-    def test_matches_numpy(self, rng):
-        m = 500
-        px = rng.uniform(0, 1, m)
-        py = rng.uniform(0, 1, m)
-        w = rng.uniform(0, 1, m)
-        w /= w.sum()
-        a = _kernels.riesz_energy_np(px, py, w, 0.8, 1e-4)
-        b = _kernels.riesz_energy_nb(px, py, w, 0.8, 1e-4)
-        assert b == pytest.approx(a, rel=1e-11)
-
-    def test_floor_active(self, rng):
-        px = np.array([0.0, 1e-9, 1.0])
-        py = np.zeros(3)
-        w = np.full(3, 1 / 3)
-        a = _kernels.riesz_energy_np(px, py, w, 1.0, 0.01)
-        b = _kernels.riesz_energy_nb(px, py, w, 1.0, 0.01)
-        assert b == pytest.approx(a, rel=1e-12)
-
-
-class TestLineKernels:
-    def test_counts_table_identical(self, rng):
-        m = 400
-        px = rng.uniform(-1, 1, m)
-        py = rng.uniform(-1, 1, m)
-        delta = 0.02
-        n_dir = int(np.floor(np.pi / delta)) + 1
-        k2max = int(np.floor(2.0 / delta))
-        a = _kernels.line_counts_table_np(px, py, delta, 4.0, n_dir,
-                                          -k2max, k2max)
-        b = _kernels.line_counts_table_nb(px, py, delta, 4.0, n_dir,
-                                          -k2max, k2max)
-        assert a.shape == b.shape
-        assert np.array_equal(a, b)
-
-    def test_f_delta_stats_identical(self, rng):
-        m = 350
-        px = rng.uniform(-1, 1, m)
-        py = rng.uniform(-1, 1, m)
-        delta = 0.03
-        n_dir = int(np.floor(np.pi / delta)) + 1
-        k2max = int(np.floor(1.5 / delta))
-        mask = rng.random(n_dir) < 0.7
-        sa, ha = _kernels.f_delta_stats_np(px, py, delta, 4.0, mask,
+class TestFrozenValues:
+    def test_line_counts_table(self):
+        px, py = uniform_cloud(123, 400)
+        n_dir, k2max = family_shape(0.02, 2.0)
+        table = _kernels.line_counts_table(px, py, 0.02, 4.0, n_dir,
                                            -k2max, k2max)
-        sb, hb = _kernels.f_delta_stats_nb(px, py, delta, 4.0, mask,
-                                           -k2max, k2max)
-        assert sb == pytest.approx(sa, rel=1e-12)
-        assert np.array_equal(ha, hb)
+        assert table.dtype == np.int32
+        assert table.shape == (158, 201)
+        assert int(table.sum()) == 505600
+        assert hashlib.sha256(table.tobytes()).hexdigest() == (
+            "2332cc6de1df1fcb102a0058dd7a6033c9586e693273222e56a5f32ba787ea21")
 
-    def test_stats_consistent_with_table(self, rng):
-        m = 200
-        px = rng.uniform(-0.5, 0.5, m)
-        py = rng.uniform(-0.5, 0.5, m)
-        delta = 0.05
-        n_dir = int(np.floor(np.pi / delta)) + 1
-        k2max = int(np.floor(1.0 / delta))
+    def test_f_delta_stats_full_mask(self):
+        px, py = uniform_cloud(7, 350)
+        n_dir, k2max = family_shape(0.03, 1.5)
         mask = np.ones(n_dir, dtype=bool)
-        table = _kernels.line_counts_table(px, py, delta, 4.0, n_dir,
-                                           -k2max, k2max)
-        sum_sq, hist = _kernels.f_delta_stats(px, py, delta, 4.0, mask,
+        sum_sq, hist = _kernels.f_delta_stats(px, py, 0.03, 4.0, mask,
                                               -k2max, k2max)
-        assert sum_sq == pytest.approx(
-            float(np.sum(table.astype(np.float64) ** 2)), rel=1e-12)
-        assert int(hist.sum()) == int(np.count_nonzero(table))
+        assert sum_sq == 11951216.0
+        assert hist.tolist() == [370, 132, 195, 380, 820, 1952, 5172, 63,
+                                 0, 0, 0]
+
+    def test_f_delta_stats_random_mask(self):
+        px, py = uniform_cloud(7, 350)
+        n_dir, k2max = family_shape(0.03, 1.5)
+        mask = np.random.default_rng(8).random(n_dir) < 0.5
+        assert int(mask.sum()) == 66
+        sum_sq, hist = _kernels.f_delta_stats(px, py, 0.03, 4.0, mask,
+                                              -k2max, k2max)
+        assert sum_sq == 7515960.0
+        assert hist.tolist() == [250, 80, 121, 236, 522, 1234, 3238, 46,
+                                 0, 0, 0]
+
+    def test_projection_measures(self):
+        rng = np.random.default_rng(11)
+        x0 = rng.uniform(-1, 1, 300)
+        y0 = rng.uniform(-1, 1, 300)
+        thetas = rng.uniform(0, np.pi, 8)
+        got = _kernels.projection_measures(x0, y0, 0.05, thetas, 1e-12)
+        frozen = [2.191177235026902, 2.476998270344671, 2.3200168345975225,
+                  2.640927672720498, 2.663098047736288, 2.603944847289472,
+                  2.3066572411818873, 2.6589291838517672]
+        np.testing.assert_allclose(got, frozen, rtol=1e-14, atol=0)
+
+    def test_riesz_energy_sum(self):
+        rng = np.random.default_rng(12)
+        px = rng.uniform(0, 1, 500)
+        py = rng.uniform(0, 1, 500)
+        w = rng.uniform(0, 1, 500)
+        w /= w.sum()
+        got = _kernels.riesz_energy_sum(px, py, w, 0.8, 1e-4)
+        assert got == pytest.approx(2.161835931925077, rel=1e-14)
 
 
-def test_union_measure_basic():
-    lo = np.array([0.0, 0.5, 3.0])
-    hi = np.array([1.0, 2.0, 4.0])
-    assert _kernels.union_measure(lo, hi, 1e-12) == pytest.approx(3.0)
+class TestIntervals:
+    def test_union_measure(self):
+        lo = np.array([0.0, 0.5, 3.0])
+        hi = np.array([1.0, 2.0, 4.0])
+        assert _kernels.union_measure_np(lo, hi, 1e-12) == pytest.approx(3.0)
+
+    def test_merge_intervals(self):
+        lo = np.array([3.0, 0.0, 0.5, 2.0 + 1e-13])
+        hi = np.array([4.0, 1.0, 2.0, 2.5])
+        mlo, mhi = _kernels.merge_intervals(lo, hi, 1e-12)
+        assert mlo.tolist() == [0.0, 3.0]
+        assert mhi.tolist() == [2.5, 4.0]
+
+    def test_empty(self):
+        mlo, mhi = _kernels.merge_intervals(np.empty(0), np.empty(0), 1e-12)
+        assert mlo.size == mhi.size == 0
+        assert _kernels.union_measure_np(np.empty(0), np.empty(0), 0.0) == 0.0
+
+    def test_single_square_projection(self):
+        # the projection of a unit square at angle th has length |cos|+|sin|
+        thetas = np.array([0.0, 0.5, 1.3, 2.9])
+        got = _kernels.projection_measures(np.zeros(1), np.zeros(1), 1.0,
+                                           thetas, 1e-12)
+        np.testing.assert_allclose(
+            got, np.abs(np.cos(thetas)) + np.abs(np.sin(thetas)), atol=1e-15)
 
 
-def test_dispatch_bindings():
-    if _kernels.NUMBA_ENABLED:
-        assert _kernels.line_counts_table is _kernels.line_counts_table_nb
-    else:
-        assert _kernels.line_counts_table is _kernels.line_counts_table_np
+def brute_counts(px, py, delta, c_mult, n_dir, k2min, k2max):
+    """Independent oracle: count points near every line directly."""
+    k2 = np.arange(k2min, k2max + 1) * delta
+    out = np.empty((n_dir, k2.size), dtype=np.int64)
+    for k1 in range(n_dir):
+        th = k1 * delta
+        t = -np.sin(th) * px + np.cos(th) * py
+        out[k1] = np.count_nonzero(
+            np.abs(t[None, :] - k2[:, None]) <= c_mult * delta, axis=1)
+    return out
+
+
+def test_table_matches_brute_force():
+    px, py = uniform_cloud(5, 120)
+    delta = 0.07
+    n_dir, k2max = family_shape(delta, 1.5)
+    table = _kernels.line_counts_table(px, py, delta, 2.0, n_dir,
+                                       -k2max, k2max)
+    assert np.array_equal(
+        table, brute_counts(px, py, delta, 2.0, n_dir, -k2max, k2max))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(0, 60), seed=st.integers(0, 2 ** 32 - 1),
+       delta=st.floats(0.05, 0.4), c_mult=st.floats(0.5, 6.0),
+       d=st.floats(0.5, 2.0), data=st.data())
+def test_stats_consistent_with_table(m, seed, delta, c_mult, d, data):
+    rng = np.random.default_rng(seed)
+    px = rng.uniform(-0.5, 0.5, m)
+    py = rng.uniform(-0.5, 0.5, m)
+    n_dir, k2max = family_shape(delta, max(d, delta))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n_dir,
+                                       max_size=n_dir)), dtype=bool)
+    table = _kernels.line_counts_table(px, py, delta, c_mult, n_dir,
+                                       -k2max, k2max)
+    sum_sq, hist = _kernels.f_delta_stats(px, py, delta, c_mult, mask,
+                                          -k2max, k2max)
+    rows = table[mask].astype(np.int64)
+    assert sum_sq == float(np.sum(rows.astype(np.float64) ** 2))
+    pos = rows[rows > 0]
+    assert int(hist.sum()) == pos.size
+    # hist[j] counts lines with 2^(j-1) < f <= 2^j
+    for j, count in enumerate(hist):
+        lo = 2.0 ** (j - 1) if j > 0 else 0.0
+        assert count == np.count_nonzero((pos > lo) & (pos <= 2.0 ** j))

@@ -69,6 +69,14 @@ class TestAlphaSetCertifier:
         with pytest.raises(ValueError):
             check_discrete_alpha_set(PointCloud(np.empty((0, 2)), 0.1), 1.0, 4.0)
 
+    @pytest.mark.parametrize("C", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_C(self, gens, C):
+        A = cloud_from_generation(gens(2))
+        with pytest.raises(ValueError, match="C must be positive"):
+            check_discrete_alpha_set(A, 1.0, C)
+        with pytest.raises(ValueError, match="C must be positive"):
+            check_unrectifiable_one_set(A, C)
+
     def test_json_roundtrip(self, gens):
         A = cloud_from_generation(gens(3))
         cert = check_discrete_alpha_set(A, 1.0, 256.0, seed=5)

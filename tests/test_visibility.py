@@ -15,6 +15,7 @@ from favlab.visibility import (DEFAULT_C, DiscreteLine, LineFamily,
                                radial_projection_balls, richness_histogram,
                                scan_line_low_visibility, select_intervals,
                                vis_delta, visibility)
+from favlab.visibility import _direction_mask
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +240,24 @@ class TestMassAndCones:
         # an arc of length ~0 off the direction grid selects nothing
         m = mass(a, (0.12345e-3 + fam.delta / 3, 1e-12), A, fam, table=table)
         assert m == 0
+
+    @pytest.mark.parametrize("delta", [0.05, 0.013, 4.0 ** -5])
+    @pytest.mark.parametrize("arc", [(0.0, TWO_PI), (-0.3, 0.6),
+                                     (math.pi / 4 - 0.3, 0.6), (5.9, 1.1),
+                                     (0.12345e-3, 1e-12), (2.5, 0.0)])
+    def test_direction_mask_matches_scalar_loop(self, delta, arc):
+        """The vectorised mask equals the per-direction Python float %."""
+        fam = build_line_family(delta, 2.0)
+        for antipodal in (False, True):
+            want = []
+            for k1 in range(fam.k1_count):
+                ang = k1 * fam.delta
+                ok = (ang - arc[0]) % TWO_PI <= arc[1]
+                if antipodal:
+                    ok = ok or (ang + math.pi - arc[0]) % TWO_PI <= arc[1]
+                want.append(ok)
+            got = _direction_mask(fam, arc, antipodal=antipodal)
+            assert got.tolist() == want
 
     def test_lone_vantage_cone(self):
         fam = build_line_family(0.05, 2.0)
