@@ -26,8 +26,7 @@ from .geometry import Line, Point2
 from .ifs import (DEFAULT_NODE_BUDGET, IFSystem, ResourceBudgetError,
                   generate_generation, resolve_ifs, subword_census)
 from .projections import (AngleGrid, bad_angle_measure, favard_length,
-                          project_generation, stacked_census,
-                          sup_projection_count)
+                          project_generation, stacked_census)
 from .set_analysis import (box_dimension_estimate, check_discrete_alpha_set,
                            check_unrectifiable_one_set, riesz_energy)
 from .transforms import radial_vs_projection_bridge
@@ -81,7 +80,7 @@ def validate(cfg: ExperimentConfig) -> list[str]:
     if sys_ is not None and sys_.s ** cfg.n_hi > cfg.budget:
         errs.append(f"n: depth {cfg.n_hi} exceeds node budget "
                     f"({sys_.s}^{cfg.n_hi} > {cfg.budget})")
-    if cfg.delta is not None and cfg.delta <= 0:
+    if cfg.delta is not None and not cfg.delta > 0:
         errs.append("delta: must be positive")
     if cfg.angles is not None and cfg.angles < 1:
         errs.append("angles: must be >= 1")
@@ -89,7 +88,11 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         for lam in cfg.lambdas:
             if not (0 < lam <= 1):
                 errs.append(f"lambda: {lam} outside (0, 1]")
-    if cfg.c <= 0:
+    if cfg.experiment == "generic-census" and not (
+            float(cfg.k).is_integer() and cfg.k >= 1):
+        errs.append(f"k: subword length must be an integer >= 1, "
+                    f"got {cfg.k}")
+    if not cfg.c > 0:
         errs.append("c: must be positive")
     if not cfg.C > 0:
         errs.append("C: must be positive")
@@ -181,11 +184,11 @@ def _dispatch(cfg: ExperimentConfig):
         delta = _default_delta(cfg, gen)
         vantages = cfg.vantages or [(-1.0, -1.0)]
         fam = build_line_family(delta, _enclosing_radius(sys_, vantages))
+        points = [Point2(vx, vy) for vx, vy in vantages]
         rows = []
-        for vx, vy in vantages:
-            a = Point2(vx, vy)
+        for a, vd in zip(points, vis_delta(points, A, fam, cfg.c)):
             vis = radial_projection_balls(A, delta, a).measure() / (2 * math.pi)
-            rows.append([vx, vy, vis, vis_delta(a, A, fam, cfg.c)])
+            rows.append([a.x, a.y, vis, vd])
         return rows, ["vantage_x", "vantage_y", "vis", "vis_delta"], {}
 
     if cfg.experiment == "line-scan":
@@ -195,8 +198,8 @@ def _dispatch(cfg: ExperimentConfig):
         fam = build_line_family(delta, _enclosing_radius(sys_))
         ell0 = Line(0.0, sys_.hull.corner.y - 0.5 * sys_.hull.side)
         lams = cfg.lambdas or [2.0 ** -j for j in range(1, 7)]
-        rows = [[lam, scan_line_low_visibility(ell0, A, fam, lam, c=cfg.c)]
-                for lam in lams]
+        lengths = scan_line_low_visibility(ell0, A, fam, lams, c=cfg.c)
+        rows = [[lam, length] for lam, length in zip(lams, lengths)]
         return rows, ["lambda", "sublevel_length"], {}
 
     if cfg.experiment == "certify-set":
@@ -245,13 +248,8 @@ def _dispatch(cfg: ExperimentConfig):
     if cfg.experiment == "bad-angles":
         grid = AngleGrid(cfg.angles)
         report = bad_angle_measure(sys_, cfg.n_hi, grid, budget=cfg.budget)
-        gen = generate_generation(sys_, cfg.n_hi, budget=cfg.budget)
-        bad = set(report.bad_thetas)
-        rows = []
-        for th in grid.thetas:
-            direction = (float(th) - math.pi / 2) % math.pi
-            rows.append([float(th), sup_projection_count(gen, direction),
-                         int(float(th) in bad)])
+        rows = [[float(th), sup, int(sup <= report.K)]
+                for th, sup in zip(grid.thetas, report.sups)]
         return rows, ["theta", "sup_f", "bad"], {
             "K": report.K, "bad_measure": report.measure_estimate}
 
@@ -271,9 +269,9 @@ def _dispatch(cfg: ExperimentConfig):
               or [-9.5 + i for i in range(10)])
         fam = build_line_family(
             delta, _enclosing_radius(sys_, [(x, 0.0) for x in xs]))
+        pairs = radial_vs_projection_bridge(A, xs, fam, cfg.c)
         rows = []
-        for x in xs:
-            vd, length = radial_vs_projection_bridge(A, x, fam, cfg.c)
+        for x, (vd, length) in zip(xs, pairs):
             ratio = vd * delta / length if length > 0 else float("nan")
             rows.append([x, vd, length, ratio])
         return (rows, ["x", "vis_delta", "projected_length", "ratio_delta"],
@@ -348,6 +346,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(experiment=args.experiment)
     if args.config:
         file_vals = json.loads(Path(args.config).read_text())
+        if not isinstance(file_vals, dict):
+            raise ValueError("config: the file must hold a JSON object")
         for key, val in file_vals.items():
             if key == "n":
                 cfg.n_lo, cfg.n_hi = _parse_n(str(val))
@@ -360,6 +360,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 if not (val is None and key in ("delta", "angles")):
                     val = _typed(key, val, _FIELD_TYPES[key])
                 setattr(cfg, key, val)
+            else:
+                raise ValueError(f"config: unknown key {key!r}")
     if args.ifs is not None:
         cfg.ifs = args.ifs
     if args.n is not None:

@@ -54,7 +54,6 @@ IDENTITY = Similitude(1.0, (0.0, 0.0))
 class IFSystem:
     maps: tuple[Similitude, ...]
     hull: Square
-    osc_asserted: bool = True
 
     def __post_init__(self):
         if len(self.maps) < 2:
@@ -92,7 +91,10 @@ class Generation(Sequence):
 
     @property
     def side(self) -> float:
-        """Common side length (equal-ratio systems)."""
+        """Common side length; only equal-ratio systems have one."""
+        if not self.sys.equal_ratios:
+            raise ValueError("generation squares have no common side: the "
+                             "IFS contraction ratios differ")
         return float(self.sides[0])
 
     def __len__(self) -> int:
@@ -227,7 +229,7 @@ def four_corner(corner: tuple[float, float] = (0.0, 0.0),
             # corner/4 + z = corner + offset
             maps.append(Similitude(0.25, (0.75 * cx + dx, 0.75 * cy + dy)))
     # reorder to lexicographic by (dx, dy) blocks: keep (0,0),(q,0),(0,q),(q,q)
-    return IFSystem(tuple(maps), Square(Point2(cx, cy), side), True)
+    return IFSystem(tuple(maps), Square(Point2(cx, cy), side))
 
 
 PRESETS = {
@@ -252,7 +254,7 @@ def ifs_from_dict(d: dict) -> IFSystem:
     maps = tuple(Similitude(m["lambda"], tuple(m["z"])) for m in d["maps"])
     h = d["hull"]
     hull = Square(Point2(*h["corner"]), h["side"])
-    return IFSystem(maps, hull, bool(d.get("osc", True)))
+    return IFSystem(maps, hull)
 
 
 def load_ifs(path: str) -> IFSystem:

@@ -119,7 +119,7 @@ def hl_maximal(gen: Generation, theta: float, r: float) -> float:
 def stacked_census(gen: Generation, theta: float, K: float) -> StackReport:
     """Fraction of stage-n squares whose whole projection sits where the
     maximal function is >= K, probed at 9 equispaced points per square."""
-    if K <= 0:
+    if not K > 0:
         raise ValueError("stack threshold K must be positive")
     lo, hi = _projection_bounds(gen, theta)
     stacked = 0
@@ -150,6 +150,7 @@ class BadAngleReport:
     K: float
     measure_estimate: float
     bad_thetas: tuple[float, ...]
+    sups: tuple[int, ...]       # sup of the counting function per grid angle
 
 
 def bad_angle_measure(sys: IFSystem, L: int, grid: AngleGrid,
@@ -162,12 +163,11 @@ def bad_angle_measure(sys: IFSystem, L: int, grid: AngleGrid,
     if fav <= 0:
         raise DegenerateError("Favard estimate is zero; threshold undefined")
     K = 1.0 / math.sqrt(fav)
-    bad = []
-    for th in grid.thetas:
-        direction = (th - math.pi / 2) % math.pi
-        if sup_projection_count(gen, direction) <= K:
-            bad.append(float(th))
-    return BadAngleReport(K, len(bad) * grid.spacing, tuple(bad))
+    thetas = grid.thetas
+    sups = tuple(sup_projection_count(gen, (th - math.pi / 2) % math.pi)
+                 for th in thetas)
+    bad = tuple(float(th) for th, sup in zip(thetas, sups) if sup <= K)
+    return BadAngleReport(K, len(bad) * grid.spacing, bad, sups)
 
 
 def fav_upper_pipeline(sys: IFSystem, a: Point2, n: int, grid: AngleGrid,

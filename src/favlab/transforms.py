@@ -7,6 +7,7 @@ preset to a point cloud with a sampled Jacobian bound.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -187,21 +188,26 @@ def polar_visibility_from_origin(gen: Generation) -> float:
 # radial/projection bridge
 # ---------------------------------------------------------------------------
 
-def radial_vs_projection_bridge(A: PointCloud, x: float, fam, c: float = 4.0):
-    """Discrete visibility from (x, 0) next to the projected length of the
-    projective image of the delta-thickened cloud in direction theta_x."""
+def radial_vs_projection_bridge(A: PointCloud, xs: Sequence[float], fam,
+                                c: float = 4.0) -> list[tuple[int, float]]:
+    """Per abscissa x, the discrete visibility from (x, 0) next to the
+    projected length of the projective image of the delta-thickened cloud
+    in direction theta_x."""
     from .geometry import IntervalSet
     from .visibility import vis_delta
 
-    if not (-10 <= x <= 0):
+    if not all(-10 <= x <= 0 for x in xs):
         raise DomainError("vantage abscissa must lie in [-10, 0]")
     if len(A) == 0:
-        return 0, 0.0
-    vd = vis_delta(Point2(x, 0.0), A, fam, c)
+        return [(0, 0.0)] * len(xs)
+    vds = vis_delta([Point2(x, 0.0) for x in xs], A, fam, c)
     image = _projective_forward(A.points)
     # each delta-ball maps to a region within delta * |J| of the image point
     radii = A.delta * jacobian_norms(PROJECTIVE_T, A.points)
-    th = theta_x(x)
-    t = image[:, 0] * math.cos(th) + image[:, 1] * math.sin(th)
-    proj = IntervalSet.from_arrays(t - radii, t + radii)
-    return vd, proj.measure()
+    out = []
+    for x, vd in zip(xs, vds):
+        th = theta_x(x)
+        t = image[:, 0] * math.cos(th) + image[:, 1] * math.sin(th)
+        out.append((vd, IntervalSet.from_arrays(t - radii, t + radii)
+                    .measure()))
+    return out

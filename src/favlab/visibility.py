@@ -11,6 +11,7 @@ all the definitions.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,9 +26,11 @@ from .ifs import Generation, ResourceBudgetError
 #: d <= 2 fixtures (checked directly in the test suite)
 DEFAULT_C = 4.0
 
-#: cap on materialized DiscreteLine lists and dense count tables
-LINE_BUDGET = 2_000_000
+#: cap on the cells of a dense count table
 TABLE_BUDGET = 50_000_000
+#: vantages per block of _window_sums; the saving of a batch is one table
+#: sweep per call, and larger blocks only make the gathers slower
+_VANTAGE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -152,16 +155,6 @@ class LineFamily:
     def thetas(self) -> np.ndarray:
         return np.arange(self.k1_count) * self.delta
 
-    @property
-    def lines(self) -> list[DiscreteLine]:
-        if self.n_lines > LINE_BUDGET:
-            raise ResourceBudgetError(
-                f"family has {self.n_lines} lines; materialization cap is "
-                f"{LINE_BUDGET}")
-        return [self.line(k1, k2)
-                for k1 in range(self.k1_count)
-                for k2 in range(self.k2_min, self.k2_max + 1)]
-
 
 def build_line_family(delta: float, d: float) -> LineFamily:
     return LineFamily(delta, d)
@@ -189,42 +182,53 @@ def counts_table(A: PointCloud, fam: LineFamily,
         fam.delta, c, fam.k1_count, fam.k2_min, fam.k2_max)
 
 
-def _vantage_projections(a: Point2, fam: LineFamily) -> np.ndarray:
+def _points(vantages) -> np.ndarray:
+    """(m, 2) array of a sequence of Point2."""
+    return np.array([(a.x, a.y) for a in vantages], dtype=float).reshape(-1, 2)
+
+
+def _vantage_windows(pts: np.ndarray, fam: LineFamily, reach: float):
+    """Table columns [lo, hi] of the lines ell_{k1,k2} with
+    |t_k1(a) - k2*delta| <= reach, one row of k1_count windows per vantage;
+    an empty window has lo > hi."""
     th = fam.thetas
-    return -np.sin(th) * a.x + np.cos(th) * a.y
+    t = -np.sin(th) * pts[:, :1] + np.cos(th) * pts[:, 1:]
+    lo, hi = _kernels._k2_windows(t, fam.delta, reach, fam.k2_min,
+                                  fam.k2_max)
+    return lo - fam.k2_min, hi - fam.k2_min
 
 
-def vis_delta(a: Point2, A: PointCloud, fam: LineFamily,
-              c: float = DEFAULT_C, table: np.ndarray | None = None) -> int:
-    """Count of family lines whose 2-delta tube contains the vantage and
-    whose c-delta tube meets the cloud."""
-    if len(A) == 0:
-        return 0
-    if table is None:
-        table = counts_table(A, fam, c)
-    return int(_vis_delta_from_table(np.array([[a.x, a.y]]), fam, table)[0])
+def _window_sums(vantages: np.ndarray, table: np.ndarray, fam: LineFamily,
+                 reach: float) -> np.ndarray:
+    """(m, k1_count) sums of table[k1, k2 - k2_min] over the window
+    |t_k1(a) - k2*delta| <= reach of each vantage a.
 
-
-def _vis_delta_from_table(vantages: np.ndarray, fam: LineFamily,
-                          table: np.ndarray) -> np.ndarray:
-    """Vectorized vis_delta for an (m, 2) array of vantage points."""
-    delta = fam.delta
-    th = fam.thetas
-    sin_t, cos_t = np.sin(th), np.cos(th)
-    occupied = table > 0
-    out = np.empty(len(vantages), dtype=np.int64)
-    width = int(math.floor(4.0)) + 1  # |t - k2 d| <= 2d spans <= 5 indices
-    offsets = np.arange(width)
-    for i, (ax, ay) in enumerate(vantages):
-        t = -sin_t * ax + cos_t * ay
-        lo, hi = _kernels._k2_windows(t, delta, 2 * delta, fam.k2_min,
-                                      fam.k2_max)
-        cand = lo[:, None] + offsets[None, :]
-        valid = cand <= hi[:, None]
-        cand = np.clip(cand - fam.k2_min, 0, table.shape[1] - 1)
-        hits = occupied[np.arange(fam.k1_count)[:, None], cand] & valid
-        out[i] = int(np.count_nonzero(hits))
+    Works in blocks of _VANTAGE_BLOCK vantages, so no temporary grows with m.
+    """
+    flat = table.ravel()
+    row_start = (np.arange(fam.k1_count) * table.shape[1])[:, None]
+    out = np.empty((len(vantages), fam.k1_count), dtype=np.int64)
+    for s in range(0, len(vantages), _VANTAGE_BLOCK):
+        lo, hi = _vantage_windows(vantages[s:s + _VANTAGE_BLOCK], fam, reach)
+        width = max(int((hi - lo).max()) + 1, 0)
+        cand = lo[..., None] + np.arange(width)
+        valid = cand <= hi[..., None]
+        # invalid candidates may point past the row (or the table): they
+        # are read clipped and masked out
+        vals = np.take(flat, row_start + cand, mode="clip")
+        out[s:s + _VANTAGE_BLOCK] = (vals * valid).sum(axis=2, dtype=np.int64)
     return out
+
+
+def vis_delta(vantages: Sequence[Point2], A: PointCloud, fam: LineFamily,
+              c: float = DEFAULT_C) -> list[int]:
+    """Per vantage, the count of family lines whose 2-delta tube contains it
+    and whose c-delta tube meets the cloud."""
+    pts = _points(vantages)
+    if len(A) == 0:
+        return [0] * len(pts)
+    return _window_sums(pts, counts_table(A, fam, c) > 0, fam,
+                        2 * fam.delta).sum(axis=1).tolist()
 
 
 def l2_norm_f(A: PointCloud, fam: LineFamily, c: float = DEFAULT_C) -> float:
@@ -258,47 +262,31 @@ def _direction_mask(fam: LineFamily, theta_set: Arc,
 
 
 def mass(a: Point2, theta_set: Arc, A: PointCloud, fam: LineFamily,
-         c: float = DEFAULT_C, table: np.ndarray | None = None) -> int:
+         c: float = DEFAULT_C) -> int:
     """Total richness of the lines through the vantage's 2-delta ball whose
     direction lies in the arc or its antipode."""
     if len(A) == 0:
         return 0
-    if table is None:
-        table = counts_table(A, fam, c)
-    dmask = _direction_mask(fam, theta_set, antipodal=True)
-    t = _vantage_projections(a, fam)
-    lo, hi = _kernels._k2_windows(t, fam.delta, 2 * fam.delta, fam.k2_min,
-                                  fam.k2_max)
-    total = 0
-    for k1 in np.flatnonzero(dmask):
-        if lo[k1] <= hi[k1]:
-            row = table[k1]
-            total += int(row[lo[k1] - fam.k2_min: hi[k1] - fam.k2_min + 1].sum())
-    return total
+    sums = _window_sums(_points([a]), counts_table(A, fam, c), fam,
+                        2 * fam.delta)[0]
+    return int(sums[_direction_mask(fam, theta_set)].sum())
 
 
 def cone_count(a: Point2, theta_set: Arc, A: PointCloud, fam: LineFamily,
-               c: float = DEFAULT_C, table: np.ndarray | None = None) -> int:
+               c: float = DEFAULT_C) -> int:
     """Exact count of pairs (a', l): a' in the cloud, a' != a, both a and a'
     within c*delta of l, and the direction of l in the arc."""
     if len(A) == 0:
         return 0
-    if table is None:
-        table = counts_table(A, fam, c)
-    dmask = _direction_mask(fam, theta_set, antipodal=False)
-    t = _vantage_projections(a, fam)
+    pts = _points([a])
     reach = c * fam.delta
-    lo, hi = _kernels._k2_windows(t, fam.delta, reach, fam.k2_min, fam.k2_max)
-    a_in_cloud = bool(np.any((A.x == a.x) & (A.y == a.y)))
-    total = 0
-    for k1 in np.flatnonzero(dmask):
-        if lo[k1] > hi[k1]:
-            continue
-        row = table[k1, lo[k1] - fam.k2_min: hi[k1] - fam.k2_min + 1]
-        total += int(row.sum())
-        if a_in_cloud:
-            # each qualifying line counts the vantage itself once
-            total -= int(len(row))
+    dmask = _direction_mask(fam, theta_set, antipodal=False)
+    total = int(_window_sums(pts, counts_table(A, fam, c), fam,
+                             reach)[0, dmask].sum())
+    if np.any((A.x == a.x) & (A.y == a.y)):
+        # each qualifying line counts the vantage itself once
+        lo, hi = _vantage_windows(pts, fam, reach)
+        total -= int(np.maximum(hi - lo + 1, 0)[0, dmask].sum())
     return total
 
 
@@ -323,8 +311,7 @@ def _arc_distance(a: Arc, b: Arc) -> float:
 
 
 def select_intervals(a: Point2, A: PointCloud, fam: LineFamily, k: int,
-                     c: float = DEFAULT_C,
-                     table: np.ndarray | None = None) -> SelectedIntervals | None:
+                     c: float = DEFAULT_C) -> SelectedIntervals | None:
     """First (lexicographic) pair of 2pi/k grid arcs, separated from each
     other and from each other's antipode, each catching > |A|/10k of mass.
 
@@ -335,11 +322,11 @@ def select_intervals(a: Point2, A: PointCloud, fam: LineFamily, k: int,
         raise ValueError("k must be even and > 10")
     if len(A) == 0:
         return None
-    if table is None:
-        table = counts_table(A, fam, c)
+    sums = _window_sums(_points([a]), counts_table(A, fam, c), fam,
+                        2 * fam.delta)[0]
     width = TWO_PI / k
     arcs = [((i - 1) * width, width) for i in range(1, k + 1)]
-    masses = [mass(a, arc, A, fam, c, table=table) for arc in arcs]
+    masses = [int(sums[_direction_mask(fam, arc)].sum()) for arc in arcs]
     threshold = len(A) / (10 * k)
     for i1 in range(k):
         if masses[i1] <= threshold:
@@ -383,28 +370,29 @@ def richness_histogram(A: PointCloud, fam: LineFamily, c: float = DEFAULT_C,
 
 
 def scan_line_low_visibility(ell0: Line, A: PointCloud, fam: LineFamily,
-                             lam: float, sample_step: float | None = None,
-                             c: float = DEFAULT_C,
-                             table: np.ndarray | None = None) -> float:
-    """Length estimate of {a on ell0 inside B(0, d): vis_delta(a) < lam/delta},
-    sampled at half-delta resolution along the chord."""
-    if not (0 < lam <= 1):
+                             lams: Sequence[float],
+                             sample_step: float | None = None,
+                             c: float = DEFAULT_C) -> list[float]:
+    """Per lam, the length estimate of {a on ell0 inside B(0, d):
+    vis_delta(a) < lam/delta}, sampled at half-delta resolution along the
+    chord.  Visibility along the chord is computed once for every lam."""
+    if not all(0 < lam <= 1 for lam in lams):
         raise ValueError("lam must be in (0, 1]")
     step = fam.delta / 2 if sample_step is None else sample_step
     if step > fam.delta:
         raise ValueError("sample_step must be <= delta")
     if abs(ell0.offset) >= fam.d:
-        return 0.0
-    if table is None and len(A) > 0:
-        table = counts_table(A, fam, c)
+        return [0.0] * len(lams)
     half = math.sqrt(fam.d ** 2 - ell0.offset ** 2)
     n = max(1, int(math.floor(2 * half / step)))
+    if len(A) == 0:
+        return [n * step] * len(lams)
     ts = (np.arange(n) + 0.5) * step - half
     nx, ny = -math.sin(ell0.theta), math.cos(ell0.theta)
     dx, dy = math.cos(ell0.theta), math.sin(ell0.theta)
     pts = np.stack([ell0.offset * nx + ts * dx,
                     ell0.offset * ny + ts * dy], axis=1)
-    if len(A) == 0:
-        return n * step
-    vis = _vis_delta_from_table(pts, fam, table)
-    return float(np.count_nonzero(vis < lam / fam.delta) * step)
+    vis = _window_sums(pts, counts_table(A, fam, c) > 0, fam,
+                       2 * fam.delta).sum(axis=1)
+    return [float(np.count_nonzero(vis < lam / fam.delta) * step)
+            for lam in lams]

@@ -19,7 +19,7 @@ from favlab.set_analysis import (box_dimension_estimate,
 from favlab.transforms import POLAR, apply_diffeo, polar_visibility_from_origin, \
     radial_vs_projection_bridge
 from favlab.visibility import (build_line_family, cloud_from_generation,
-                               counts_table, l2_norm_f, vis_delta, visibility)
+                               l2_norm_f, vis_delta, visibility)
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -162,7 +162,6 @@ def test_criterion_08_visibility_bridge(fourcorner):
     gen = generate_generation(fourcorner, 4)
     A = cloud_from_generation(gen)
     fam = build_line_family(A.delta, 3.0)
-    table = counts_table(A, fam)
     rng = np.random.default_rng(42)
     vantages = []
     while len(vantages) < 20:
@@ -173,10 +172,8 @@ def test_criterion_08_visibility_bridge(fourcorner):
         if -0.2 <= x <= 1.2 and -0.2 <= y <= 1.2:
             continue
         vantages.append(Point2(x, y))
-    ratios = []
-    for a in vantages:
-        vd = vis_delta(a, A, fam, table=table)
-        ratios.append(vd * A.delta / visibility(gen, a))
+    ratios = [vd * A.delta / visibility(gen, a)
+              for a, vd in zip(vantages, vis_delta(vantages, A, fam))]
     band = max(ratios) / min(ratios)
     ok = band <= 8.0
     verdict(8, "visibility-bridge", ok,
@@ -192,11 +189,9 @@ def test_criterion_09_projective_bridge():
     gen = generate_generation(preset("fourcorner-wide"), 4)
     A = cloud_from_generation(gen)
     fam = build_line_family(A.delta, 30.0)
-    ratios = []
-    for i in range(10):
-        x = -9.5 + i
-        vd, length = radial_vs_projection_bridge(A, x, fam)
-        ratios.append(vd * A.delta / length)
+    xs = [-9.5 + i for i in range(10)]
+    ratios = [vd * A.delta / length
+              for vd, length in radial_vs_projection_bridge(A, xs, fam)]
     band = max(ratios) / min(ratios)
     ok = band <= 8.0
     verdict(9, "projective-bridge", ok,

@@ -1,12 +1,17 @@
 """End-to-end harness runs, validation exit codes, and output determinism."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from favlab.cli import (EXPERIMENTS, ExperimentConfig, build_parser,
-                        config_from_args, main, validate)
+from favlab.cli import (EXPERIMENTS, ExperimentConfig, _FIELD_TYPES,
+                        build_parser, config_from_args, main, validate)
 
 
 def read_csv(path):
@@ -57,10 +62,23 @@ class TestValidation:
         assert not (tmp_path / "o.csv").exists()
 
 
-def _bad_config(tmp_path):
-    cfg_file = tmp_path / "bad.json"
-    cfg_file.write_text(json.dumps({"angles": "many"}))
-    return ["favard-scaling", "--n", "1", "--config", str(cfg_file),
+def _config_argv(tmp_path, blob, experiment="favard-scaling"):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(blob))
+    return [experiment, "--n", "1", "--config", str(cfg_file),
+            "--out", str(tmp_path / "o.csv")]
+
+
+#: contraction ratios 1/2 and 1/4: the squares have no common side
+UNEQUAL_IFS = {"maps": [{"lambda": 0.5, "z": [0.0, 0.0]},
+                        {"lambda": 0.25, "z": [0.75, 0.75]}],
+               "hull": {"corner": [0.0, 0.0], "side": 1.0}}
+
+
+def _unequal_ifs(tmp_path):
+    path = tmp_path / "unequal.json"
+    path.write_text(json.dumps(UNEQUAL_IFS))
+    return ["vis-delta-sweep", "--ifs", str(path), "--n", "3",
             "--out", str(tmp_path / "o.csv")]
 
 
@@ -69,10 +87,17 @@ def _bad_config(tmp_path):
                  "--out", str(tmp / "o.csv")],
     lambda tmp: ["generic-census", "--n", "2", "--k", "3",
                  "--samples", "100", "--out", str(tmp / "o.csv")],
-    _bad_config,
+    lambda tmp: _config_argv(tmp, {"angles": "many"}),
     lambda tmp: ["favard-scaling", "--n", "1", "--angles", "8",
                  "--out", str(tmp / "no-such-dir" / "o.csv")],
-], ids=["bridge-domain", "census-L-over-N", "config-type", "unwritable-out"])
+    lambda tmp: _config_argv(tmp, {"angle": 8, "n": 1}),
+    lambda tmp: ["generic-census", "--n", "4", "--k", "2.7",
+                 "--samples", "100", "--out", str(tmp / "o.csv")],
+    _unequal_ifs,
+    lambda tmp: _config_argv(tmp, [["angles", 8]]),
+], ids=["bridge-domain", "census-L-over-N", "config-type", "unwritable-out",
+        "config-unknown-key", "census-fractional-k", "unequal-ratios",
+        "config-not-object"])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     rc = main(argv(tmp_path))
     err = capsys.readouterr().err
@@ -213,3 +238,119 @@ class TestParser:
         args = parser.parse_args(["energy", "--n", "2..5"])
         cfg = config_from_args(args)
         assert (cfg.n_lo, cfg.n_hi) == (2, 5)
+
+
+#: two quarter-maps on the diagonal of the unit square: a cloud sparse
+#: enough that line-scan finds low visibility
+DIAGONAL_IFS = {"maps": [{"lambda": 0.25, "z": [0.0, 0.0]},
+                         {"lambda": 0.25, "z": [0.75, 0.75]}],
+                "hull": {"corner": [0.0, 0.0], "side": 1.0}}
+
+
+class TestFrozenRows:
+    """CSV rows of the line-family experiments, frozen from the
+    one-table-per-vantage implementation; the batched engine must
+    reproduce them exactly."""
+
+    def rows(self, tmp_path, argv, ifs=None):
+        if ifs is not None:
+            path = tmp_path / "ifs.json"
+            path.write_text(json.dumps(ifs))
+            argv = argv + ["--ifs", str(path)]
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        return read_csv(out)
+
+    def test_line_scan(self, tmp_path):
+        rows = self.rows(tmp_path, ["line-scan", "--n", "3"])
+        assert rows[1:] == [[repr(2.0 ** -j), "0.0"] for j in range(1, 7)]
+        rows = self.rows(tmp_path, ["line-scan", "--n", "3", "--c", "1",
+                                    "--lambda", "1", "--lambda", "0.5",
+                                    "--lambda", "0.25"], DIAGONAL_IFS)
+        assert rows == [["lambda", "sublevel_length"], ["1.0", "3.1015625"],
+                        ["0.5", "1.5234375"], ["0.25", "0.1328125"]]
+
+    def test_bridge(self, tmp_path):
+        rows = self.rows(tmp_path, ["bridge", "--n", "3"])
+        assert rows[0] == ["x", "vis_delta", "projected_length",
+                           "ratio_delta"]
+        assert [r[:2] for r in rows[1:]] == [
+            [repr(-9.5 + i), vd] for i, vd in enumerate(
+                ["27", "30", "30", "37", "43", "52", "67", "95", "156",
+                 "320"])]
+        assert {r[2] for r in rows[1:]} == {"1141.2960965259465"}
+        assert rows[1][3] == "0.00036964552957306025"
+        assert rows[10][3] == "0.004380984054199233"
+        rows = self.rows(tmp_path, ["bridge", "--n", "3", "--vantage=-2,0",
+                                    "--vantage=-0.25,0"], DIAGONAL_IFS)
+        assert rows[1:] == [
+            ["-2.0", "71", "726.9168194346447", "0.0015261374758982877"],
+            ["-0.25", "236", "726.9168194346447", "0.0050727949903098014"]]
+
+    def test_vis_delta_sweep(self, tmp_path):
+        rows = self.rows(tmp_path, ["vis-delta-sweep", "--n", "3",
+                                    "--vantage=-0.25,0.5", "--vantage=-1,-1",
+                                    "--vantage=0.5,0.5"])
+        assert rows == [["vantage_x", "vantage_y", "vis", "vis_delta"],
+                        ["-0.25", "0.5", "0.2642883144842309", "537"],
+                        ["-1.0", "-1.0", "0.08650983828818204", "177"],
+                        ["0.5", "0.5", "0.378055013822414", "455"]]
+        rows = self.rows(tmp_path, ["vis-delta-sweep", "--n", "3", "--c", "1",
+                                    "--vantage=-2,0", "--vantage=-0.25,0.5"],
+                         DIAGONAL_IFS)
+        assert rows[1:] == [["-2.0", "0.0", "0.015925441954489177", "28"],
+                            ["-0.25", "0.5", "0.052748930006093125", "85"]]
+
+
+#: zero, negative, NaN, fractional and ordinary values for the numeric flags
+ODD_NUMBERS = [0.0, -1.0, math.nan, 0.5, 2.7, 1.0, 3.0]
+
+
+@st.composite
+def small_argv(draw):
+    """A small random invocation of any experiment, no --budget."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    lo = draw(st.integers(0, 3))
+    hi = draw(st.integers(lo, 3))
+    argv = [experiment, "--n", f"{lo}..{hi}" if lo < hi else str(lo),
+            "--samples", str(draw(st.integers(1, 200))),
+            "--seed", str(draw(st.integers(0, 5)))]
+    if draw(st.booleans()):
+        argv += ["--angles", str(draw(st.integers(-1, 64)))]
+    for flag, extra in (("--c", [4.0]), ("--C", [256.0]), ("--k", [12.0]),
+                        ("--delta", [0.05, 1e-4])):
+        if draw(st.booleans()):
+            argv += [flag, repr(draw(st.sampled_from(ODD_NUMBERS + extra)))]
+    for lam in draw(st.lists(st.sampled_from(ODD_NUMBERS + [0.25]),
+                             max_size=3)):
+        argv += ["--lambda", repr(lam)]
+    for x, y in draw(st.lists(st.sampled_from(
+            [(-1.0, -1.0), (0.5, 0.5), (-0.3, 0.0), (5.0, 0.0)]),
+            max_size=2)):
+        argv.append(f"--vantage={x!r},{y!r}")
+    extra_keys = draw(st.dictionaries(
+        st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+        .filter(lambda key: key not in _FIELD_TYPES and key not in
+                ("n", "vantage", "vantages", "lambdas")),
+        st.integers(0, 9), max_size=2))
+    return argv, extra_keys
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=small_argv())
+def test_main_fuzz_keeps_exit_contract(tmp_path_factory, case):
+    """Random small configurations exit 0, 2 or 3 with no traceback."""
+    argv, extra_keys = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    if extra_keys:
+        cfg_file = tmp / "cfg.json"
+        cfg_file.write_text(json.dumps(extra_keys))
+        argv = argv + ["--config", str(cfg_file)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv + ["--out", str(tmp / "o.csv")])
+    assert rc in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if extra_keys:
+        assert rc == 2 and "config: unknown key" in err.getvalue()

@@ -192,3 +192,25 @@ def test_load_ifs_roundtrip(tmp_path):
     sys_ = resolve_ifs(str(path))
     assert sys_.s == 2
     assert sys_.maps[1].z == (0.75, 0.0)
+
+
+class TestUnequalRatios:
+    """The delta-layer needs one common square side; a system with unequal
+    contraction ratios has none, so the side and the cloud refuse."""
+
+    def unequal(self):
+        return IFSystem((Similitude(0.5, (0.0, 0.0)),
+                         Similitude(0.25, (0.75, 0.75))), UNIT)
+
+    def test_side_refuses(self):
+        g = generate_generation(self.unequal(), 3)
+        with pytest.raises(ValueError, match="contraction ratios differ"):
+            g.side
+
+    def test_cloud_refuses(self):
+        from favlab.visibility import cloud_from_generation
+        with pytest.raises(ValueError, match="contraction ratios differ"):
+            cloud_from_generation(generate_generation(self.unequal(), 3))
+
+    def test_equal_ratios_keep_their_side(self):
+        assert generate_generation(two_map_system(), 3).side == 4.0 ** -3

@@ -172,6 +172,10 @@ class TestStackedCensus:
         with pytest.raises(ValueError):
             stacked_census(gens(1), 0.0, 0.0)
 
+    def test_rejects_nan_K(self, gens):
+        with pytest.raises(ValueError):
+            stacked_census(gens(1), 0.0, math.nan)
+
     def test_fine_grid_oracle(self, gens):
         """Cross-check the ladder maximal against a fine-grid window oracle
         at step 4^-4, for the n=2, theta=0, K=3 fixture."""
@@ -224,6 +228,15 @@ class TestBadAngles:
         for L in (1, 2, 3):
             rep = bad_angle_measure(fourcorner, L, grid256)
             assert rep.measure_estimate * rep.K <= 10.0
+
+    def test_sups_are_per_angle(self, fourcorner, gens, grid256):
+        rep = bad_angle_measure(fourcorner, 2, grid256)
+        want = [sup_projection_count(gens(2), (th - math.pi / 2) % math.pi)
+                for th in grid256.thetas]
+        assert list(rep.sups) == want
+        assert rep.bad_thetas == tuple(
+            float(th) for th, sup in zip(grid256.thetas, want)
+            if sup <= rep.K)
 
     def test_bad_angles_are_low_sup(self, fourcorner, gens, grid256):
         rep = bad_angle_measure(fourcorner, 2, grid256)

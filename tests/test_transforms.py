@@ -152,20 +152,21 @@ class TestBridge:
     def test_empty_cloud(self):
         fam = build_line_family(0.05, 2.0)
         A = PointCloud(np.empty((0, 2)), 0.05)
-        assert radial_vs_projection_bridge(A, -1.0, fam) == (0, 0.0)
+        assert radial_vs_projection_bridge(A, [-1.0, -2.0], fam) == \
+            [(0, 0.0), (0, 0.0)]
 
     def test_domain_guard(self, gens):
         A = cloud_from_generation(gens(2))
         fam = build_line_family(A.delta, 2.0)
         with pytest.raises(DomainError):
-            radial_vs_projection_bridge(A, 1.0, fam)
+            radial_vs_projection_bridge(A, [-1.0, 1.0], fam)
 
     def test_wide_cloud_values(self):
         from favlab.ifs import generate_generation, preset as ifs_preset
         g = generate_generation(ifs_preset("fourcorner-wide"), 3)
         A = cloud_from_generation(g)
         fam = build_line_family(A.delta, 30.0)
-        vd, length = radial_vs_projection_bridge(A, -1.0, fam)
+        [(vd, length)] = radial_vs_projection_bridge(A, [-1.0], fam)
         assert vd > 0
         assert length > 0
         # projected length of the thickened image is at most the span of a

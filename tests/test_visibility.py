@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from favlab.geometry import Line, Point2, TWO_PI
+from favlab.geometry import Line, Point2, TWO_PI, dist_point_line
 from favlab.ifs import generate_generation, preset
 from favlab.projections import projection_count
 from favlab.visibility import (DEFAULT_C, DiscreteLine, LineFamily,
@@ -86,7 +88,6 @@ class TestLineFamily:
         assert fam.k1_count == 32
         assert fam.k2_max == 20 and fam.k2_min == -20
         assert fam.n_lines == 32 * 41 == 1312
-        assert len(fam.lines) == 1312
 
     def test_degenerate_scale(self):
         fam = build_line_family(1.0, 1.0)
@@ -111,9 +112,10 @@ class TestLineFamily:
 
     def test_budget_guard(self):
         from favlab.ifs import ResourceBudgetError
-        fam = build_line_family(0.001, 2.0)
+        fam = build_line_family(0.0005, 2.0)
+        A = PointCloud(np.array([[0.0, 0.0]]), 0.0005)
         with pytest.raises(ResourceBudgetError):
-            fam.lines
+            counts_table(A, fam)
 
 
 class TestFDelta:
@@ -161,12 +163,12 @@ class TestVisDelta:
     def test_empty_cloud(self):
         fam = build_line_family(0.05, 2.0)
         A = PointCloud(np.empty((0, 2)), 0.05)
-        assert vis_delta(Point2(0, 0), A, fam) == 0
+        assert vis_delta([Point2(0, 0), Point2(1, 1)], A, fam) == [0, 0]
 
     def test_single_point_pencil(self):
         fam = build_line_family(0.05, 2.0)
         A = PointCloud(np.array([[1.0, 0.0]]), 0.05)
-        count = vis_delta(Point2(0.0, 0.0), A, fam)
+        [count] = vis_delta([Point2(0.0, 0.0)], A, fam)
         # all qualifying lines lie in one ~delta-wide direction pencil
         assert 1 <= count <= 60
 
@@ -176,15 +178,12 @@ class TestVisDelta:
         half = PointCloud(A.points[::2], A.delta)
         fam = build_line_family(A.delta, 2.5)
         a = Point2(-1.0, -1.0)
-        t_full = counts_table(A, fam)
-        t_half = counts_table(half, fam)
-        assert vis_delta(a, A, fam, table=t_full) >= \
-            vis_delta(a, half, fam, table=t_half)
+        assert vis_delta([a], A, fam) >= vis_delta([a], half, fam)
 
     def test_counts_only_lines_near_vantage(self, k4_setup):
         A, fam, table = k4_setup
         a = Point2(-1.0, -1.0)
-        vd = vis_delta(a, A, fam, table=table)
+        [vd] = vis_delta([a], A, fam)
         # brute check on a small sample of directions
         delta = fam.delta
         brute = 0
@@ -231,14 +230,14 @@ class TestMassAndCones:
     def test_full_circle_dominates_vis(self, k4_setup):
         A, fam, table = k4_setup
         a = Point2(-1.0, -1.0)
-        m = mass(a, (0.0, TWO_PI), A, fam, table=table)
-        assert m >= vis_delta(a, A, fam, table=table)
+        m = mass(a, (0.0, TWO_PI), A, fam)
+        assert m >= vis_delta([a], A, fam)[0]
 
     def test_degenerate_arc(self, k4_setup):
         A, fam, table = k4_setup
         a = Point2(-1.0, -1.0)
         # an arc of length ~0 off the direction grid selects nothing
-        m = mass(a, (0.12345e-3 + fam.delta / 3, 1e-12), A, fam, table=table)
+        m = mass(a, (0.12345e-3 + fam.delta / 3, 1e-12), A, fam)
         assert m == 0
 
     @pytest.mark.parametrize("delta", [0.05, 0.013, 4.0 ** -5])
@@ -275,8 +274,8 @@ class TestMassAndCones:
     def test_cone_monotone_in_arc(self, k4_setup):
         A, fam, table = k4_setup
         a = Point2(-1.0, -1.0)
-        wide = cone_count(a, (0.0, math.pi / 2), A, fam, table=table)
-        narrow = cone_count(a, (0.0, math.pi / 4), A, fam, table=table)
+        wide = cone_count(a, (0.0, math.pi / 2), A, fam)
+        narrow = cone_count(a, (0.0, math.pi / 4), A, fam)
         assert narrow <= wide
 
     def test_mass_cone_sandwich(self, k4_setup):
@@ -284,14 +283,13 @@ class TestMassAndCones:
         A, fam, table = k4_setup
         a = Point2(-1.0, -1.0)
         arc = (math.pi / 4 - 0.3, 0.6)
-        m = mass(a, arc, A, fam, table=table)
-        cones = cone_count(a, arc, A, fam, table=table)
+        m = mass(a, arc, A, fam)
+        cones = cone_count(a, arc, A, fam)
         anti = ((arc[0] + math.pi) % TWO_PI, arc[1])
         dilated = (arc[0] - 2 * fam.delta, arc[1] + 4 * fam.delta)
-        cones_dilated = (cone_count(a, dilated, A, fam, table=table)
+        cones_dilated = (cone_count(a, dilated, A, fam)
                          + cone_count(a, (anti[0] - 2 * fam.delta,
-                                          anti[1] + 4 * fam.delta),
-                                      A, fam, table=table))
+                                          anti[1] + 4 * fam.delta), A, fam))
         c_hi = 8.0
         assert cones <= c_hi * m
         assert m <= c_hi * (cones_dilated + 1)
@@ -329,7 +327,7 @@ class TestSelectIntervals:
 
     def test_fourcorner_succeeds(self, k4_setup):
         A, fam, table = k4_setup
-        sel = select_intervals(Point2(-1.0, -1.0), A, fam, 12, table=table)
+        sel = select_intervals(Point2(-1.0, -1.0), A, fam, 12)
         assert sel is not None
         assert 1 <= sel.i1 < sel.i2 <= 12
 
@@ -380,27 +378,26 @@ class TestLineScan:
         fam = build_line_family(0.05, 2.0)
         A = PointCloud(np.empty((0, 2)), 0.05)
         ell0 = Line(0.0, -0.5)
-        length = scan_line_low_visibility(ell0, A, fam, 0.5)
+        lengths = scan_line_low_visibility(ell0, A, fam, [0.5, 0.25])
         chord = 2 * math.sqrt(2.0 ** 2 - 0.5 ** 2)
-        assert length == pytest.approx(chord, abs=0.05)
+        assert lengths[0] == lengths[1] == pytest.approx(chord, abs=0.05)
 
     def test_monotone_in_lambda(self, k4_setup):
         A, fam, table = k4_setup
         ell0 = Line(0.0, -0.5)
         lams = [2.0 ** -j for j in range(1, 7)]
-        lengths = [scan_line_low_visibility(ell0, A, fam, lam, table=table)
-                   for lam in lams]
+        lengths = scan_line_low_visibility(ell0, A, fam, lams)
         assert all(a >= b - 1e-12 for a, b in zip(lengths, lengths[1:]))
 
     def test_offset_outside_disk(self, k4_setup):
         A, fam, table = k4_setup
-        assert scan_line_low_visibility(Line(0.0, 5.0), A, fam, 0.5,
-                                        table=table) == 0.0
+        assert scan_line_low_visibility(Line(0.0, 5.0), A, fam,
+                                        [0.5, 0.25]) == [0.0, 0.0]
 
     def test_rejects_bad_lambda(self, k4_setup):
         A, fam, table = k4_setup
         with pytest.raises(ValueError):
-            scan_line_low_visibility(Line(0.0, -0.5), A, fam, 0.0)
+            scan_line_low_visibility(Line(0.0, -0.5), A, fam, [0.5, 0.0])
 
 
 class TestAntipodalConsistency:
@@ -428,3 +425,88 @@ class TestAntipodalConsistency:
                 continue
             count = projection_count(g, (gap_mid - math.pi / 2) % math.pi, 0.0)
             assert count == 0
+
+
+def brute_queries(a, A, fam, c, arc):
+    """vis_delta, mass and cone_count of one vantage, line by line from
+    fam.line, dist_point_line and f_delta."""
+    start, length = arc
+    a_in_cloud = bool(np.any((A.x == a.x) & (A.y == a.y)))
+    vis = mss = cone = 0
+    for k1 in range(fam.k1_count):
+        ang = k1 * fam.delta
+        in_arc = (ang - start) % TWO_PI <= length
+        in_arc_or_anti = in_arc or (ang + math.pi - start) % TWO_PI <= length
+        for k2 in range(fam.k2_min, fam.k2_max + 1):
+            ell = fam.line(k1, k2)
+            dist = dist_point_line(a, ell.line)
+            near = dist <= 2 * fam.delta
+            cone_line = in_arc and dist <= c * fam.delta
+            if not (near or cone_line):
+                continue
+            f = f_delta(ell, A, c)
+            if near:
+                vis += f > 0
+                mss += f if in_arc_or_anti else 0
+            if cone_line:
+                cone += f - a_in_cloud
+    return vis, mss, cone
+
+
+class TestEngineOracle:
+    """Every vantage query reads one window sum of the count table; pin the
+    batched engine to the line-by-line definitions."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(0, 30),
+           n_vantages=st.integers(1, 20), delta=st.floats(0.08, 0.4),
+           c=st.floats(0.5, 5.0), d=st.floats(0.5, 1.5),
+           arc=st.tuples(st.floats(-7.0, 7.0), st.floats(0.0, 7.0)),
+           vantage_in_cloud=st.booleans())
+    def test_batched_queries_match_brute_force(self, seed, m, n_vantages,
+                                               delta, c, d, arc,
+                                               vantage_in_cloud):
+        fam = build_line_family(delta, max(d, delta))
+        rng = np.random.default_rng(seed)
+        A = PointCloud(rng.uniform(-d, d, (m, 2)), delta)
+        vantages = [Point2(*p) for p in rng.uniform(-1.2 * d, 1.2 * d,
+                                                    (n_vantages, 2))]
+        if vantage_in_cloud and m > 0:
+            vantages[-1] = Point2(*A.points[m // 2])
+        want = [brute_queries(a, A, fam, c, arc) for a in vantages]
+        assert vis_delta(vantages, A, fam, c) == [w[0] for w in want]
+        for a, (_, want_mass, want_cone) in zip(vantages, want):
+            assert mass(a, arc, A, fam, c) == want_mass
+            assert cone_count(a, arc, A, fam, c) == want_cone
+
+    def test_batch_across_blocks_equals_singles(self, k4_setup):
+        A, fam, _ = k4_setup
+        rng = np.random.default_rng(5)
+        vantages = [Point2(*p) for p in rng.uniform(-1.5, 1.5, (37, 2))]
+        batch = vis_delta(vantages, A, fam)
+        assert batch == [vis_delta([a], A, fam)[0] for a in vantages]
+        assert vis_delta([], A, fam) == []
+
+    @pytest.mark.parametrize("offset", [-0.5, 0.3])
+    def test_multi_lambda_scan_thresholds_pointwise_vis(self, offset):
+        from favlab.geometry import Square
+        from favlab.ifs import IFSystem, Similitude
+        # a sparse diagonal Cantor cloud, so that low visibility occurs
+        diag = IFSystem((Similitude(0.25, (0.0, 0.0)),
+                         Similitude(0.25, (0.75, 0.75))),
+                        Square(Point2(0.0, 0.0), 1.0))
+        A = cloud_from_generation(generate_generation(diag, 3))
+        fam = build_line_family(A.delta, 2.0)
+        ell0 = Line(0.4, offset)
+        step = fam.delta / 2
+        half = math.sqrt(fam.d ** 2 - offset ** 2)
+        n = int(math.floor(2 * half / step))
+        ts = (np.arange(n) + 0.5) * step - half
+        pts = [Point2(offset * -math.sin(0.4) + t * math.cos(0.4),
+                      offset * math.cos(0.4) + t * math.sin(0.4)) for t in ts]
+        vis = np.array(vis_delta(pts, A, fam, 1.0))
+        lams = [1.0, 0.5, 0.25, 0.125]
+        want = [float(np.count_nonzero(vis < lam / fam.delta) * step)
+                for lam in lams]
+        assert scan_line_low_visibility(ell0, A, fam, lams, c=1.0) == want
+        assert want[0] > 0 and want == sorted(want, reverse=True)
