@@ -3,6 +3,8 @@ Riesz sums and the per-direction count rows of the delta-line family."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -35,6 +37,15 @@ def union_measure_np(lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
     return float(np.sum(seg_hi - seg_lo))
 
 
+def _projection_bounds(x0, y0, side, theta):
+    """Endpoints (lo, hi) of the theta-projections of the squares."""
+    c = math.cos(theta)
+    s = math.sin(theta)
+    lo = x0 * c + y0 * s + side * (min(c, 0.0) + min(s, 0.0))
+    hi = lo + side * (abs(c) + abs(s))
+    return lo, hi
+
+
 def projection_measures(x0, y0, side, thetas, tol) -> np.ndarray:
     """Union measure of the theta-projections of axis-aligned squares.
 
@@ -43,11 +54,7 @@ def projection_measures(x0, y0, side, thetas, tol) -> np.ndarray:
     """
     out = np.empty(len(thetas))
     for i, th in enumerate(thetas):
-        c = np.cos(th)
-        s = np.sin(th)
-        lo = x0 * c + y0 * s + side * (min(c, 0.0) + min(s, 0.0))
-        hi = lo + side * (abs(c) + abs(s))
-        out[i] = union_measure_np(lo, hi, tol)
+        out[i] = union_measure_np(*_projection_bounds(x0, y0, side, th), tol)
     return out
 
 

@@ -96,6 +96,8 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         errs.append("c: must be positive")
     if not cfg.C > 0:
         errs.append("C: must be positive")
+    if not (math.isfinite(cfg.alpha) and cfg.alpha > 0):
+        errs.append("alpha: must be positive and finite")
     if cfg.seed < 0:
         errs.append("seed: must be >= 0")
     return errs

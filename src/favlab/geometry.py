@@ -194,11 +194,6 @@ class IntervalSet:
 # interval sets on the circle
 # ---------------------------------------------------------------------------
 
-def _normalize_angle(a: float) -> float:
-    a = a % TWO_PI
-    return a if a >= 0 else a + TWO_PI
-
-
 class CircularIntervalSet:
     """Disjoint arcs on R/2piZ; a set covering the whole circle reports 2pi."""
 
@@ -213,39 +208,37 @@ class CircularIntervalSet:
 
     @classmethod
     def from_arcs(cls, arcs, tol: float = MERGE_TOL) -> "CircularIntervalSet":
-        """Union of (start, length) arcs; start anywhere, length in (0, 2pi]."""
-        lo_list = []
-        hi_list = []
-        for start, length in arcs:
-            if not (0 < length <= TWO_PI + tol):
-                raise GeometryError(f"arc length {length} outside (0, 2pi]")
-            if length >= TWO_PI - tol:
-                return cls.full()
-            s = _normalize_angle(start)
-            e = s + length
-            if e > TWO_PI:
-                lo_list.extend([s, 0.0])
-                hi_list.extend([TWO_PI, e - TWO_PI])
-            else:
-                lo_list.append(s)
-                hi_list.append(e)
-        if not lo_list:
+        """Union of (start, length) arcs, given as any (k, 2) array-like;
+        start anywhere, length in (0, 2pi]."""
+        arcs = np.asarray(arcs if hasattr(arcs, "__len__") else list(arcs),
+                          dtype=float)
+        if arcs.size == 0:
             return cls()
-        mlo, mhi = _kernels.merge_intervals(
-            np.array(lo_list), np.array(hi_list), tol)
-        total = float(np.sum(mhi - mlo))
-        if total >= TWO_PI - tol:
+        if arcs.ndim != 2 or arcs.shape[1] != 2:
+            raise GeometryError(f"arcs of shape {arcs.shape}, not (k, 2)")
+        start, length = arcs.T
+        bad = length[~((0 < length) & (length <= TWO_PI + tol))]
+        if bad.size:
+            raise GeometryError(f"arc length {bad[0]} outside (0, 2pi]")
+        if not np.isfinite(start).all():
+            raise GeometryError("non-finite arc start")
+        if np.any(length >= TWO_PI - tol):
             return cls.full()
-        # rejoin across the 0 = 2pi seam
-        segs = list(zip(mlo.tolist(), mhi.tolist()))
-        if len(segs) >= 2 and segs[0][0] <= tol and segs[-1][1] >= TWO_PI - tol:
-            first = segs.pop(0)
-            last = segs.pop()
-            segs.append((last[0], last[1] - last[0] + (first[1] - first[0])))
-            arcs_out = tuple((s, e - s) for s, e in segs[:-1]) + (segs[-1],)
-        else:
-            arcs_out = tuple((s, e - s) for s, e in segs)
-        return cls(tuple(sorted(arcs_out)))
+        # split the arcs that cross the 0 = 2pi seam
+        s = np.remainder(start, TWO_PI)
+        e = s + length
+        wrap = e > TWO_PI
+        mlo, mhi = _kernels.merge_intervals(
+            np.concatenate([s, np.zeros(np.count_nonzero(wrap))]),
+            np.concatenate([np.minimum(e, TWO_PI), e[wrap] - TWO_PI]), tol)
+        lengths = mhi - mlo
+        if float(np.sum(lengths)) >= TWO_PI - tol:
+            return cls.full()
+        if mlo.size >= 2 and mlo[0] <= tol and mhi[-1] >= TWO_PI - tol:
+            # rejoin across the seam: the first arc continues the last one
+            lengths[-1] += lengths[0]
+            mlo, lengths = mlo[1:], lengths[1:]
+        return cls(tuple(zip(mlo.tolist(), lengths.tolist())))
 
     @property
     def arcs(self) -> tuple[tuple[float, float], ...]:
@@ -269,11 +262,8 @@ class CircularIntervalSet:
             list(self._arcs) + [(lo, length)], tol)
 
     def contains(self, angle: float) -> bool:
-        a = _normalize_angle(angle)
-        for start, length in self._arcs:
-            if (a - start) % TWO_PI <= length:
-                return True
-        return False
+        starts, lengths = np.array(self._arcs).reshape(-1, 2).T
+        return bool(np.any((angle % TWO_PI - starts) % TWO_PI <= lengths))
 
     def __len__(self) -> int:
         return len(self._arcs)
@@ -290,28 +280,19 @@ FULL = "full"
 
 
 def angular_hull(sq: Square, a: Point2):
-    """Directions {(x - a)/|x - a| : x in sq} as (start, length), or FULL.
-
-    Exact for convex bodies: when a is outside the closed square the hull is
-    the minor arc spanned by the extreme corner directions.
-    """
-    if sq.contains(a):
-        return FULL
-    pts = sq.corners()
-    ang = np.arctan2(pts[:, 1] - a.y, pts[:, 0] - a.x) % TWO_PI
-    ang = np.sort(ang)
-    gaps = np.diff(np.append(ang, ang[0] + TWO_PI))
-    k = int(np.argmax(gaps))
-    width = TWO_PI - gaps[k]
-    start = ang[(k + 1) % 4]
-    return (float(start), float(width))
+    """Directions {(x - a)/|x - a| : x in sq} as (start, length), or FULL."""
+    arcs = hull_arcs_of_squares(np.array([sq.corner.x]),
+                                np.array([sq.corner.y]), sq.side, a)
+    return FULL if arcs is FULL else (float(arcs[0][0]), float(arcs[1][0]))
 
 
 def hull_arcs_of_squares(x0: np.ndarray, y0: np.ndarray, side: float,
                          a: Point2):
-    """Vectorized angular_hull for many equal-side squares.
+    """Angular hulls of many equal-side squares seen from a, as (starts,
+    widths), or FULL if the vantage lies in some closed square.
 
-    Returns (starts, widths) or FULL if the vantage lies in some square.
+    Exact for convex bodies: outside the square the hull is the minor arc
+    spanned by the extreme corner directions.
     """
     inside = ((x0 <= a.x) & (a.x <= x0 + side)
               & (y0 <= a.y) & (a.y <= y0 + side))

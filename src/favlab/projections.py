@@ -52,12 +52,8 @@ class StackReport:
 
 
 def _projection_bounds(gen: Generation, theta: float):
-    c = math.cos(theta)
-    s = math.sin(theta)
-    lo = (gen.corner_x * c + gen.corner_y * s
-          + gen.sides * (min(c, 0.0) + min(s, 0.0)))
-    hi = lo + gen.sides * (abs(c) + abs(s))
-    return lo, hi
+    return _kernels._projection_bounds(gen.corner_x, gen.corner_y, gen.sides,
+                                       theta)
 
 
 def project_generation(gen: Generation, theta: float) -> IntervalSet:
@@ -88,32 +84,57 @@ def projection_count(gen: Generation, theta: float, r: float) -> int:
     return int(np.count_nonzero((lo <= r) & (r <= hi)))
 
 
-def hl_maximal(gen: Generation, theta: float, r: float) -> float:
-    """Centered maximal average of the projection-counting function.
+def _prefix_sums(v: np.ndarray):
+    """[0, v_0, v_0 + v_1, ...] as a float cumsum s and the running total e
+    of its rounding errors (Knuth's two-sum), so s + e is nearly exact."""
+    s = np.concatenate([[0.0], np.cumsum(v)])
+    part = s[1:] - s[:-1]
+    err = (s[:-1] - (s[1:] - part)) + (v - part)
+    return s, np.concatenate([[0.0], np.cumsum(err)])
+
+
+def hl_maximal(gen: Generation, theta: float, r):
+    """Centered maximal average of the projection-counting function at the
+    probe r (a float, or an array of probes answered in one pass).
 
     Maximizes the window average over a dyadic ladder of radii anchored at
     the hull-projection width scaled to the current generation; a factor-2
     ladder loss relative to the continuum supremum is accepted.
     """
     lo, hi = _projection_bounds(gen, theta)
-    base = gen.side * (abs(math.cos(theta)) + abs(math.sin(theta)))
-    if base <= 0:
-        return 0.0
-    kmax = max(0, math.ceil(math.log2(max(len(gen), 1))))
-    best = 0.0
-    rho = base / 2
-    for _ in range(kmax + 2):
-        # uncentered: any window of half-length rho containing r; probing the
-        # left-aligned, centered, and right-aligned positions loses at most a
-        # constant factor against the true supremum
-        for shift in (-rho, 0.0, rho):
-            lo_w = r + shift - rho
-            hi_w = r + shift + rho
-            overlap = np.minimum(hi, hi_w) - np.maximum(lo, lo_w)
-            mass = float(np.sum(np.clip(overlap, 0.0, None)))
-            best = max(best, mass / (2 * rho))
+    # a window's mass is F(right) - F(left), F(x) = sum_i |[lo_i, hi_i] n
+    # (-inf, x]|, read off the sorted endpoints and their prefix sums; the
+    # coordinates start at 0 so that the prefix sums only grow
+    origin = lo.min()
+    lo = np.sort(lo - origin)
+    hi = np.sort(hi - origin)
+    sum_lo, err_lo = _prefix_sums(lo)
+    sum_hi, err_hi = _prefix_sums(hi)
+
+    def below(x):
+        i = np.searchsorted(lo, x)
+        j = np.searchsorted(hi, x)
+        return (i - j) * x - (sum_lo[i] - sum_hi[j]) - (err_lo[i] - err_hi[j])
+
+    probes = np.asarray(r, dtype=float)
+    order = np.argsort(probes, axis=None)      # sorted keys search faster
+    x = probes.ravel()[order] - origin
+    best = np.zeros(x.size)
+    rho = gen.side * (abs(math.cos(theta)) + abs(math.sin(theta))) / 2
+    # uncentered: any window of half-length rho containing r; probing the
+    # left-aligned, centered, and right-aligned positions loses at most a
+    # constant factor against the true supremum.  Each rung doubles rho, so
+    # its outer edges r -+ 2 rho are the next rung's inner ones.
+    at_r, left, right = below(x), below(x - rho), below(x + rho)
+    for _ in range(math.ceil(math.log2(len(gen))) + 2):
+        left2, right2 = below(x - 2 * rho), below(x + 2 * rho)
+        mass = np.maximum(np.maximum(at_r - left2, right - left),
+                          right2 - at_r)
+        np.maximum(best, mass / (2 * rho), out=best)
+        left, right = left2, right2
         rho *= 2
-    return best
+    best[order] = best.copy()                # back to the probes' order
+    return float(best[0]) if probes.ndim == 0 else best.reshape(probes.shape)
 
 
 def stacked_census(gen: Generation, theta: float, K: float) -> StackReport:
@@ -121,28 +142,20 @@ def stacked_census(gen: Generation, theta: float, K: float) -> StackReport:
     maximal function is >= K, probed at 9 equispaced points per square."""
     if not K > 0:
         raise ValueError("stack threshold K must be positive")
-    lo, hi = _projection_bounds(gen, theta)
-    stacked = 0
-    for i in range(len(gen)):
-        rs = np.linspace(lo[i], hi[i], 9)
-        if all(hl_maximal(gen, theta, float(r)) >= K for r in rs):
-            stacked += 1
+    probes = np.linspace(*_projection_bounds(gen, theta), 9, axis=1)
+    stacked = np.all(hl_maximal(gen, theta, probes) >= K, axis=1).sum()
     support = project_generation(gen, theta).measure()
-    return StackReport(gen.n, theta, K, stacked / len(gen), support)
+    return StackReport(gen.n, theta, K, int(stacked) / len(gen), support)
 
 
 def sup_projection_count(gen: Generation, theta: float) -> int:
-    """Exact sup of the projection-counting step function via endpoint sweep."""
+    """Exact sup of the projection-counting step function: the count of the
+    closed intervals is largest at some left endpoint."""
     lo, hi = _projection_bounds(gen, theta)
-    xs = np.concatenate([lo, hi])
-    # closed intervals: at a shared coordinate, openings count before closings
-    order = np.concatenate([np.zeros(lo.size, dtype=np.int8),
-                            np.ones(hi.size, dtype=np.int8)])
-    deltas = np.concatenate([np.ones(lo.size, dtype=np.int64),
-                             -np.ones(hi.size, dtype=np.int64)])
-    perm = np.lexsort((order, xs))
-    running = np.cumsum(deltas[perm])
-    return int(running.max())
+    lo = np.sort(lo)
+    hi = np.sort(hi)
+    return int(np.max(np.searchsorted(lo, lo, "right")
+                      - np.searchsorted(hi, lo, "left")))
 
 
 @dataclass(frozen=True)

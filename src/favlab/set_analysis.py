@@ -161,6 +161,8 @@ def check_discrete_alpha_set(A: PointCloud, alpha: float, C: float,
         raise ValueError("empty point cloud")
     if not C > 0:
         raise ValueError(f"C must be positive, got {C}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     rng = np.random.default_rng(seed)
     m = len(A)
     checks: dict[str, CheckResult] = {}
@@ -303,20 +305,13 @@ def _covering_count_points(pts: np.ndarray, eps: float) -> int:
 
 def _covering_count_intervals(iv: IntervalSet, eps: float) -> int:
     # cells are half-open [j*eps, (j+1)*eps); count those meeting the
-    # interior of the union
+    # interior of the union, each once: an interval's cells start past the
+    # last cell of every interval before it
     jmin = np.floor(iv.lo / eps).astype(np.int64)
     jmax = (np.ceil(iv.hi / eps) - 1).astype(np.int64)
-    total = 0
-    prev_end = None
-    for a, b in zip(jmin, jmax):
-        if prev_end is not None and a <= prev_end:
-            a = prev_end + 1
-        if b >= a:
-            total += int(b - a + 1)
-            prev_end = int(b)
-        elif prev_end is None:
-            prev_end = int(b)
-    return total
+    first = jmin.copy()
+    first[1:] = np.maximum(jmin[1:], np.maximum.accumulate(jmax)[:-1] + 1)
+    return int(np.sum(np.maximum(jmax - first + 1, 0)))
 
 
 def box_dimension_estimate(obj, scales) -> float:

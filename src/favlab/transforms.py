@@ -177,11 +177,8 @@ def apply_diffeo(d: DiffeoPreset, A: PointCloud) -> PointCloud:
 
 def polar_visibility_from_origin(gen: Generation) -> float:
     """vis(0, phi(J_n)) via exact circular unions of the polar image arcs."""
-    starts = math.pi * gen.corner_y
-    widths = math.pi * gen.sides
-    arcs = CircularIntervalSet.from_arcs(
-        zip(starts.tolist(), widths.tolist()))
-    return arcs.measure() / TWO_PI
+    return CircularIntervalSet.from_arcs(np.column_stack(
+        (math.pi * gen.corner_y, math.pi * gen.sides))).measure() / TWO_PI
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,7 @@ def radial_projection(gen: Generation, a: Point2) -> CircularIntervalSet:
     arcs = hull_arcs_of_squares(gen.corner_x, gen.corner_y, gen.sides, a)
     if arcs is FULL:
         return CircularIntervalSet.full()
-    starts, widths = arcs
-    return CircularIntervalSet.from_arcs(zip(starts.tolist(), widths.tolist()))
+    return CircularIntervalSet.from_arcs(np.column_stack(arcs))
 
 
 def radial_projection_balls(cloud: PointCloud, radius: float,
@@ -93,7 +92,7 @@ def radial_projection_balls(cloud: PointCloud, radius: float,
     half = np.arcsin(radius / dist)
     centers = np.arctan2(dy, dx)
     return CircularIntervalSet.from_arcs(
-        zip((centers - half).tolist(), (2 * half).tolist()))
+        np.column_stack((centers - half, 2 * half)))
 
 
 def visibility(gen: Generation, a: Point2) -> float:

@@ -95,9 +95,13 @@ def _unequal_ifs(tmp_path):
                  "--samples", "100", "--out", str(tmp / "o.csv")],
     _unequal_ifs,
     lambda tmp: _config_argv(tmp, [["angles", 8]]),
+    lambda tmp: ["certify-set", "--n", "2", "--alpha", "nan",
+                 "--out", str(tmp / "o.csv")],
+    lambda tmp: ["certify-set", "--n", "2", "--alpha", "-1",
+                 "--out", str(tmp / "o.csv")],
 ], ids=["bridge-domain", "census-L-over-N", "config-type", "unwritable-out",
         "config-unknown-key", "census-fractional-k", "unequal-ratios",
-        "config-not-object"])
+        "config-not-object", "alpha-nan", "alpha-negative"])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     rc = main(argv(tmp_path))
     err = capsys.readouterr().err
@@ -248,8 +252,9 @@ DIAGONAL_IFS = {"maps": [{"lambda": 0.25, "z": [0.0, 0.0]},
 
 
 class TestFrozenRows:
-    """CSV rows of the line-family experiments, frozen from the
-    one-table-per-vantage implementation; the batched engine must
+    """CSV rows frozen from earlier implementations: the line-family rows
+    from the one-table-per-vantage engine, the stacking rows from the
+    per-square, per-probe maximal function.  The current engines must
     reproduce them exactly."""
 
     def rows(self, tmp_path, argv, ifs=None):
@@ -287,6 +292,19 @@ class TestFrozenRows:
             ["-2.0", "71", "726.9168194346447", "0.0015261374758982877"],
             ["-0.25", "236", "726.9168194346447", "0.0050727949903098014"]]
 
+    def test_stacking(self, tmp_path):
+        thetas = ["0.39269908169872414", "1.1780972450961724",
+                  "1.9634954084936207", "2.748893571891069"]
+        supports = ["0.954663019992712", "0.9546630199927117",
+                    "0.9546630199927173", "0.9546630199927174"]
+        rows = self.rows(tmp_path, ["stacking", "--n", "5", "--angles", "4"])
+        assert rows == [["n", "theta", "K", "stacked_fraction", "support"]] + [
+            ["5", th, "12.0", "0.0", sup] for th, sup in zip(thetas, supports)]
+        rows = self.rows(tmp_path, ["stacking", "--n", "5", "--angles", "4",
+                                    "--k", "3"])
+        assert rows[1:] == [["5", th, "3.0", "0.01953125", sup]
+                            for th, sup in zip(thetas, supports)]
+
     def test_vis_delta_sweep(self, tmp_path):
         rows = self.rows(tmp_path, ["vis-delta-sweep", "--n", "3",
                                     "--vantage=-0.25,0.5", "--vantage=-1,-1",
@@ -318,7 +336,7 @@ def small_argv(draw):
     if draw(st.booleans()):
         argv += ["--angles", str(draw(st.integers(-1, 64)))]
     for flag, extra in (("--c", [4.0]), ("--C", [256.0]), ("--k", [12.0]),
-                        ("--delta", [0.05, 1e-4])):
+                        ("--delta", [0.05, 1e-4]), ("--alpha", [])):
         if draw(st.booleans()):
             argv += [flag, repr(draw(st.sampled_from(ODD_NUMBERS + extra)))]
     for lam in draw(st.lists(st.sampled_from(ODD_NUMBERS + [0.25]),
@@ -339,7 +357,8 @@ def small_argv(draw):
 @settings(max_examples=40, deadline=None)
 @given(case=small_argv())
 def test_main_fuzz_keeps_exit_contract(tmp_path_factory, case):
-    """Random small configurations exit 0, 2 or 3 with no traceback."""
+    """Random small configurations exit 0, 2 or 3 with no traceback; a
+    dimension alpha that is not positive and finite exits 2."""
     argv, extra_keys = case
     tmp = tmp_path_factory.mktemp("fuzz")
     if extra_keys:
@@ -354,3 +373,8 @@ def test_main_fuzz_keeps_exit_contract(tmp_path_factory, case):
     assert "Traceback" not in err.getvalue()
     if extra_keys:
         assert rc == 2 and "config: unknown key" in err.getvalue()
+    if "--alpha" in argv:
+        alpha = float(argv[argv.index("--alpha") + 1])
+        if not (math.isfinite(alpha) and alpha > 0):
+            assert rc == 2
+            assert extra_keys or "alpha: must be positive" in err.getvalue()

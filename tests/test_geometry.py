@@ -127,6 +127,71 @@ class TestCircularIntervalSet:
         s = CircularIntervalSet.full().insert(1.0, 0.5)
         assert s.is_full()
 
+    def test_validates_arcs_after_a_full_one(self):
+        with pytest.raises(GeometryError):
+            CircularIntervalSet.from_arcs([(0.0, TWO_PI), (0.0, -1.0)])
+        with pytest.raises(GeometryError):
+            CircularIntervalSet.from_arcs([(0.0, TWO_PI), (math.nan, 1.0)])
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_start(self, start):
+        with pytest.raises(GeometryError, match="non-finite"):
+            CircularIntervalSet.from_arcs([(0.0, 1.0), (start, 0.5)])
+
+    def test_rejects_non_pairs(self):
+        with pytest.raises(GeometryError):
+            CircularIntervalSet.from_arcs([0.0, 1.0, 2.0])
+
+
+def from_arcs_loop(arcs, tol=MERGE_TOL):
+    """The arc-by-arc union the array form of from_arcs replaced."""
+    lo_list = []
+    hi_list = []
+    for start, length in arcs:
+        if length >= TWO_PI - tol:
+            return CircularIntervalSet.full()
+        s = start % TWO_PI
+        e = s + length
+        if e > TWO_PI:
+            lo_list.extend([s, 0.0])
+            hi_list.extend([TWO_PI, e - TWO_PI])
+        else:
+            lo_list.append(s)
+            hi_list.append(e)
+    if not lo_list:
+        return CircularIntervalSet()
+    iv = IntervalSet.from_arrays(np.array(lo_list), np.array(hi_list), tol)
+    mlo, mhi = iv.lo, iv.hi
+    if float(np.sum(mhi - mlo)) >= TWO_PI - tol:
+        return CircularIntervalSet.full()
+    segs = list(zip(mlo.tolist(), mhi.tolist()))
+    if len(segs) >= 2 and segs[0][0] <= tol and segs[-1][1] >= TWO_PI - tol:
+        first = segs.pop(0)
+        last = segs.pop()
+        segs.append((last[0], last[1] - last[0] + (first[1] - first[0])))
+        arcs_out = tuple((s, e - s) for s, e in segs[:-1]) + (segs[-1],)
+    else:
+        arcs_out = tuple((s, e - s) for s, e in segs)
+    return CircularIntervalSet(tuple(sorted(arcs_out)))
+
+
+#: arc starts on both sides of the seam and far from it; lengths from
+#: tiny to the whole circle
+ARC_STARTS = st.one_of(st.floats(-20.0, 20.0),
+                       st.sampled_from([0.0, TWO_PI, -TWO_PI, math.pi,
+                                        TWO_PI - 1e-13, 1e-13]))
+ARC_LENGTHS = st.one_of(st.floats(1e-9, TWO_PI),
+                        st.sampled_from([TWO_PI, TWO_PI - 1e-13, math.pi]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(ARC_STARTS, ARC_LENGTHS), max_size=12))
+def test_from_arcs_array_matches_loop(arcs):
+    want = from_arcs_loop(arcs).arcs
+    assert CircularIntervalSet.from_arcs(arcs).arcs == want
+    assert CircularIntervalSet.from_arcs(
+        np.array(arcs, dtype=float).reshape(-1, 2)).arcs == want
+
 
 class TestAngularHull:
     def test_side_vantage(self):
@@ -159,9 +224,21 @@ class TestAngularHull:
         a = Point2(-2.0, -3.0)
         starts, widths = hull_arcs_of_squares(x0, y0, 0.25, a)
         for i in range(30):
-            st_, w_ = angular_hull(Square(Point2(x0[i], y0[i]), 0.25), a)
+            sq = Square(Point2(x0[i], y0[i]), 0.25)
+            assert angular_hull(sq, a) == (starts[i], widths[i])
+            st_, w_ = corner_angle_hull(sq, a)
             assert starts[i] == pytest.approx(st_, abs=1e-12)
             assert widths[i] == pytest.approx(w_, abs=1e-12)
+
+
+def corner_angle_hull(sq, a):
+    """One square's hull from its corner directions: the arc left when the
+    largest gap between consecutive corner angles is cut out."""
+    ang = np.sort(np.arctan2(sq.corners()[:, 1] - a.y,
+                             sq.corners()[:, 0] - a.x) % TWO_PI)
+    gaps = np.diff(np.append(ang, ang[0] + TWO_PI))
+    k = int(np.argmax(gaps))
+    return float(ang[(k + 1) % 4]), float(TWO_PI - gaps[k])
 
 
 class TestLines:

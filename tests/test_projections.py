@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from favlab.geometry import Point2
-from favlab.ifs import generate_generation
+from favlab.geometry import Point2, Square
+from favlab.ifs import IFSystem, Similitude, generate_generation
 from favlab.projections import (AngleGrid, DegenerateError, bad_angle_measure,
                                 favard_length, fav_upper_pipeline, hl_maximal,
                                 project_generation, projection_count,
@@ -266,6 +268,124 @@ class TestFavPipeline:
             assert v2 <= v1 * 1.05
         ratios = [v / b for v, b in vals]
         assert max(ratios) <= 1.0     # visibility never exceeds sqrt(Fav) here
+
+
+# ---------------------------------------------------------------------------
+# the sorted-endpoint engine against the per-probe and per-square code it
+# replaced
+# ---------------------------------------------------------------------------
+
+def projection_bounds(gen, theta):
+    c, s = math.cos(theta), math.sin(theta)
+    lo = (gen.corner_x * c + gen.corner_y * s
+          + gen.sides * (min(c, 0.0) + min(s, 0.0)))
+    return lo, lo + gen.sides * (abs(c) + abs(s))
+
+
+def hl_maximal_per_probe(gen, theta, r):
+    """One O(N) clipped-overlap pass per window, for a single probe r."""
+    lo, hi = projection_bounds(gen, theta)
+    base = gen.side * (abs(math.cos(theta)) + abs(math.sin(theta)))
+    if base <= 0:
+        return 0.0
+    kmax = max(0, math.ceil(math.log2(max(len(gen), 1))))
+    best = 0.0
+    rho = base / 2
+    for _ in range(kmax + 2):
+        for shift in (-rho, 0.0, rho):
+            overlap = (np.minimum(hi, r + shift + rho)
+                       - np.maximum(lo, r + shift - rho))
+            mass = float(np.sum(np.clip(overlap, 0.0, None)))
+            best = max(best, mass / (2 * rho))
+        rho *= 2
+    return best
+
+
+def stacked_minima_per_square(gen, theta):
+    """Per square, the least per-probe maximal value over its 9 probes."""
+    lo, hi = projection_bounds(gen, theta)
+    return np.array([min(hl_maximal_per_probe(gen, theta, float(r))
+                         for r in np.linspace(lo[i], hi[i], 9))
+                     for i in range(len(gen))])
+
+
+def sup_by_lexsort_sweep(gen, theta):
+    """Sorted +1/-1 endpoint sweep, openings before closings at ties."""
+    lo, hi = projection_bounds(gen, theta)
+    xs = np.concatenate([lo, hi])
+    order = np.concatenate([np.zeros(lo.size, dtype=np.int8),
+                            np.ones(hi.size, dtype=np.int8)])
+    deltas = np.concatenate([np.ones(lo.size, dtype=np.int64),
+                             -np.ones(hi.size, dtype=np.int64)])
+    return int(np.cumsum(deltas[np.lexsort((order, xs))]).max())
+
+
+@st.composite
+def homothety_generations(draw):
+    """A generation of a random equal-ratio homothety IFS on the unit
+    square; dyadic ratios and offsets make exact ties likely."""
+    s = draw(st.integers(2, 4))
+    lam = draw(st.sampled_from([0.5, 0.25, 1 / 3, 0.3]))
+    offsets = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1 - lam]),
+                        st.floats(0.0, 1 - lam))
+    maps = tuple(Similitude(lam, (draw(offsets), draw(offsets)))
+                 for _ in range(s))
+    sys_ = IFSystem(maps, Square(Point2(0.0, 0.0), 1.0))
+    return generate_generation(sys_, draw(st.integers(0, 3)))
+
+
+ANGLES = st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2,
+                                    3 * math.pi / 4]),
+                   st.floats(0.0, math.pi, exclude_max=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen=homothety_generations(), theta=ANGLES,
+       rs=st.lists(st.one_of(st.floats(-1.5, 1.5),
+                             st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+                   min_size=1, max_size=20))
+def test_hl_maximal_matches_per_probe(gen, theta, rs):
+    got = hl_maximal(gen, theta, np.array(rs))
+    want = [hl_maximal_per_probe(gen, theta, r) for r in rs]
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+    assert isinstance(hl_maximal(gen, theta, rs[0]), float)
+    assert hl_maximal(gen, theta, rs[0]) == got[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(gen=homothety_generations(), theta=ANGLES,
+       K=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                   st.floats(0.1, 6.0)))
+def test_stacked_census_matches_per_square(gen, theta, K):
+    """The fraction equals the per-square count, up to probes whose
+    maximal value lies within 1e-9 of K; K runs over the drawn value and
+    every midpoint between two squares' least probe values."""
+    minima = stacked_minima_per_square(gen, theta)
+    levels = np.unique(minima)
+    for k in [K, *((levels[1:] + levels[:-1]) / 2)]:
+        got = stacked_census(gen, theta, k).stacked_fraction * len(gen)
+        assert np.count_nonzero(minima >= k + 1e-9) <= got
+        assert got <= np.count_nonzero(minima >= k - 1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gen=homothety_generations(), theta=ANGLES)
+def test_sup_count_matches_lexsort_sweep(gen, theta):
+    assert sup_projection_count(gen, theta) == sup_by_lexsort_sweep(gen, theta)
+
+
+def test_engine_matches_old_code_at_depth(gens):
+    """n=5: the maximal function over the probes of every 7th square, and
+    the sup.  The prefix sums carry their rounding errors, which keeps the
+    windows within 1e-11 of the overlap sums (plain cumsums drift by 2e-10
+    here, and by 2e-9 at n=6)."""
+    g = gens(5)
+    for th in (0.3, 1.9):
+        lo, hi = projection_bounds(g, th)
+        rs = np.linspace(lo, hi, 9, axis=1)[::7].ravel()
+        want = [hl_maximal_per_probe(g, th, float(r)) for r in rs]
+        assert hl_maximal(g, th, rs) == pytest.approx(want, rel=0, abs=1e-11)
+        assert sup_projection_count(g, th) == sup_by_lexsort_sweep(g, th)
 
 
 def test_angle_grid_contract():

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from favlab.geometry import IntervalSet
 from favlab.ifs import ResourceBudgetError
 from favlab.projections import project_generation
 from favlab.set_analysis import (UndefinedDimensionError,
-                                 _strip_masses, box_dimension_estimate,
+                                 _covering_count_intervals, _strip_masses,
+                                 box_dimension_estimate,
                                  check_discrete_alpha_set,
                                  check_unrectifiable_one_set,
                                  check_well_distributed, riesz_energy)
@@ -76,6 +79,12 @@ class TestAlphaSetCertifier:
             check_discrete_alpha_set(A, 1.0, C)
         with pytest.raises(ValueError, match="C must be positive"):
             check_unrectifiable_one_set(A, C)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_alpha(self, gens, alpha):
+        A = cloud_from_generation(gens(2))
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            check_discrete_alpha_set(A, alpha, 4.0)
 
     def test_json_roundtrip(self, gens):
         A = cloud_from_generation(gens(3))
@@ -197,6 +206,49 @@ class TestBoxDimension:
         A = PointCloud(np.array([[0.3, 0.3]]), 0.001)
         with pytest.raises(UndefinedDimensionError):
             box_dimension_estimate(A, [0.5, 0.25, 0.125, 1 / 32])
+
+
+def covering_count_loop(iv, eps):
+    """The interval-by-interval covering count the array form replaced."""
+    jmin = np.floor(iv.lo / eps).astype(np.int64)
+    jmax = (np.ceil(iv.hi / eps) - 1).astype(np.int64)
+    total = 0
+    prev_end = None
+    for a, b in zip(jmin, jmax):
+        if prev_end is not None and a <= prev_end:
+            a = prev_end + 1
+        if b >= a:
+            total += int(b - a + 1)
+            prev_end = int(b)
+        elif prev_end is None:
+            prev_end = int(b)
+    return total
+
+
+@st.composite
+def sorted_interval_families(draw):
+    """Intervals with sorted left ends on a 1/64 grid: disjoint, touching,
+    overlapping, nested and degenerate (lo == hi) ones all occur."""
+    starts = sorted(draw(st.lists(st.integers(-200, 200), max_size=30)))
+    widths = draw(st.lists(st.integers(0, 40), min_size=len(starts),
+                           max_size=len(starts)))
+    lo = np.array(starts, dtype=float) / 64
+    return IntervalSet(lo, lo + np.array(widths, dtype=float) / 64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(iv=sorted_interval_families(), k=st.integers(-3, 8))
+def test_covering_count_matches_loop(iv, k):
+    assert (_covering_count_intervals(iv, 2.0 ** -k)
+            == covering_count_loop(iv, 2.0 ** -k))
+
+
+def test_covering_count_matches_loop_on_projections(gens):
+    for th in np.linspace(0.05, 3.0, 7):
+        iv = project_generation(gens(5), float(th))
+        for k in range(2, 11):
+            assert (_covering_count_intervals(iv, 2.0 ** -k)
+                    == covering_count_loop(iv, 2.0 ** -k))
 
 
 class TestWellDistributed:
