@@ -59,20 +59,20 @@ def projection_measures(x0, y0, side, thetas, tol) -> np.ndarray:
 
 
 def riesz_energy_sum(px, py, w, s, floor) -> float:
-    """Sum_{i != j} w_i w_j max(|p_i - p_j|, floor)^(-s), blocked."""
+    """Sum_{i != j} w_i w_j max(|p_i - p_j|, floor)^(-s), as twice i < j."""
     m = px.size
     total = 0.0
     block = 2048
     for a in range(0, m, block):
         b = min(a + block, m)
-        dx = px[a:b, None] - px[None, :]
-        dy = py[a:b, None] - py[None, :]
+        dx = px[a:b, None] - px[None, a:]
+        dy = py[a:b, None] - py[None, a:]
         d = np.sqrt(dx * dx + dy * dy)
         np.maximum(d, floor, out=d)
         kern = d ** (-s)
-        kern[np.arange(a, b) - a, np.arange(a, b)] = 0.0
-        total += float(np.sum((w[a:b, None] * w[None, :]) * kern))
-    return total
+        kern[np.tril_indices(b - a)] = 0.0      # j <= i in the diagonal square
+        total += float(np.sum((w[a:b, None] * w[None, a:]) * kern))
+    return 2.0 * total
 
 
 def _k2_windows(t, delta, reach, k2min, k2max):

@@ -98,6 +98,8 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         errs.append("C: must be positive")
     if not (math.isfinite(cfg.alpha) and cfg.alpha > 0):
         errs.append("alpha: must be positive and finite")
+    if cfg.samples < 1:
+        errs.append("samples: must be >= 1")
     if cfg.seed < 0:
         errs.append("seed: must be >= 0")
     return errs

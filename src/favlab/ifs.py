@@ -192,6 +192,8 @@ def subword_census(sys: IFSystem, N: int, L: int, samples: int = 100_000,
     """
     if not (N >= L >= 1):
         raise ValueError("need N >= L >= 1")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     s = sys.s
     needed = s ** L
 

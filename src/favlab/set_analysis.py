@@ -23,6 +23,9 @@ from .visibility import PointCloud
 
 N_RANDOM = 10_000
 KAPPA_GRID = 0.01
+# elements per strip-mass pass: 64 KiB temporaries stay under glibc's 128 KiB
+# mmap threshold (2^14 and more ran the n=6 line check at half speed)
+_STRIP_BLOCK = 2 ** 13
 
 
 class UndefinedDimensionError(ArithmeticError):
@@ -126,12 +129,13 @@ def _line_check(A: PointCloud, C: float, rng: np.random.Generator,
     m = len(pts)
     halfwidth = 1.0 / C
     bound = m / 10.0
-    worst = CheckResult(True, 0.0)
+    rows = max(1, _STRIP_BLOCK // m)     # offsets per strip-mass pass
     # deterministic design: axis and diagonal lines through every point
     fixed_thetas = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4]
     n_theta = max(1, int(math.sqrt(n_random)))
     random_thetas = rng.uniform(0, math.pi, n_theta)
     scale = _diameter(pts)
+    best = []                            # (theta, offset, mass) per direction
     for theta in fixed_thetas + random_thetas.tolist():
         t = -math.sin(theta) * pts[:, 0] + math.cos(theta) * pts[:, 1]
         if theta in fixed_thetas:
@@ -140,16 +144,19 @@ def _line_check(A: PointCloud, C: float, rng: np.random.Generator,
             center = 0.5 * (t.min() + t.max())
             offsets = rng.uniform(center - scale, center + scale,
                                   n_random // n_theta)
-        masses = np.array([
-            float(np.sum(_strip_masses(np.abs(t - off), A.delta, halfwidth)))
-            for off in offsets])
+        masses = np.concatenate([
+            _strip_masses(np.abs(t - offsets[a:a + rows, None]), A.delta,
+                          halfwidth).sum(axis=1)
+            for a in range(0, offsets.size, rows)])
         i = int(np.argmax(masses))
-        margin = float(masses[i] / bound)
-        if margin > worst.margin:
-            worst = CheckResult(margin <= 1.0, float(margin), {
-                "kind": "line", "theta": float(theta),
-                "offset": float(offsets[i]), "mass": float(masses[i])})
-    return worst
+        best.append((theta, offsets[i], masses[i]))
+    best = np.array(best)
+    margins = best[:, 2] / bound
+    k = int(np.argmax(margins))          # first direction on ties
+    margin = float(margins[k])
+    theta, offset, mass = best[k].tolist()
+    witness = {"kind": "line", "theta": theta, "offset": offset, "mass": mass}
+    return CheckResult(margin <= 1.0, margin, witness if margin > 0 else {})
 
 
 def check_discrete_alpha_set(A: PointCloud, alpha: float, C: float,
@@ -238,46 +245,26 @@ def check_unrectifiable_one_set(A: PointCloud, C: float, seed: int = 0,
     cert = check_discrete_alpha_set(A, 1.0, C, seed=seed, n_random=n_random)
     rng = np.random.default_rng(seed + 1)
     counts, radii = _rectangle_census(A, rng)
-    m = len(A)
-    levels = len(radii)
-    i2g, i1g = np.meshgrid(np.arange(levels), np.arange(levels),
-                           indexing="ij")
-    valid = i1g <= i2g
-    r1 = radii[i1g]
-    r2 = radii[i2g]
-    frac = counts / (C * m)          # need frac <= r1^kappa * r2^(1-kappa)
-    worst_margin = 0.0
-    witness: dict = {}
-    kappa_min = 1.0
-    for j in range(counts.shape[0]):
-        for ci in range(counts.shape[1]):
-            f = frac[j, ci]
-            # kappa = 0 bound: frac <= r2
-            marg = np.where(valid, f / r2, 0.0)
-            jj = int(np.argmax(marg))
-            if marg.flat[jj] > worst_margin:
-                worst_margin = float(marg.flat[jj])
-                witness = {"kind": "rectangle",
-                           "orientation": j * math.pi / counts.shape[0],
-                           "center_index": ci,
-                           "r1": float(r1.flat[jj]), "r2": float(r2.flat[jj]),
-                           "count": int(counts[j, ci].flat[jj])}
-            # largest kappa with frac <= r1^k r2^(1-k); bound decreasing in k
-            with np.errstate(divide="ignore", invalid="ignore"):
-                k_r = np.log(f / r2) / np.log(r1 / r2)
-            k_r = np.where(valid & (f > 0) & (r1 < r2), k_r, np.inf)
-            k_r = np.where(valid & (f > 0) & (r1 == r2),
-                           np.where(f <= r1, np.inf, -np.inf), k_r)
-            kappa_min = min(kappa_min, float(np.min(k_r)))
+    r1, r2 = radii, radii[:, None]   # short side on axis i1, long on i2
+    frac = counts / (C * len(A))     # need frac <= r1^kappa * r2^(1-kappa)
+    # kappa = 0 bound: frac <= r2; the witness is the first worst
+    # (orientation, center, i2, i1) in C order
+    marg = np.where(r1 <= r2, frac / r2, 0.0)
+    j, ci, i2, i1 = np.unravel_index(int(np.argmax(marg)), marg.shape)
+    worst_margin = float(marg[j, ci, i2, i1])
+    witness = {"kind": "rectangle",
+               "orientation": int(j) * math.pi / counts.shape[0],
+               "center_index": int(ci), "r1": float(radii[i1]),
+               "r2": float(radii[i2]), "count": int(counts[j, ci, i2, i1])}
+    # largest kappa with frac <= r1^k r2^(1-k), a bound decreasing in k;
+    # squares do not constrain it. Passing means frac <= r2, so k_r >= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_r = np.log(frac / r2) / np.log(r1 / r2)
+    kappa_min = float(k_r.min(where=r1 < r2, initial=0.5))
     passed = worst_margin <= 1.0
-    if not passed:
-        kappa = 0.0
-    elif math.isinf(kappa_min):
-        kappa = 0.5          # every sampled rectangle is kappa-independent
-    else:
-        kappa = max(0.0, min(0.5,
-                             math.floor(kappa_min / KAPPA_GRID) * KAPPA_GRID))
-    cert.checks["rectangle"] = CheckResult(passed, worst_margin, witness)
+    kappa = math.floor(kappa_min / KAPPA_GRID) * KAPPA_GRID if passed else 0.0
+    cert.checks["rectangle"] = CheckResult(
+        passed, worst_margin, witness if worst_margin > 0 else {})
     cert.kappa_estimate = kappa
     return cert
 
@@ -287,6 +274,8 @@ def riesz_energy(A: PointCloud, s: float) -> float:
     cloud's separation scale."""
     if s <= 0:
         raise ValueError("s must be positive")
+    if len(A) == 0:
+        raise ValueError("empty point cloud")
     if A.weights is None:
         w = np.full(len(A), 1.0 / len(A))
     else:
@@ -357,6 +346,8 @@ def check_well_distributed(positions, weights, delta: float, kappa: float,
 
     For measures on the circle, positions are angles and intervals wrap.
     """
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     pos = np.asarray(positions, dtype=float).ravel()
     w = np.asarray(weights, dtype=float).ravel()
     if abs(float(w.sum()) - 1.0) > 1e-9:

@@ -99,9 +99,14 @@ def _unequal_ifs(tmp_path):
                  "--out", str(tmp / "o.csv")],
     lambda tmp: ["certify-set", "--n", "2", "--alpha", "-1",
                  "--out", str(tmp / "o.csv")],
+    lambda tmp: ["generic-census", "--n", "7", "--k", "2", "--samples", "0",
+                 "--out", str(tmp / "o.csv")],
+    lambda tmp: ["generic-census", "--n", "7", "--k", "2", "--samples", "-3",
+                 "--out", str(tmp / "o.csv")],
 ], ids=["bridge-domain", "census-L-over-N", "config-type", "unwritable-out",
         "config-unknown-key", "census-fractional-k", "unequal-ratios",
-        "config-not-object", "alpha-nan", "alpha-negative"])
+        "config-not-object", "alpha-nan", "alpha-negative", "samples-zero",
+        "samples-negative"])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     rc = main(argv(tmp_path))
     err = capsys.readouterr().err
@@ -331,7 +336,7 @@ def small_argv(draw):
     lo = draw(st.integers(0, 3))
     hi = draw(st.integers(lo, 3))
     argv = [experiment, "--n", f"{lo}..{hi}" if lo < hi else str(lo),
-            "--samples", str(draw(st.integers(1, 200))),
+            "--samples", str(draw(st.integers(-2, 200))),
             "--seed", str(draw(st.integers(0, 5)))]
     if draw(st.booleans()):
         argv += ["--angles", str(draw(st.integers(-1, 64)))]
@@ -358,7 +363,8 @@ def small_argv(draw):
 @given(case=small_argv())
 def test_main_fuzz_keeps_exit_contract(tmp_path_factory, case):
     """Random small configurations exit 0, 2 or 3 with no traceback; a
-    dimension alpha that is not positive and finite exits 2."""
+    dimension alpha that is not positive and finite, or a sample count
+    below 1, exits 2."""
     argv, extra_keys = case
     tmp = tmp_path_factory.mktemp("fuzz")
     if extra_keys:
@@ -378,3 +384,6 @@ def test_main_fuzz_keeps_exit_contract(tmp_path_factory, case):
         if not (math.isfinite(alpha) and alpha > 0):
             assert rc == 2
             assert extra_keys or "alpha: must be positive" in err.getvalue()
+    if int(argv[argv.index("--samples") + 1]) < 1:
+        assert rc == 2
+        assert extra_keys or "samples: must be >= 1" in err.getvalue()

@@ -152,6 +152,11 @@ class TestSubwordCensus:
         with pytest.raises(ValueError):
             subword_census(fourcorner, 1, 2)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_rejects_samples_below_one(self, fourcorner, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            subword_census(fourcorner, 7, 2, samples=samples)
+
 
 class TestPresets:
     def test_known_presets_resolve(self):

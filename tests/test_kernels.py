@@ -80,6 +80,22 @@ class TestFrozenValues:
         assert got == pytest.approx(2.161835931925077, rel=1e-14)
 
 
+def test_riesz_half_sum_matches_full_sum():
+    # 2100 points span two 2048-row blocks; coincident points hit the floor
+    rng = np.random.default_rng(3)
+    px = rng.uniform(0, 1, 2100)
+    py = rng.uniform(0, 1, 2100)
+    px[7], py[7] = px[2090], py[2090]
+    w = rng.uniform(0, 1, 2100)
+    w /= w.sum()
+    d = np.maximum(np.hypot(px[:, None] - px, py[:, None] - py), 1e-3)
+    kern = d ** -1.3
+    np.fill_diagonal(kern, 0.0)
+    want = float(np.sum(w[:, None] * w * kern))
+    assert _kernels.riesz_energy_sum(px, py, w, 1.3, 1e-3) == pytest.approx(
+        want, rel=1e-12)
+
+
 class TestIntervals:
     def test_union_measure(self):
         lo = np.array([0.0, 0.5, 3.0])

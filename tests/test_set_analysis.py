@@ -5,14 +5,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from favlab.geometry import IntervalSet
 from favlab.ifs import ResourceBudgetError
 from favlab.projections import project_generation
-from favlab.set_analysis import (UndefinedDimensionError,
-                                 _covering_count_intervals, _strip_masses,
+from favlab.set_analysis import (KAPPA_GRID, CheckResult, SetCertificate,
+                                 UndefinedDimensionError, _ball_check,
+                                 _covering_count_intervals, _diameter,
+                                 _rectangle_census, _strip_masses,
                                  box_dimension_estimate,
                                  check_discrete_alpha_set,
                                  check_unrectifiable_one_set,
@@ -129,6 +131,193 @@ class TestUnrectifiableCertifier:
         assert a.to_json() == b.to_json()
 
 
+#: certificates frozen from the per-centre and per-offset loops that the
+#: whole-array reductions replaced (four-corner n=5 at C=256, seed 3, and the
+#: 256-point segment at C=1, seed 0)
+FROZEN_CERTIFICATES = {
+    "fourcorner-5": {
+        "alpha": 1.0, "C": 256.0, "delta": 0.0009765625,
+        "passes": {"separation": True, "cardinality": True, "ball": True,
+                   "line": True, "rectangle": True},
+        "kappa_estimate": 0.5,
+        "worst_witnesses": [
+            {"check": "separation", "margin": 0.0, "kind": "separation",
+             "violating_pairs": 0},
+            {"check": "cardinality", "margin": 0.00390625,
+             "kind": "cardinality", "size": 1024,
+             "window": [4.0, 262144.0]},
+            {"check": "ball", "margin": 0.00390625, "kind": "ball",
+             "center": [0.00048828125, 0.00048828125],
+             "radius": 0.0009765625, "count": 1, "design": "on-set"},
+            {"check": "line", "margin": 0.625, "kind": "line", "theta": 0.0,
+             "offset": 0.00048828125, "mass": 64.0},
+            {"check": "rectangle", "margin": 0.00390625, "kind": "rectangle",
+             "orientation": 0.0, "center_index": 0, "r1": 0.0009765625,
+             "r2": 0.0009765625, "count": 1}],
+        "seed": 3, "n_random": 10000},
+    "segment": {
+        "alpha": 1.0, "C": 1.0, "delta": 0.00390625,
+        "passes": {"separation": True, "cardinality": True, "ball": False,
+                   "line": False, "rectangle": False},
+        "kappa_estimate": 0.0,
+        "worst_witnesses": [
+            {"check": "separation", "margin": 0.0, "kind": "separation",
+             "violating_pairs": 0},
+            {"check": "cardinality", "margin": 1.0, "kind": "cardinality",
+             "size": 256, "window": [256.0, 256.0]},
+            {"check": "ball", "margin": 3.0, "kind": "ball",
+             "center": [0.005859375, 0.0], "radius": 0.00390625, "count": 3,
+             "design": "on-set"},
+            {"check": "line", "margin": 10.0, "kind": "line", "theta": 0.0,
+             "offset": 0.0, "mass": 256.0},
+            {"check": "rectangle", "margin": 2.0, "kind": "rectangle",
+             "orientation": 0.09817477042468103, "center_index": 105,
+             "r1": 0.00390625, "r2": 0.00390625, "count": 2}],
+        "seed": 0, "n_random": 10000},
+}
+
+
+def test_frozen_certificates(gens, segment_cloud):
+    cert = check_unrectifiable_one_set(cloud_from_generation(gens(5)), 256.0,
+                                       seed=3)
+    assert cert.to_json() == json.dumps(FROZEN_CERTIFICATES["fourcorner-5"],
+                                        indent=2)
+    cert = check_unrectifiable_one_set(segment_cloud, 1.0)
+    assert cert.to_json() == json.dumps(FROZEN_CERTIFICATES["segment"],
+                                        indent=2)
+
+
+def line_check_loop(A, C, rng, n_random):
+    """The per-offset line check the blocked strip masses replaced."""
+    pts = A.points
+    m = len(pts)
+    halfwidth = 1.0 / C
+    bound = m / 10.0
+    worst = CheckResult(True, 0.0)
+    fixed_thetas = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4]
+    n_theta = max(1, int(math.sqrt(n_random)))
+    random_thetas = rng.uniform(0, math.pi, n_theta)
+    scale = _diameter(pts)
+    for theta in fixed_thetas + random_thetas.tolist():
+        t = -math.sin(theta) * pts[:, 0] + math.cos(theta) * pts[:, 1]
+        if theta in fixed_thetas:
+            offsets = np.unique(t)
+        else:
+            center = 0.5 * (t.min() + t.max())
+            offsets = rng.uniform(center - scale, center + scale,
+                                  n_random // n_theta)
+        masses = np.array([
+            float(np.sum(_strip_masses(np.abs(t - off), A.delta, halfwidth)))
+            for off in offsets])
+        i = int(np.argmax(masses))
+        margin = float(masses[i] / bound)
+        if margin > worst.margin:
+            worst = CheckResult(margin <= 1.0, float(margin), {
+                "kind": "line", "theta": float(theta),
+                "offset": float(offsets[i]), "mass": float(masses[i])})
+    return worst
+
+
+def rectangle_loop(A, C, seed):
+    """The (orientation, centre) loop the whole-array rectangle and kappa
+    reductions replaced: (rectangle check, kappa estimate)."""
+    counts, radii = _rectangle_census(A, np.random.default_rng(seed + 1))
+    m = len(A)
+    levels = len(radii)
+    i2g, i1g = np.meshgrid(np.arange(levels), np.arange(levels),
+                           indexing="ij")
+    valid = i1g <= i2g
+    r1 = radii[i1g]
+    r2 = radii[i2g]
+    frac = counts / (C * m)
+    worst_margin = 0.0
+    witness: dict = {}
+    kappa_min = 1.0
+    for j in range(counts.shape[0]):
+        for ci in range(counts.shape[1]):
+            f = frac[j, ci]
+            marg = np.where(valid, f / r2, 0.0)
+            jj = int(np.argmax(marg))
+            if marg.flat[jj] > worst_margin:
+                worst_margin = float(marg.flat[jj])
+                witness = {"kind": "rectangle",
+                           "orientation": j * math.pi / counts.shape[0],
+                           "center_index": ci,
+                           "r1": float(r1.flat[jj]), "r2": float(r2.flat[jj]),
+                           "count": int(counts[j, ci].flat[jj])}
+            with np.errstate(divide="ignore", invalid="ignore"):
+                k_r = np.log(f / r2) / np.log(r1 / r2)
+            k_r = np.where(valid & (f > 0) & (r1 < r2), k_r, np.inf)
+            k_r = np.where(valid & (f > 0) & (r1 == r2),
+                           np.where(f <= r1, np.inf, -np.inf), k_r)
+            kappa_min = min(kappa_min, float(np.min(k_r)))
+    passed = worst_margin <= 1.0
+    if not passed:
+        kappa = 0.0
+    elif math.isinf(kappa_min):
+        kappa = 0.5
+    else:
+        kappa = max(0.0, min(0.5,
+                             math.floor(kappa_min / KAPPA_GRID) * KAPPA_GRID))
+    return CheckResult(passed, worst_margin, witness), kappa
+
+
+@st.composite
+def small_clouds(draw):
+    """A single point, a run of collinear points on a 1/64 grid line, grid
+    points (with ties and coincidences) or points in general position."""
+    kind = draw(st.sampled_from(["point", "collinear", "grid", "float"]))
+    if kind == "point":
+        pts = [draw(st.tuples(st.floats(-2, 2), st.floats(-2, 2)))]
+    elif kind == "collinear":
+        dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1)]))
+        lo = draw(st.integers(-30, 0))
+        ks = range(lo, lo + draw(st.integers(2, 40)))
+        pts = [(k * dx / 64, k * dy / 64) for k in ks]
+    elif kind == "grid":
+        pts = draw(st.lists(st.tuples(st.integers(0, 31), st.integers(0, 31)),
+                            min_size=2, max_size=40))
+        pts = [(x / 32, y / 32) for x, y in pts]
+    else:
+        pts = draw(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)),
+                            min_size=2, max_size=40))
+    delta = draw(st.sampled_from([1 / 64, 1 / 32, 0.01, 0.1]))
+    return PointCloud(np.array(pts, dtype=float), delta)
+
+
+def collinear_run(m, delta):
+    return PointCloud(np.array([(k / 64, 0.0) for k in range(m)]), delta)
+
+
+@settings(max_examples=20, deadline=None)
+# collinear runs whose kappa lies strictly between 0 and 0.5 (0.25, 0.46)
+@example(A=collinear_run(40, 1 / 64), C=4.0, seed=0, n_random=50)
+@example(A=collinear_run(40, 1 / 32), C=6.0, seed=1, n_random=400)
+# an infinite C zeroes every margin: no check keeps a witness
+@example(A=collinear_run(5, 1 / 64), C=math.inf, seed=0, n_random=50)
+@given(A=small_clouds(),
+       C=st.one_of(st.floats(2.0, 20.0), st.floats(1.0, 1000.0)),
+       seed=st.integers(0, 2**31),
+       n_random=st.sampled_from([1, 50, 400, 2000]))
+def test_certifier_matches_loops(A, C, seed, n_random):
+    rng = np.random.default_rng(seed)
+    ball = _ball_check(A, 1.0, C, rng, n_random)
+    line = line_check_loop(A, C, rng, n_random)
+    rectangle, kappa = rectangle_loop(A, C, seed)
+    alpha_cert = check_discrete_alpha_set(A, 1.0, C, seed=seed,
+                                          n_random=n_random)
+    assert alpha_cert.checks["ball"] == ball
+    assert alpha_cert.checks["line"] == line
+    cert = check_unrectifiable_one_set(A, C, seed=seed, n_random=n_random)
+    assert cert.checks["line"] == line
+    assert cert.checks["rectangle"] == rectangle
+    assert cert.kappa_estimate == kappa
+    want = SetCertificate(1.0, C, A.delta, {**alpha_cert.checks,
+                                            "rectangle": rectangle},
+                          kappa, seed, n_random)
+    assert cert.to_json() == want.to_json()
+
+
 class TestRieszEnergy:
     def test_two_point_closed_form(self):
         A = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.01)
@@ -166,6 +355,10 @@ class TestRieszEnergy:
         A = PointCloud(np.array([[0.0, 0.0]]), 0.01)
         with pytest.raises(ValueError):
             riesz_energy(A, 0.0)
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty point cloud"):
+            riesz_energy(PointCloud(np.empty((0, 2)), 0.01), 1.0)
 
 
 class TestBoxDimension:
@@ -298,3 +491,9 @@ class TestWellDistributed:
             check_well_distributed(pos, w, 0.01, kappa=0.0, tau=0.5)
         with pytest.raises(ValueError):
             check_well_distributed(pos, w, 0.01, kappa=0.5, tau=1.0)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            check_well_distributed(np.array([0.0, 1.0]), np.array([0.5, 0.5]),
+                                   delta, kappa=0.5, tau=0.5)
