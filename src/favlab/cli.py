@@ -28,7 +28,8 @@ from .ifs import (DEFAULT_NODE_BUDGET, IFSystem, ResourceBudgetError,
 from .projections import (AngleGrid, bad_angle_measure, favard_length,
                           project_generation, stacked_census)
 from .set_analysis import (box_dimension_estimate, check_discrete_alpha_set,
-                           check_unrectifiable_one_set, riesz_energy)
+                           check_unrectifiable_one_set, difference_measure,
+                           generation_energy)
 from .transforms import radial_vs_projection_bridge
 from .visibility import (DEFAULT_C, build_line_family, cloud_from_generation,
                          radial_projection_balls, scan_line_low_visibility,
@@ -94,8 +95,8 @@ def validate(cfg: ExperimentConfig) -> list[str]:
                     f"got {cfg.k}")
     if not cfg.c > 0:
         errs.append("c: must be positive")
-    if not cfg.C > 0:
-        errs.append("C: must be positive")
+    if not (math.isfinite(cfg.C) and cfg.C > 0):
+        errs.append("C: must be positive and finite")
     if not (math.isfinite(cfg.alpha) and cfg.alpha > 0):
         errs.append("alpha: must be positive and finite")
     if cfg.samples < 1:
@@ -224,8 +225,14 @@ def _dispatch(cfg: ExperimentConfig):
         rows = []
         for n in ns:
             gen = generate_generation(sys_, n, budget=cfg.budget)
-            rows.append([n, riesz_energy(cloud_from_generation(gen), 1.0)])
-        return rows, ["n", "energy"], {}
+            rows.append([n, generation_energy(gen, 1.0)])
+        energy = dict(rows)
+        atoms = len(difference_measure(sys_)[0])
+        return rows, ["n", "energy"], {
+            "energy": {str(n): e for n, e in energy.items()},
+            "increment": {str(n): e - energy[n - 1]
+                          for n, e in energy.items() if n - 1 in energy},
+            "atoms": {str(n): atoms ** n for n in ns}}
 
     if cfg.experiment == "box-dim-sweep":
         n = cfg.n_hi

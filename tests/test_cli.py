@@ -75,10 +75,10 @@ UNEQUAL_IFS = {"maps": [{"lambda": 0.5, "z": [0.0, 0.0]},
                "hull": {"corner": [0.0, 0.0], "side": 1.0}}
 
 
-def _unequal_ifs(tmp_path):
+def _unequal_ifs(tmp_path, experiment="vis-delta-sweep"):
     path = tmp_path / "unequal.json"
     path.write_text(json.dumps(UNEQUAL_IFS))
-    return ["vis-delta-sweep", "--ifs", str(path), "--n", "3",
+    return [experiment, "--ifs", str(path), "--n", "3",
             "--out", str(tmp_path / "o.csv")]
 
 
@@ -103,10 +103,13 @@ def _unequal_ifs(tmp_path):
                  "--out", str(tmp / "o.csv")],
     lambda tmp: ["generic-census", "--n", "7", "--k", "2", "--samples", "-3",
                  "--out", str(tmp / "o.csv")],
+    lambda tmp: ["certify-set", "--n", "2", "--C", "inf",
+                 "--out", str(tmp / "o.csv")],
+    lambda tmp: _unequal_ifs(tmp, "energy"),
 ], ids=["bridge-domain", "census-L-over-N", "config-type", "unwritable-out",
         "config-unknown-key", "census-fractional-k", "unequal-ratios",
         "config-not-object", "alpha-nan", "alpha-negative", "samples-zero",
-        "samples-negative"])
+        "samples-negative", "C-inf", "energy-unequal-ratios"])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     rc = main(argv(tmp_path))
     err = capsys.readouterr().err
@@ -185,6 +188,17 @@ class TestRuns:
         assert rows[0] == ["check", "passed", "margin"]
         assert {r[0] for r in rows[1:]} >= {"separation", "cardinality",
                                             "ball", "line", "rectangle"}
+
+    def test_energy_sidecar(self, tmp_path):
+        out = tmp_path / "en.csv"
+        assert main(["energy", "--n", "2..4", "--out", str(out)]) == 0
+        blob = json.loads((tmp_path / "en.json").read_text())
+        energy = blob["energy"]
+        assert read_csv(out) == [["n", "energy"]] + [
+            [n, repr(energy[n])] for n in ("2", "3", "4")]
+        assert blob["increment"] == {
+            n: energy[n] - energy[str(int(n) - 1)] for n in ("3", "4")}
+        assert blob["atoms"] == {"2": 81, "3": 729, "4": 6561}
 
     def test_generic_census_row(self, tmp_path):
         out = tmp_path / "cen.csv"
@@ -340,7 +354,8 @@ def small_argv(draw):
             "--seed", str(draw(st.integers(0, 5)))]
     if draw(st.booleans()):
         argv += ["--angles", str(draw(st.integers(-1, 64)))]
-    for flag, extra in (("--c", [4.0]), ("--C", [256.0]), ("--k", [12.0]),
+    for flag, extra in (("--c", [4.0]), ("--C", [256.0, math.inf]),
+                        ("--k", [12.0]),
                         ("--delta", [0.05, 1e-4]), ("--alpha", [])):
         if draw(st.booleans()):
             argv += [flag, repr(draw(st.sampled_from(ODD_NUMBERS + extra)))]
@@ -363,8 +378,8 @@ def small_argv(draw):
 @given(case=small_argv())
 def test_main_fuzz_keeps_exit_contract(tmp_path_factory, case):
     """Random small configurations exit 0, 2 or 3 with no traceback; a
-    dimension alpha that is not positive and finite, or a sample count
-    below 1, exits 2."""
+    dimension alpha or a constant C that is not positive and finite, or a
+    sample count below 1, exits 2."""
     argv, extra_keys = case
     tmp = tmp_path_factory.mktemp("fuzz")
     if extra_keys:
@@ -384,6 +399,11 @@ def test_main_fuzz_keeps_exit_contract(tmp_path_factory, case):
         if not (math.isfinite(alpha) and alpha > 0):
             assert rc == 2
             assert extra_keys or "alpha: must be positive" in err.getvalue()
+    if "--C" in argv:
+        C = float(argv[argv.index("--C") + 1])
+        if not (math.isfinite(C) and C > 0):
+            assert rc == 2
+            assert extra_keys or "C: must be positive" in err.getvalue()
     if int(argv[argv.index("--samples") + 1]) < 1:
         assert rc == 2
         assert extra_keys or "samples: must be >= 1" in err.getvalue()

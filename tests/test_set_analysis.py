@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from favlab.geometry import IntervalSet
-from favlab.ifs import ResourceBudgetError
+from favlab import set_analysis
+from favlab.geometry import IntervalSet, Point2, Square
+from favlab.ifs import (IFSystem, ResourceBudgetError, Similitude,
+                        generate_generation)
 from favlab.projections import project_generation
 from favlab.set_analysis import (KAPPA_GRID, CheckResult, SetCertificate,
                                  UndefinedDimensionError, _ball_check,
@@ -18,7 +20,8 @@ from favlab.set_analysis import (KAPPA_GRID, CheckResult, SetCertificate,
                                  box_dimension_estimate,
                                  check_discrete_alpha_set,
                                  check_unrectifiable_one_set,
-                                 check_well_distributed, riesz_energy)
+                                 check_well_distributed, difference_measure,
+                                 generation_energy, riesz_energy)
 from favlab.visibility import PointCloud, cloud_from_generation
 
 
@@ -81,6 +84,15 @@ class TestAlphaSetCertifier:
             check_discrete_alpha_set(A, 1.0, C)
         with pytest.raises(ValueError, match="C must be positive"):
             check_unrectifiable_one_set(A, C)
+
+    def test_rejects_infinite_C(self):
+        # an infinite C zeroes the strip width and every margin: a
+        # vacuous certificate
+        A = collinear_run(5, 1 / 64)
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            check_discrete_alpha_set(A, 1.0, math.inf)
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            check_unrectifiable_one_set(A, math.inf)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_alpha(self, gens, alpha):
@@ -293,8 +305,6 @@ def collinear_run(m, delta):
 # collinear runs whose kappa lies strictly between 0 and 0.5 (0.25, 0.46)
 @example(A=collinear_run(40, 1 / 64), C=4.0, seed=0, n_random=50)
 @example(A=collinear_run(40, 1 / 32), C=6.0, seed=1, n_random=400)
-# an infinite C zeroes every margin: no check keeps a witness
-@example(A=collinear_run(5, 1 / 64), C=math.inf, seed=0, n_random=50)
 @given(A=small_clouds(),
        C=st.one_of(st.floats(2.0, 20.0), st.floats(1.0, 1000.0)),
        seed=st.integers(0, 2**31),
@@ -359,6 +369,111 @@ class TestRieszEnergy:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty point cloud"):
             riesz_energy(PointCloud(np.empty((0, 2)), 0.01), 1.0)
+
+
+def homothety_system(lam, zs, corner=(0.0, 0.0), side=1.0):
+    return IFSystem(tuple(Similitude(lam, z) for z in zs),
+                    Square(Point2(*corner), side))
+
+
+#: ratio 1/2 and translations on a 1/4 grid, one repeated: distinct words
+#: share a centre, e.g. (3, 1) and (1, 2) at depth 2
+OVERLAPPING = homothety_system(0.5, [(0.0, 0.0), (0.25, 0.0), (0.5, 0.0),
+                                     (0.5, 0.0)])
+
+
+@st.composite
+def equal_ratio_systems(draw):
+    """A homothety IFS with 2-5 maps of one ratio and dyadic, irrational or
+    overlapping translations, under a random hull."""
+    k = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["dyadic", "irrational", "overlapping"]))
+    if kind == "dyadic":
+        lam = draw(st.sampled_from([0.5, 0.25, 0.125]))
+        zs = [(draw(st.integers(0, 7)) / 8, draw(st.integers(0, 7)) / 8)
+              for _ in range(k)]
+    elif kind == "irrational":
+        # below about 0.1 the pair oracle itself loses digits: it takes
+        # differences of centres of size 1 that lie lam^(n-1) apart
+        lam = draw(st.floats(0.15, 0.6))
+        zs = [(draw(st.integers(1, 99)) * math.sqrt(2) % 1,
+               draw(st.integers(1, 99)) * math.sqrt(3) % 1)
+              for _ in range(k)]
+    else:
+        # a repeated translation makes words that differ only in those two
+        # letters share a centre; at ratio 1/2 the quarter grid adds more
+        lam = draw(st.sampled_from([0.5, 0.25]))
+        zs = [(draw(st.integers(0, 2)) / 4, draw(st.integers(0, 2)) / 4)
+              for _ in range(k - 1)]
+        zs.append(zs[0])
+    corner = (draw(st.floats(-3, 3)), draw(st.floats(-3, 3)))
+    return homothety_system(lam, zs, corner, draw(st.floats(0.1, 10)))
+
+
+class TestGenerationEnergy:
+    @settings(max_examples=60, deadline=None)
+    @given(system=equal_ratio_systems(), n=st.integers(0, 4),
+           s=st.floats(0.3, 2.0))
+    def test_matches_pair_sum(self, system, n, s):
+        gen = generate_generation(system, n)
+        want = riesz_energy(cloud_from_generation(gen), s)
+        assert generation_energy(gen, s) == pytest.approx(want, rel=1e-12)
+
+    def test_overlapping_words_keep_their_floor_term(self):
+        gen = generate_generation(OVERLAPPING, 2)
+        centers = gen.centers()
+        assert len(np.unique(centers, axis=0)) < len(gen)
+        want = riesz_energy(cloud_from_generation(gen), 1.0)
+        assert generation_energy(gen, 1.0) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    @pytest.mark.parametrize("system", [OVERLAPPING, None])
+    def test_block_size_does_not_change_result(self, monkeypatch, fourcorner,
+                                               block, system):
+        gen = generate_generation(system or fourcorner, 4)
+        want = generation_energy(gen, 1.3)
+        monkeypatch.setattr(set_analysis, "_ENERGY_BLOCK", block)
+        assert generation_energy(gen, 1.3) == pytest.approx(want, rel=1e-12)
+
+    def test_four_corner_difference_measure(self, fourcorner):
+        atoms, counts = difference_measure(fourcorner)
+        assert atoms.tolist() == [complex(x, y) for x in (-0.75, 0.0, 0.75)
+                                  for y in (-0.75, 0.0, 0.75)]
+        assert counts.tolist() == (np.outer([1, 2, 1], [1, 2, 1])
+                                   .ravel().tolist())
+
+    def test_four_corner_increment_is_cross_piece_energy(self, gens):
+        """At s=1 the four pieces T_i(K_{n-1}) of K_n each carry
+        E_{n-1} / 4, so E_n - E_{n-1} is the energy between pairs of
+        centres in different pieces."""
+        increments = []
+        for n in range(1, 6):
+            gen = gens(n)
+            c = gen.centers()
+            piece = np.arange(len(gen)) % 4     # the letter applied last
+            d = np.hypot(*(c[:, None, :] - c[None, :, :]).transpose(2, 0, 1))
+            cross = np.where(piece[:, None] != piece[None, :],
+                             1.0 / np.maximum(d, gen.side), 0.0)
+            increment = (generation_energy(gen, 1.0)
+                         - generation_energy(gens(n - 1), 1.0))
+            assert increment == pytest.approx(cross.sum() / len(gen) ** 2,
+                                              rel=1e-12)
+            increments.append(increment)
+        assert increments[2] == pytest.approx(0.9154511, abs=5e-8)
+        assert generation_energy(gens(7), 1.0) - generation_energy(
+            gens(6), 1.0) == pytest.approx(0.9155100, abs=5e-8)
+
+    def test_rejects_unequal_ratios(self):
+        system = IFSystem((Similitude(0.5, (0.0, 0.0)),
+                           Similitude(0.25, (0.75, 0.75))),
+                          Square(Point2(0.0, 0.0), 1.0))
+        with pytest.raises(ValueError, match="ratios differ"):
+            generation_energy(generate_generation(system, 2), 1.0)
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan])
+    def test_rejects_bad_s(self, gens, s):
+        with pytest.raises(ValueError, match="s must be positive"):
+            generation_energy(gens(2), s)
 
 
 class TestBoxDimension:
