@@ -68,7 +68,9 @@ def main(argv=None) -> int:
         return 0
     old = json.loads(earlier.read_text())
     print(f"against {earlier.name} (rev {old['rev']}):")
-    print(format_diff(diff_records(old, record, bounds(spec))))
+    limits = {m["name"]: (m["bound"], m["better"])
+              for m in spec["end_to_end"]}
+    print(format_diff(diff_records(old, record, limits)))
     return 0
 
 
@@ -131,11 +133,6 @@ def _cpu_model() -> str | None:
     return platform.processor() or None
 
 
-def bounds(spec: dict) -> dict:
-    """metric name -> (bound, better) for the end-to-end metrics."""
-    return {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
-
-
 def newest_earlier(bench_dir: Path, record: dict) -> Path | None:
     """The most recently recorded BENCH file of another revision that was
     recorded no later than `record`."""
@@ -150,9 +147,10 @@ def newest_earlier(bench_dir: Path, record: dict) -> Path | None:
 
 
 def diff_records(old: dict, new: dict, limits: dict) -> list[dict]:
-    """One row per workload and metric present in both records; `worse`
-    is set when the new median is worse than the old one by more than the
-    metric's bound, `failed` when a new run failed an output check."""
+    """One row per workload and metric present in both records and in
+    `limits` (metric name -> (bound, better)); `worse` is set when the new
+    median is worse than the old one by more than the metric's bound,
+    `failed` when a new run failed an output check."""
     rows = []
     for workload, w_new in new["workloads"].items():
         w_old = old["workloads"].get(workload)
