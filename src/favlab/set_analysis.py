@@ -304,15 +304,9 @@ def _atom_block(atoms, counts, lam, depth, start, stop):
     The base-len(atoms) digits of an index pick one first-level atom per
     level, first level most significant, giving sum_k lam^(depth-k) atom_k.
     """
-    a = atoms.size
-    idx = np.arange(start, stop)
-    val = np.zeros(idx.size, dtype=complex)
-    mult = np.ones(idx.size)
-    for t in range(depth - 1, -1, -1):
-        digit = idx // a ** t % a
-        val = val * lam + atoms[digit]
-        mult *= counts[digit]
-    return val, mult
+    t = np.arange(depth - 1, -1, -1)
+    digits = np.arange(start, stop) // atoms.size ** t[:, None] % atoms.size
+    return lam ** t @ atoms[digits], counts[digits].prod(axis=0)
 
 
 def generation_energy(gen: Generation, s: float) -> float:
@@ -347,19 +341,17 @@ def generation_energy(gen: Generation, s: float) -> float:
     c0 = sum(zero * a ** t for t in range(j))
     n_outer = a ** (n - j)
     total = 0.0
-    for slab in range(0, n_outer, _ENERGY_BLOCK):
-        outer, omult = _atom_block(atoms, counts, lam, n - j, slab,
-                                   min(slab + _ENERGY_BLOCK, n_outer))
+    for r in range(0, n_outer, rows):
+        outer, omult = _atom_block(atoms, counts, lam, n - j, r,
+                                   min(r + rows, n_outer))
         outer *= lam ** j
-        ox, oy = outer.real, outer.imag
-        for r in range(0, outer.size, rows):
-            kern = np.square(ox[r:r + rows, None] + ix)
-            kern += np.square(oy[r:r + rows, None] + iy)
-            np.maximum(kern, delta * delta, out=kern)
-            np.power(kern, -0.5 * s, out=kern)
-            if slab + r <= r0 < slab + r + rows:
-                kern[r0 - slab - r, c0] = 0.0
-            total += float(omult[r:r + rows] @ (kern @ imult))
+        kern = np.square(outer.real[:, None] + ix)
+        kern += np.square(outer.imag[:, None] + iy)
+        np.maximum(kern, delta * delta, out=kern)
+        np.power(kern, -0.5 * s, out=kern)
+        if r <= r0 < r + len(kern):
+            kern[r0 - r, c0] = 0.0
+        total += float(omult @ (kern @ imult))
     total += (int(counts[zero]) ** n - len(gen.sys.maps) ** n) * delta ** -s
     return total / len(gen) ** 2
 

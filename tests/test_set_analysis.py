@@ -426,11 +426,14 @@ class TestGenerationEnergy:
         want = riesz_energy(cloud_from_generation(gen), 1.0)
         assert generation_energy(gen, 1.0) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("block", [1, 7, 100])
+    # block 41 at four-corner n=5: chunks of 4 outer atoms against 9 inner
+    # ones, a short last chunk (6561 outer atoms), and the zero atom at
+    # outer index 3280 = 80 * 41 = 820 * 4, the start of a chunk
+    @pytest.mark.parametrize("block, n", [(1, 4), (7, 4), (41, 5), (100, 4)])
     @pytest.mark.parametrize("system", [OVERLAPPING, None])
     def test_block_size_does_not_change_result(self, monkeypatch, fourcorner,
-                                               block, system):
-        gen = generate_generation(system or fourcorner, 4)
+                                               block, n, system):
+        gen = generate_generation(system or fourcorner, n)
         want = generation_energy(gen, 1.3)
         monkeypatch.setattr(set_analysis, "_ENERGY_BLOCK", block)
         assert generation_energy(gen, 1.3) == pytest.approx(want, rel=1e-12)

@@ -5,10 +5,10 @@ record.
     python3 tools/bench_record.py --checkout ../old   # another checkout
 
 Runs the command that BENCHMARK.json declares (`perfbench/run.py`) with
-`--trace 0` once per seed for every workload, at the declared run length,
-and writes `bench/BENCH_<short-rev>.json` next to this script's checkout.
-A record holds the revision, the environment, k (the number of seeds) and,
-per workload and end-to-end metric, the median, min and max of the k runs
+`--trace 0` once per seed (1, 2 and 3) for every workload, at the declared
+run length, and writes `bench/BENCH_<short-rev>.json` next to this script's
+checkout. A record holds the revision, the environment, k (the number of
+seeds) and, per workload and end-to-end metric, the median, min and max of the k runs
 and the runs themselves: the host's speed drifts between runs, so the
 spread is part of the result.
 
@@ -29,15 +29,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = ROOT / "bench"
-DEFAULT_SEEDS = (1, 2, 3)
+SEEDS = (1, 2, 3)
 
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--checkout", type=Path, default=ROOT,
                    help="favlab checkout to measure (default: this one)")
-    p.add_argument("--seeds", type=int, nargs="+", default=DEFAULT_SEEDS,
-                   help="one run per seed and workload (default: 1 2 3)")
     return p.parse_args(argv)
 
 
@@ -48,7 +46,7 @@ def main(argv=None) -> int:
     runs: dict[str, list[dict]] = {}
     env = None
     for workload in (w["name"] for w in spec["workloads"]):
-        for seed in args.seeds:
+        for seed in SEEDS:
             print(f"{workload} seed {seed} ...", file=sys.stderr, flush=True)
             try:
                 run_env, result = run_once(spec, checkout, workload, seed)
@@ -57,7 +55,7 @@ def main(argv=None) -> int:
                 return 1
             env = env or run_env
             runs.setdefault(workload, []).append(result)
-    record = make_record(env, spec, args.seeds, runs)
+    record = make_record(env, spec, runs)
     BENCH_DIR.mkdir(exist_ok=True)
     path = BENCH_DIR / f"BENCH_{record['rev']}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
@@ -87,7 +85,7 @@ def run_once(spec: dict, checkout: Path, workload: str, seed: int):
     return json.loads(lines[-2])["env"], json.loads(lines[-1])
 
 
-def make_record(env: dict, spec: dict, seeds, runs: dict) -> dict:
+def make_record(env: dict, spec: dict, runs: dict) -> dict:
     """The BENCH record of k runs per workload."""
     rev = env.get("git_revision") or env["source_sha256"]
     workloads = {}
@@ -108,8 +106,8 @@ def make_record(env: dict, spec: dict, seeds, runs: dict) -> dict:
         "rev": rev[:7],
         "recorded": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds"),
-        "k": len(seeds),
-        "seeds": list(seeds),
+        "k": len(SEEDS),
+        "seeds": list(SEEDS),
         "seconds": spec["run_seconds"],
         "env": {**{key: env.get(key) for key in keep},
                 "machine": platform.machine(), "cpu": _cpu_model()},
