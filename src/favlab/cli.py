@@ -1,9 +1,11 @@
 """Command-line experiment harness.
 
-Each subcommand runs one experiment and writes a CSV data file plus a JSON
-sidecar echoing the complete effective configuration.  Outputs are
-deterministic for a fixed seed: reductions run in fixed index order and no
-timestamps enter the data files.
+`favlab EXPERIMENT [flags]` runs one experiment and writes a CSV data file
+plus a JSON sidecar whose `config` holds every option with each default
+resolved (`DEFAULTS`), so `--config` on that `config` repeats the run.
+Flags override a config file, whose `experiment` must name the subcommand.
+Outputs are deterministic for a fixed seed: reductions run in fixed index
+order and no timestamps enter the data files.
 
 Exit codes: 0 success, 2 validation error, 3 resource cap exceeded.
 """
@@ -16,6 +18,7 @@ import json
 import math
 import sys
 import time
+from copy import copy
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -39,13 +42,25 @@ EXPERIMENTS = ("favard-scaling", "visibility-point", "vis-delta-sweep",
                "line-scan", "certify-set", "energy", "box-dim-sweep",
                "stacking", "bad-angles", "generic-census", "bridge")
 
-#: angle count of each experiment that takes one, when --angles is unset
-DEFAULT_ANGLES = {"favard-scaling": 4096, "bad-angles": 4096,
-                  "box-dim-sweep": 360, "stacking": 16}
+#: per experiment, the value each option it uses takes when unset; delta
+#: is the side of the stage-n squares, computed from (IFS, n)
+DEFAULTS = {
+    "favard-scaling": {"angles": 4096}, "bad-angles": {"angles": 4096},
+    "box-dim-sweep": {"angles": 360}, "stacking": {"angles": 16},
+    "visibility-point": {"vantages": [(-1.0, -1.0)]},
+    "vis-delta-sweep": {"delta": IFSystem.stage_side,
+                        "vantages": [(-1.0, -1.0)]},
+    "line-scan": {"delta": IFSystem.stage_side,
+                  "lambdas": [2.0 ** -j for j in range(1, 7)]},
+    "bridge": {"delta": IFSystem.stage_side,
+               "vantages": [(-9.5 + i, 0.0) for i in range(10)]}}
 
 
 @dataclass
 class ExperimentConfig:
+    """Every option of a run; a None or empty option is unset, and `run`
+    fills those the experiment uses from `DEFAULTS`."""
+
     experiment: str
     ifs: str = "fourcorner"
     n_lo: int = 4
@@ -85,6 +100,9 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         errs.append("delta: must be positive")
     if cfg.angles is not None and cfg.angles < 1:
         errs.append("angles: must be >= 1")
+    if cfg.experiment == "bridge" and any(y != 0 for _, y in cfg.vantages):
+        errs.append(f"vantage: bridge vantages must lie on y = 0, got "
+                    f"{cfg.vantages}")
     if cfg.experiment == "line-scan":
         for lam in cfg.lambdas:
             if not (0 < lam <= 1):
@@ -122,8 +140,12 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             w.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _default_delta(cfg, gen) -> float:
-    return cfg.delta if cfg.delta is not None else float(gen.side)
+def _resolved(cfg: ExperimentConfig, sys_: IFSystem) -> ExperimentConfig:
+    """`cfg` with the experiment's default in each unset option it uses."""
+    return replace(cfg, **{
+        key: default(sys_, cfg.n_hi) if callable(default) else copy(default)
+        for key, default in DEFAULTS.get(cfg.experiment, {}).items()
+        if getattr(cfg, key) in (None, [])})
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -132,17 +154,14 @@ def run(cfg: ExperimentConfig) -> int:
         for v in violations:
             print(f"error: {v}", file=sys.stderr)
         return 2
-    if cfg.angles is None:
-        cfg = replace(cfg, angles=DEFAULT_ANGLES.get(cfg.experiment))
     start = time.monotonic()
     try:
-        rows, header, summary = _dispatch(cfg)
-    except ResourceBudgetError as exc:
+        sys_ = resolve_ifs(cfg.ifs)
+        cfg = _resolved(cfg, sys_)
+        rows, header, summary = _dispatch(cfg, sys_)
+    except (ResourceBudgetError, ValueError) as exc:  # caps, input errors
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:       # the library's input errors
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ResourceBudgetError) else 2
     sidecar = Path(cfg.out).with_suffix(".json")
     if str(sidecar) == cfg.out:
         sidecar = Path(cfg.out + ".summary.json")
@@ -163,8 +182,7 @@ def run(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _dispatch(cfg: ExperimentConfig):
-    sys_ = resolve_ifs(cfg.ifs)
+def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
     ns = list(range(cfg.n_lo, cfg.n_hi + 1))
     if cfg.experiment == "favard-scaling":
         grid = AngleGrid(cfg.angles)
@@ -177,34 +195,32 @@ def _dispatch(cfg: ExperimentConfig):
 
     if cfg.experiment == "visibility-point":
         gen = generate_generation(sys_, cfg.n_hi, budget=cfg.budget)
-        vantages = cfg.vantages or [(-1.0, -1.0)]
         rows = [[vx, vy, visibility(gen, Point2(vx, vy))]
-                for vx, vy in vantages]
+                for vx, vy in cfg.vantages]
         return rows, ["vantage_x", "vantage_y", "vis"], {
             "vis": [r[2] for r in rows]}
 
     if cfg.experiment == "vis-delta-sweep":
         gen = generate_generation(sys_, cfg.n_hi, budget=cfg.budget)
         A = cloud_from_generation(gen)
-        delta = _default_delta(cfg, gen)
-        vantages = cfg.vantages or [(-1.0, -1.0)]
-        fam = build_line_family(delta, _enclosing_radius(sys_, vantages))
-        points = [Point2(vx, vy) for vx, vy in vantages]
+        fam = build_line_family(cfg.delta,
+                                _enclosing_radius(sys_, cfg.vantages))
+        points = [Point2(vx, vy) for vx, vy in cfg.vantages]
         rows = []
         for a, vd in zip(points, vis_delta(points, A, fam, cfg.c)):
-            vis = radial_projection_balls(A, delta, a).measure() / (2 * math.pi)
+            vis = (radial_projection_balls(A, cfg.delta, a).measure()
+                   / (2 * math.pi))
             rows.append([a.x, a.y, vis, vd])
         return rows, ["vantage_x", "vantage_y", "vis", "vis_delta"], {}
 
     if cfg.experiment == "line-scan":
         gen = generate_generation(sys_, cfg.n_hi, budget=cfg.budget)
         A = cloud_from_generation(gen)
-        delta = _default_delta(cfg, gen)
-        fam = build_line_family(delta, _enclosing_radius(sys_))
+        fam = build_line_family(cfg.delta, _enclosing_radius(sys_))
         ell0 = Line(0.0, sys_.hull.corner.y - 0.5 * sys_.hull.side)
-        lams = cfg.lambdas or [2.0 ** -j for j in range(1, 7)]
-        lengths = scan_line_low_visibility(ell0, A, fam, lams, c=cfg.c)
-        rows = [[lam, length] for lam, length in zip(lams, lengths)]
+        lengths = scan_line_low_visibility(ell0, A, fam, cfg.lambdas,
+                                           c=cfg.c)
+        rows = [[lam, length] for lam, length in zip(cfg.lambdas, lengths)]
         return rows, ["lambda", "sublevel_length"], {}
 
     if cfg.experiment == "certify-set":
@@ -275,15 +291,13 @@ def _dispatch(cfg: ExperimentConfig):
     if cfg.experiment == "bridge":
         gen = generate_generation(sys_, cfg.n_hi, budget=cfg.budget)
         A = cloud_from_generation(gen)
-        delta = _default_delta(cfg, gen)
-        xs = ([v[0] for v in cfg.vantages]
-              or [-9.5 + i for i in range(10)])
-        fam = build_line_family(
-            delta, _enclosing_radius(sys_, [(x, 0.0) for x in xs]))
+        xs = [x for x, _ in cfg.vantages]
+        fam = build_line_family(cfg.delta,
+                                _enclosing_radius(sys_, cfg.vantages))
         pairs = radial_vs_projection_bridge(A, xs, fam, cfg.c)
         rows = []
         for x, (vd, length) in zip(xs, pairs):
-            ratio = vd * delta / length if length > 0 else float("nan")
+            ratio = vd * cfg.delta / length if length > 0 else float("nan")
             rows.append([x, vd, length, ratio])
         return (rows, ["x", "vis_delta", "projected_length", "ratio_delta"],
                 {})
@@ -291,17 +305,12 @@ def _dispatch(cfg: ExperimentConfig):
     raise AssertionError(f"unhandled experiment {cfg.experiment}")
 
 
-def _parse_n(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    n = int(text)
-    return n, n
-
-
-def _parse_vantage(text: str) -> tuple[float, float]:
-    x, y = text.split(",")
-    return float(x), float(y)
+#: value type of each scalar option; each but the experiment and the depth
+#: bounds is also a flag
+_FIELD_TYPES = {"experiment": str, "ifs": str, "n_lo": int, "n_hi": int,
+                "delta": float, "angles": int, "c": float, "k": float,
+                "alpha": float, "C": float, "samples": int, "seed": int,
+                "out": str, "budget": int}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,43 +318,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="favlab",
         description="projection-geometry experiments for planar "
                     "self-similar sets")
-    sub = parser.add_subparsers(dest="experiment", required=True,
-                                metavar="{" + ",".join(EXPERIMENTS) + "}")
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name)
-        p.add_argument("--ifs", default=None,
-                       help="preset name or IFS JSON file")
-        p.add_argument("--n", default=None,
-                       help="generation depth, single or 'lo..hi'")
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--angles", type=int, default=None)
-        p.add_argument("--vantage", action="append", default=None,
-                       metavar="X,Y")
-        p.add_argument("--lambda", action="append", type=float, default=None,
-                       dest="lambdas")
-        p.add_argument("--c", type=float, default=None)
-        p.add_argument("--k", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--C", type=float, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--config", default=None,
-                       help="JSON config file; explicit flags override it")
+    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("--ifs", help="preset name or IFS JSON file")
+    # --n and --vantage stay strings: _set parses them, so a malformed
+    # value exits 2 with one error line like every other bad input
+    parser.add_argument("--n", help="generation depth, single or 'lo..hi'")
+    parser.add_argument("--vantage", action="append", dest="vantages",
+                        metavar="X,Y")
+    parser.add_argument("--lambda", action="append", type=float,
+                        dest="lambdas")
+    for key, kind in _FIELD_TYPES.items():
+        if key not in ("experiment", "ifs", "n_lo", "n_hi"):
+            parser.add_argument(f"--{key}", type=kind)
+    parser.add_argument("--config",
+                        help="JSON config file; explicit flags override it")
     return parser
 
 
-#: value type of each scalar field a JSON config file may set
-_FIELD_TYPES = {"experiment": str, "ifs": str, "n_lo": int, "n_hi": int,
-                "delta": float, "angles": int, "c": float, "k": float,
-                "alpha": float, "C": float, "samples": int, "seed": int,
-                "out": str, "budget": int}
-
-
 def _typed(key: str, val, kind: type):
-    """A config-file value checked against its field's type; ints are
-    accepted where a float is expected."""
+    """A value checked against its option's type; ints are accepted where
+    a float is expected."""
     allowed = (int, float) if kind is float else kind
     if isinstance(val, bool) or not isinstance(val, allowed):
         raise ValueError(f"config: {key} must be {kind.__name__}, "
@@ -353,42 +345,57 @@ def _typed(key: str, val, kind: type):
     return float(val) if kind is float else val
 
 
+def _parse_n(val) -> tuple[int, int]:
+    """A depth 'N' or a range 'LO..HI'."""
+    lo, sep, hi = str(val).partition("..")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise ValueError(f"n: expected N or LO..HI, got {val!r}") from None
+
+
+def _parse_vantage(val) -> tuple[float, float]:
+    """A vantage from a flag ('X,Y') or a config file ([x, y])."""
+    try:
+        x, y = ([float(t) for t in val.split(",")] if isinstance(val, str)
+                else [_typed("vantage", t, float) for t in val])
+    except (TypeError, ValueError):
+        raise ValueError(f"vantage: expected X,Y, got {val!r}") from None
+    return x, y
+
+
+def _set(cfg: ExperimentConfig, key: str, val) -> None:
+    """Set one option of `cfg` from a config-file or flag value.  A null
+    delta or angle count stays unset, for `run` to resolve."""
+    if key == "n":
+        cfg.n_lo, cfg.n_hi = _parse_n(val)
+    elif key in ("vantage", "vantages"):
+        cfg.vantages = [_parse_vantage(v) for v in val]
+    elif key == "lambdas":
+        cfg.lambdas = [_typed(key, v, float) for v in val]
+    elif key not in _FIELD_TYPES:
+        raise ValueError(f"config: unknown key {key!r}")
+    elif key == "experiment" and val != cfg.experiment:
+        raise ValueError(f"config: experiment {val!r} differs from the "
+                         f"subcommand {cfg.experiment!r}")
+    elif val is None and key in ("delta", "angles"):
+        setattr(cfg, key, None)
+    else:
+        setattr(cfg, key, _typed(key, val, _FIELD_TYPES[key]))
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's options, then the flags given."""
     cfg = ExperimentConfig(experiment=args.experiment)
+    file_vals = {}
     if args.config:
         file_vals = json.loads(Path(args.config).read_text())
         if not isinstance(file_vals, dict):
             raise ValueError("config: the file must hold a JSON object")
-        for key, val in file_vals.items():
-            if key == "n":
-                cfg.n_lo, cfg.n_hi = _parse_n(str(val))
-            elif key in ("vantage", "vantages"):
-                cfg.vantages = [(_typed(key, x, float), _typed(key, y, float))
-                                for x, y in val]
-            elif key == "lambdas":
-                cfg.lambdas = [_typed(key, v, float) for v in val]
-            elif key in _FIELD_TYPES:
-                if not (val is None and key in ("delta", "angles")):
-                    val = _typed(key, val, _FIELD_TYPES[key])
-                setattr(cfg, key, val)
-            else:
-                raise ValueError(f"config: unknown key {key!r}")
-    if args.ifs is not None:
-        cfg.ifs = args.ifs
-    if args.n is not None:
-        cfg.n_lo, cfg.n_hi = _parse_n(args.n)
-    if args.delta is not None:
-        cfg.delta = args.delta
-    if args.angles is not None:
-        cfg.angles = args.angles
-    if args.vantage is not None:
-        cfg.vantages = [_parse_vantage(v) for v in args.vantage]
-    if args.lambdas is not None:
-        cfg.lambdas = args.lambdas
-    for key in ("c", "k", "alpha", "C", "samples", "seed", "budget", "out"):
-        val = getattr(args, key)
-        if val is not None:
-            setattr(cfg, key, val)
+    flag_vals = {key: val for key, val in vars(args).items()
+                 if val is not None and key != "config"}
+    for key, val in [*file_vals.items(), *flag_vals.items()]:
+        _set(cfg, key, val)
     return cfg
 
 

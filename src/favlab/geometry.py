@@ -158,14 +158,14 @@ class IntervalSet:
     def intervals(self) -> list[tuple[float, float]]:
         return list(zip(self._lo.tolist(), self._hi.tolist()))
 
-    def insert(self, lo: float, hi: float, tol: float = MERGE_TOL) -> "IntervalSet":
+    def insert(self, lo: float, hi: float) -> "IntervalSet":
         """Union with [lo, hi]; returns a new set."""
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise GeometryError(f"non-finite interval [{lo}, {hi}]")
         if lo >= hi:
             raise GeometryError(f"inverted interval [{lo}, {hi}]")
         mlo, mhi = _kernels.merge_intervals(
-            np.append(self._lo, lo), np.append(self._hi, hi), tol)
+            np.append(self._lo, lo), np.append(self._hi, hi), MERGE_TOL)
         return IntervalSet(mlo, mhi)
 
     def measure(self) -> float:
@@ -252,14 +252,13 @@ class CircularIntervalSet:
             return TWO_PI
         return float(sum(length for _, length in self._arcs))
 
-    def insert(self, lo: float, length: float,
-               tol: float = MERGE_TOL) -> "CircularIntervalSet":
+    def insert(self, lo: float, length: float) -> "CircularIntervalSet":
         if not (0 < length <= TWO_PI):
             raise GeometryError(f"arc length {length} outside (0, 2pi]")
         if self.is_full():
             return self
         return CircularIntervalSet.from_arcs(
-            list(self._arcs) + [(lo, length)], tol)
+            list(self._arcs) + [(lo, length)])
 
     def contains(self, angle: float) -> bool:
         starts, lengths = np.array(self._arcs).reshape(-1, 2).T

@@ -47,9 +47,6 @@ class Similitude:
         return Point2(self.lam * p.x + self.z[0], self.lam * p.y + self.z[1])
 
 
-IDENTITY = Similitude(1.0, (0.0, 0.0))
-
-
 @dataclass(frozen=True)
 class IFSystem:
     maps: tuple[Similitude, ...]
@@ -67,6 +64,14 @@ class IFSystem:
     def equal_ratios(self) -> bool:
         lams = [m.lam for m in self.maps]
         return all(abs(l - lams[0]) < 1e-15 for l in lams)
+
+    def stage_side(self, n: int) -> float:
+        """Common side of the stage-n squares, as `generate_generation`
+        computes it; only equal-ratio systems have one."""
+        if not self.equal_ratios:
+            raise ValueError("generation squares have no common side: the "
+                             "IFS contraction ratios differ")
+        return math.prod([self.maps[0].lam] * n) * self.hull.side
 
 
 @dataclass(frozen=True)
@@ -92,10 +97,7 @@ class Generation(Sequence):
     @property
     def side(self) -> float:
         """Common side length; only equal-ratio systems have one."""
-        if not self.sys.equal_ratios:
-            raise ValueError("generation squares have no common side: the "
-                             "IFS contraction ratios differ")
-        return float(self.sides[0])
+        return self.sys.stage_side(self.n)
 
     def __len__(self) -> int:
         return len(self.corner_x)
@@ -120,14 +122,14 @@ class Generation(Sequence):
                          self.corner_y + self.sides / 2], axis=1)
 
 
-def similarity_dimension(sys: IFSystem, tol: float = 1e-12) -> float:
+def similarity_dimension(sys: IFSystem) -> float:
     """Unique alpha in (0, 2] with sum(lam_i^alpha) = 1, by bisection."""
     lams = np.array([m.lam for m in sys.maps])
 
     def g(a):
         return float(np.sum(lams ** a)) - 1.0
 
-    if g(2.0) > tol:
+    if g(2.0) > 1e-12:
         raise DimensionError(
             "sum lam_i^2 > 1: similarity dimension exceeds 2")
     lo, hi = 1e-9, 2.0

@@ -16,7 +16,9 @@ import numpy as np
 
 from . import _kernels
 from .geometry import MERGE_TOL, IntervalSet, Point2
-from .ifs import Generation, IFSystem, generate_generation
+from .ifs import (DEFAULT_NODE_BUDGET, Generation, IFSystem,
+                  generate_generation)
+from .visibility import radial_projection
 
 
 class DegenerateError(ArithmeticError):
@@ -167,11 +169,10 @@ class BadAngleReport:
 
 
 def bad_angle_measure(sys: IFSystem, L: int, grid: AngleGrid,
-                      budget: int | None = None) -> BadAngleReport:
+                      budget: int = DEFAULT_NODE_BUDGET) -> BadAngleReport:
     """Angle-measure of {theta : sup of the stage-L counting function at
     theta - pi/2 is at most 1/sqrt(Fav(J_L))}."""
-    kwargs = {} if budget is None else {"budget": budget}
-    gen = generate_generation(sys, L, **kwargs)
+    gen = generate_generation(sys, L, budget=budget)
     fav = favard_length(gen, grid)
     if fav <= 0:
         raise DegenerateError("Favard estimate is zero; threshold undefined")
@@ -184,7 +185,7 @@ def bad_angle_measure(sys: IFSystem, L: int, grid: AngleGrid,
 
 
 def fav_upper_pipeline(sys: IFSystem, a: Point2, n: int, grid: AngleGrid,
-                       budget: int | None = None):
+                       budget: int = DEFAULT_NODE_BUDGET):
     """Measured visibility of J_n from a, paired with sqrt(Fav(J_L)) at the
     logarithmically shallower depth L = ceil(log_s n)."""
     hull = sys.hull
@@ -192,12 +193,9 @@ def fav_upper_pipeline(sys: IFSystem, a: Point2, n: int, grid: AngleGrid,
     dy = max(hull.corner.y - a.y, 0.0, a.y - hull.corner.y - hull.side)
     if math.hypot(dx, dy) < 0.1 * hull.side:
         raise ValueError("vantage point too close to the hull")
-    from .visibility import radial_projection  # local import: one-way dep
-
-    kwargs = {} if budget is None else {"budget": budget}
-    gen_n = generate_generation(sys, n, **kwargs)
+    gen_n = generate_generation(sys, n, budget=budget)
     vis = radial_projection(gen_n, a).measure() / (2 * math.pi)
     L = 0 if n <= 1 else math.ceil(math.log(n) / math.log(sys.s))
-    gen_l = generate_generation(sys, L, **kwargs)
+    gen_l = generate_generation(sys, L, budget=budget)
     bound = math.sqrt(favard_length(gen_l, grid))
     return vis, bound

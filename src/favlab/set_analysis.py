@@ -23,6 +23,11 @@ from .visibility import PointCloud
 
 N_RANDOM = 10_000
 KAPPA_GRID = 0.01
+#: rectangle census: centres (half of them cloud points) and orientations
+RECT_CENTERS = 200
+RECT_ORIENTATIONS = 64
+#: cap on the (start, length) intervals of one well-distribution sweep
+INTERVAL_BUDGET = 20_000_000
 # elements per strip-mass pass: 64 KiB temporaries stay under glibc's 128 KiB
 # mmap threshold (2^14 and more ran the n=6 line check at half speed)
 _STRIP_BLOCK = 2 ** 13
@@ -197,8 +202,7 @@ def check_discrete_alpha_set(A: PointCloud, alpha: float, C: float,
                           n_random=n_random)
 
 
-def _rectangle_census(A: PointCloud, rng: np.random.Generator,
-                      n_centers: int = 200, n_orient: int = 64):
+def _rectangle_census(A: PointCloud, rng: np.random.Generator):
     """Counts |A n R| over dyadic-dimension rotated rectangles.
 
     Returns (counts[orient, center, i2, i1], radii) where the rectangle at
@@ -209,16 +213,16 @@ def _rectangle_census(A: PointCloud, rng: np.random.Generator,
     m = len(pts)
     diam = _diameter(pts)
     levels = max(1, math.ceil(math.log2(diam / A.delta))) + 1
-    half = n_centers // 2
+    half = RECT_CENTERS // 2
     idx = rng.choice(m, size=min(half, m), replace=False)
     lo, hi = _bbox(pts)
     centers = np.concatenate([
         pts[idx],
-        rng.uniform(lo, hi, size=(n_centers - len(idx), 2))])
-    counts = np.zeros((n_orient, len(centers), levels + 1, levels + 1),
-                      dtype=np.int64)
-    for j in range(n_orient):
-        phi = j * math.pi / n_orient
+        rng.uniform(lo, hi, size=(RECT_CENTERS - len(idx), 2))])
+    counts = np.zeros((RECT_ORIENTATIONS, len(centers), levels + 1,
+                       levels + 1), dtype=np.int64)
+    for j in range(RECT_ORIENTATIONS):
+        phi = j * math.pi / RECT_ORIENTATIONS
         c, s = math.cos(phi), math.sin(phi)
         u = pts[:, 0] * c + pts[:, 1] * s        # along long axis
         v = -pts[:, 0] * s + pts[:, 1] * c
@@ -408,8 +412,8 @@ class WellDistributedResult:
 
 
 def check_well_distributed(positions, weights, delta: float, kappa: float,
-                           tau: float, circle: bool = False,
-                           budget: int = 20_000_000) -> WellDistributedResult:
+                           tau: float,
+                           circle: bool = False) -> WellDistributedResult:
     """Exhaustively test mass(I) <= |I|^kappa for every interval I with
     endpoints on the delta/2 grid and delta < |I| < delta^tau.
 
@@ -441,7 +445,7 @@ def check_well_distributed(positions, weights, delta: float, kappa: float,
     cum = np.concatenate([[0.0], np.cumsum(w_s)])
     starts = np.arange(start_lo, start_hi + g / 2, g)
     n_len = int(math.floor(max_len / g)) - int(math.ceil(delta / g)) + 1
-    if starts.size * max(n_len, 1) > budget:
+    if starts.size * max(n_len, 1) > INTERVAL_BUDGET:
         raise ResourceBudgetError(
             "well-distribution sweep exceeds the interval budget; "
             "reduce the grid or the admissible range")

@@ -14,9 +14,9 @@ from typing import Callable
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Point2, Square, TWO_PI, CircularIntervalSet
+from .geometry import Point2, Square, TWO_PI, CircularIntervalSet, IntervalSet
 from .ifs import Generation
-from .visibility import PointCloud
+from .visibility import DEFAULT_C, LineFamily, PointCloud, vis_delta
 
 
 class SingularInputError(ValueError):
@@ -29,6 +29,8 @@ class DomainError(ValueError):
 
 #: Jacobian sampling step for the delta-rescaling bound
 JACOBIAN_GRID_STEP = 1e-2
+#: slack of the domain test against rounding at the square's edges
+DOMAIN_PAD = 1e-9
 
 
 def projective_T(p: Point2, allow_near_singular: bool = False) -> Point2:
@@ -101,9 +103,8 @@ class DiffeoPreset:
     jacobian: Callable[[np.ndarray], np.ndarray]
     domain: Square
 
-    def contains(self, pts: np.ndarray, pad: float = 1e-9) -> np.ndarray:
-        c = self.domain.corner
-        a = self.domain.side
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        c, a, pad = self.domain.corner, self.domain.side, DOMAIN_PAD
         return ((pts[:, 0] >= c.x - pad) & (pts[:, 0] <= c.x + a + pad)
                 & (pts[:, 1] >= c.y - pad) & (pts[:, 1] <= c.y + a + pad))
 
@@ -133,12 +134,11 @@ PROJECTIVE_T = DiffeoPreset("projectiveT", _projective_forward,
 DIFFEO_PRESETS = {"polar": POLAR, "projectiveT": PROJECTIVE_T}
 
 
-def _inverse_jacobian_sup(d: DiffeoPreset,
-                          step: float = JACOBIAN_GRID_STEP) -> float:
+def _inverse_jacobian_sup(d: DiffeoPreset) -> float:
     """Sup of the operator norm of the inverse differential, sampled on a
     dense grid over the declared domain."""
     c = d.domain.corner
-    n = max(2, int(math.ceil(d.domain.side / step)) + 1)
+    n = max(2, int(math.ceil(d.domain.side / JACOBIAN_GRID_STEP)) + 1)
     xs = np.linspace(c.x, c.x + d.domain.side, n)
     ys = np.linspace(c.y, c.y + d.domain.side, n)
     gx, gy = np.meshgrid(xs, ys)
@@ -185,14 +185,12 @@ def polar_visibility_from_origin(gen: Generation) -> float:
 # radial/projection bridge
 # ---------------------------------------------------------------------------
 
-def radial_vs_projection_bridge(A: PointCloud, xs: Sequence[float], fam,
-                                c: float = 4.0) -> list[tuple[int, float]]:
+def radial_vs_projection_bridge(A: PointCloud, xs: Sequence[float],
+                                fam: LineFamily, c: float = DEFAULT_C
+                                ) -> list[tuple[int, float]]:
     """Per abscissa x, the discrete visibility from (x, 0) next to the
     projected length of the projective image of the delta-thickened cloud
     in direction theta_x."""
-    from .geometry import IntervalSet
-    from .visibility import vis_delta
-
     if not all(-10 <= x <= 0 for x in xs):
         raise DomainError("vantage abscissa must lie in [-10, 0]")
     if len(A) == 0:

@@ -353,14 +353,11 @@ class RichnessHistogram:
         return sum(self.buckets.values())
 
 
-def richness_histogram(A: PointCloud, fam: LineFamily, c: float = DEFAULT_C,
-                       theta_filter: Arc | None = None) -> RichnessHistogram:
+def richness_histogram(A: PointCloud, fam: LineFamily,
+                       c: float = DEFAULT_C) -> RichnessHistogram:
     if len(A) == 0:
         return RichnessHistogram({}, fam.n_lines)
-    if theta_filter is None:
-        mask = np.ones(fam.k1_count, dtype=bool)
-    else:
-        mask = _direction_mask(fam, theta_filter, antipodal=True)
+    mask = np.ones(fam.k1_count, dtype=bool)
     _, hist = _kernels.f_delta_stats(
         np.ascontiguousarray(A.x), np.ascontiguousarray(A.y),
         fam.delta, c, mask, fam.k2_min, fam.k2_max)

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import favlab.cli
 from favlab.cli import (EXPERIMENTS, ExperimentConfig, _FIELD_TYPES,
                         build_parser, config_from_args, main, validate)
+from favlab.ifs import generate_generation, preset
 
 
 def read_csv(path):
@@ -106,10 +108,19 @@ def _unequal_ifs(tmp_path, experiment="vis-delta-sweep"):
     lambda tmp: ["certify-set", "--n", "2", "--C", "inf",
                  "--out", str(tmp / "o.csv")],
     lambda tmp: _unequal_ifs(tmp, "energy"),
+    lambda tmp: _config_argv(tmp, {"experiment": "energy"}),
+    lambda tmp: ["visibility-point", "--n", "2", "--vantage=1",
+                 "--out", str(tmp / "o.csv")],
+    lambda tmp: ["favard-scaling", "--n", "1..x", "--angles", "8",
+                 "--out", str(tmp / "o.csv")],
+    lambda tmp: ["bridge", "--n", "2", "--vantage=-2,5",
+                 "--out", str(tmp / "o.csv")],
 ], ids=["bridge-domain", "census-L-over-N", "config-type", "unwritable-out",
         "config-unknown-key", "census-fractional-k", "unequal-ratios",
         "config-not-object", "alpha-nan", "alpha-negative", "samples-zero",
-        "samples-negative", "C-inf", "energy-unequal-ratios"])
+        "samples-negative", "C-inf", "energy-unequal-ratios",
+        "config-experiment-mismatch", "vantage-one-number", "n-malformed",
+        "bridge-vantage-off-axis"])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     rc = main(argv(tmp_path))
     err = capsys.readouterr().err
@@ -147,6 +158,90 @@ class TestAngles:
                      "--out", str(out)]) == 0
         blob = json.loads((tmp_path / "o.json").read_text())
         assert blob["config"]["angles"] == 4096
+
+
+#: stage-2 four-corner square side, the default delta at --n 2
+SIDE_2 = 4.0 ** -2
+
+#: the defaults each experiment resolves at --n 2 and echoes in its sidecar
+RESOLVED = {
+    "favard-scaling": {"angles": 4096},
+    "bad-angles": {"angles": 4096},
+    "box-dim-sweep": {"angles": 360},
+    "stacking": {"angles": 16},
+    "visibility-point": {"vantages": [[-1.0, -1.0]]},
+    "vis-delta-sweep": {"delta": SIDE_2, "vantages": [[-1.0, -1.0]]},
+    "line-scan": {"delta": SIDE_2,
+                  "lambdas": [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625]},
+    "bridge": {"delta": SIDE_2,
+               "vantages": [[-9.5 + i, 0.0] for i in range(10)]},
+}
+
+
+class TestResolvedDefaults:
+    @pytest.mark.parametrize("experiment", sorted(RESOLVED))
+    def test_sidecar_echoes_resolved_defaults(self, tmp_path, monkeypatch,
+                                              experiment):
+        built = []
+
+        def counting(sys_, n, budget):
+            built.append(n)
+            return generate_generation(sys_, n, budget=budget)
+
+        monkeypatch.setattr(favlab.cli, "generate_generation", counting)
+        out = tmp_path / "o.csv"
+        assert main([experiment, "--n", "2", "--out", str(out)]) == 0
+        cfg = json.loads((tmp_path / "o.json").read_text())["config"]
+        want = RESOLVED[experiment]
+        for key in ("angles", "delta", "vantages", "lambdas"):
+            unset = [] if key in ("vantages", "lambdas") else None
+            assert cfg[key] == want.get(key, unset), key
+        if "delta" in want:
+            gen = generate_generation(preset("fourcorner"), 2)
+            assert cfg["delta"] == gen.side == float(gen.sides[0])
+            assert built == [2]     # delta came without a second build
+        rows = read_csv(out)[1:]
+        if "vantages" in want:
+            assert [float(r[0]) for r in rows] == [
+                x for x, _ in want["vantages"]]
+        if "lambdas" in want:
+            assert [float(r[0]) for r in rows] == want["lambdas"]
+
+
+#: one small invocation of every experiment
+REPLAYS = {
+    "favard-scaling": ["--n", "1..3"],
+    "visibility-point": ["--n", "3", "--vantage=-0.5,0.25"],
+    "vis-delta-sweep": ["--n", "3", "--c", "3"],
+    "line-scan": ["--n", "3"],
+    "certify-set": ["--n", "2", "--seed", "4"],
+    "energy": ["--n", "1..3"],
+    "box-dim-sweep": ["--n", "3", "--angles", "12"],
+    "stacking": ["--n", "3", "--k", "3"],
+    "bad-angles": ["--n", "3", "--angles", "64"],
+    "generic-census": ["--n", "3", "--k", "2"],
+    "bridge": ["--n", "2", "--vantage=-3,0"],
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_sidecar_config_replays_the_run(tmp_path, experiment):
+    """A sidecar's config fed back through --config repeats the run."""
+    first = tmp_path / "first.csv"
+    assert main([experiment, *REPLAYS[experiment], "--out", str(first)]) == 0
+    cfg = json.loads((tmp_path / "first.json").read_text())["config"]
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg))
+    again = tmp_path / "again.csv"
+    assert main([experiment, "--config", str(cfg_file),
+                 "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    replayed = json.loads((tmp_path / "again.json").read_text())["config"]
+    assert replayed == {**cfg, "out": str(again)}
+
+
+def test_replays_cover_every_experiment():
+    assert sorted(REPLAYS) == sorted(EXPERIMENTS)
 
 
 class TestRuns:

@@ -219,3 +219,12 @@ class TestUnequalRatios:
 
     def test_equal_ratios_keep_their_side(self):
         assert generate_generation(two_map_system(), 3).side == 4.0 ** -3
+
+    @pytest.mark.parametrize("lam", [0.25, 1 / 3, 0.1, 0.3, 0.45])
+    def test_stage_side_is_the_generated_side(self, lam):
+        """The side is known without building the generation, bit for
+        bit, on a hull whose side is not a power of two."""
+        sys_ = IFSystem(two_map_system(lam).maps,
+                        Square(Point2(-0.3, 0.7), 19.0 / 7))
+        for n in range(12):
+            assert sys_.stage_side(n) == generate_generation(sys_, n).sides[0]
