@@ -348,20 +348,16 @@ def _typed(key: str, val, kind: type):
 def _parse_n(val) -> tuple[int, int]:
     """A depth 'N' or a range 'LO..HI'."""
     lo, sep, hi = str(val).partition("..")
-    try:
-        return int(lo), int(hi if sep else lo)
-    except ValueError:
-        raise ValueError(f"n: expected N or LO..HI, got {val!r}") from None
+    return int(lo), int(hi if sep else lo)
 
 
 def _parse_vantage(val) -> tuple[float, float]:
     """A vantage from a flag ('X,Y') or a config file ([x, y])."""
-    try:
-        x, y = ([float(t) for t in val.split(",")] if isinstance(val, str)
-                else [_typed("vantage", t, float) for t in val])
-    except (TypeError, ValueError):
-        raise ValueError(f"vantage: expected X,Y, got {val!r}") from None
-    return x, y
+    xy = ([float(t) for t in val.split(",")] if isinstance(val, str)
+          else [_typed("vantage", t, float) for t in val])
+    if len(xy) != 2:
+        raise ValueError(f"vantage: expected X,Y, got {val!r}")
+    return xy[0], xy[1]
 
 
 def _set(cfg: ExperimentConfig, key: str, val) -> None:

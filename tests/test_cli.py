@@ -240,10 +240,6 @@ def test_sidecar_config_replays_the_run(tmp_path, experiment):
     assert replayed == {**cfg, "out": str(again)}
 
 
-def test_replays_cover_every_experiment():
-    assert sorted(REPLAYS) == sorted(EXPERIMENTS)
-
-
 class TestRuns:
     def test_favard_scaling_monotone_and_deterministic(self, tmp_path):
         out = tmp_path / "fav.csv"
