@@ -7,11 +7,16 @@ import math
 
 import numpy as np
 
+# Absolute merge tolerance: projection endpoints are sums/products of O(n)
+# dyadic-rational terms, so 1e-12 absorbs rounding without bridging real
+# gaps of size >= 4^-15.
+MERGE_TOL = 1e-12
 
-def merge_intervals(lo: np.ndarray, hi: np.ndarray, tol: float):
+
+def merge_intervals(lo: np.ndarray, hi: np.ndarray):
     """Merge intervals into a disjoint sorted family; returns (lo, hi) arrays.
 
-    Intervals whose gap is <= tol are treated as touching.
+    Intervals whose gap is <= MERGE_TOL are treated as touching.
     """
     if lo.size == 0:
         return lo.copy(), hi.copy()
@@ -22,7 +27,7 @@ def merge_intervals(lo: np.ndarray, hi: np.ndarray, tol: float):
     run = np.maximum.accumulate(hi)
     starts = np.empty(lo.size, dtype=bool)
     starts[0] = True
-    starts[1:] = lo[1:] > run[:-1] + tol
+    starts[1:] = lo[1:] > run[:-1] + MERGE_TOL
     idx = np.flatnonzero(starts)
     seg_lo = lo[idx]
     seg_hi = np.empty(idx.size)
@@ -31,9 +36,9 @@ def merge_intervals(lo: np.ndarray, hi: np.ndarray, tol: float):
     return seg_lo, seg_hi
 
 
-def union_measure_np(lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
+def union_measure_np(lo: np.ndarray, hi: np.ndarray) -> float:
     """Total length of the union of closed intervals [lo_i, hi_i]."""
-    seg_lo, seg_hi = merge_intervals(lo, hi, tol)
+    seg_lo, seg_hi = merge_intervals(lo, hi)
     return float(np.sum(seg_hi - seg_lo))
 
 
@@ -46,7 +51,7 @@ def _projection_bounds(x0, y0, side, theta):
     return lo, hi
 
 
-def projection_measures(x0, y0, side, thetas, tol) -> np.ndarray:
+def projection_measures(x0, y0, side, thetas) -> np.ndarray:
     """Union measure of the theta-projections of axis-aligned squares.
 
     x0, y0: lower-left corners; side: common side length.
@@ -54,7 +59,7 @@ def projection_measures(x0, y0, side, thetas, tol) -> np.ndarray:
     """
     out = np.empty(len(thetas))
     for i, th in enumerate(thetas):
-        out[i] = union_measure_np(*_projection_bounds(x0, y0, side, th), tol)
+        out[i] = union_measure_np(*_projection_bounds(x0, y0, side, th))
     return out
 
 

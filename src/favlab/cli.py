@@ -81,11 +81,17 @@ class ExperimentConfig:
 
 def validate(cfg: ExperimentConfig) -> list[str]:
     """Empty list iff the configuration is runnable."""
+    return _checked(cfg)[1]
+
+
+def _checked(cfg: ExperimentConfig) -> tuple[IFSystem | None, list[str]]:
+    """The configuration's IFS, None if it does not resolve, and the
+    violations that `validate` reports."""
     errs = []
     if cfg.experiment not in EXPERIMENTS:
         errs.append(f"experiment: unknown value {cfg.experiment!r}; "
                     f"valid: {', '.join(EXPERIMENTS)}")
-        return errs
+        return None, errs
     try:
         sys_ = resolve_ifs(cfg.ifs)
     except (ValueError, OSError) as exc:
@@ -121,7 +127,7 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         errs.append("samples: must be >= 1")
     if cfg.seed < 0:
         errs.append("seed: must be >= 0")
-    return errs
+    return sys_, errs
 
 
 def _enclosing_radius(sys_: IFSystem, extra_pts=()) -> float:
@@ -149,14 +155,13 @@ def _resolved(cfg: ExperimentConfig, sys_: IFSystem) -> ExperimentConfig:
 
 
 def run(cfg: ExperimentConfig) -> int:
-    violations = validate(cfg)
+    sys_, violations = _checked(cfg)
     if violations:
         for v in violations:
             print(f"error: {v}", file=sys.stderr)
         return 2
     start = time.monotonic()
     try:
-        sys_ = resolve_ifs(cfg.ifs)
         cfg = _resolved(cfg, sys_)
         rows, header, summary = _dispatch(cfg, sys_)
     except (ResourceBudgetError, ValueError) as exc:  # caps, input errors
@@ -313,8 +318,16 @@ _FIELD_TYPES = {"experiment": str, "ifs": str, "n_lo": int, "n_hi": int,
                 "out": str, "budget": int}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its parse errors as ValueError, so that `main` reports them
+    in one `error:` line, without the usage block, like any input error."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="favlab",
         description="projection-geometry experiments for planar "
                     "self-similar sets")
@@ -363,7 +376,9 @@ def _parse_vantage(val) -> tuple[float, float]:
 def _set(cfg: ExperimentConfig, key: str, val) -> None:
     """Set one option of `cfg` from a config-file or flag value.  A null
     delta or angle count stays unset, for `run` to resolve."""
-    if key == "n":
+    if key in ("vantage", "vantages", "lambdas") and not isinstance(val, list):
+        raise ValueError(f"config: {key} must be a list, got {val!r}")
+    elif key == "n":
         cfg.n_lo, cfg.n_hi = _parse_n(val)
     elif key in ("vantage", "vantages"):
         cfg.vantages = [_parse_vantage(v) for v in val]
@@ -396,10 +411,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = config_from_args(build_parser().parse_args(argv))
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

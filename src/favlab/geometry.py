@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-
-# Absolute merge tolerance: projection endpoints are sums/products of O(n)
-# dyadic-rational terms, so 1e-12 absorbs rounding without bridging real
-# gaps of size >= 4^-15.
-MERGE_TOL = 1e-12
+from ._kernels import MERGE_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -134,24 +130,21 @@ class IntervalSet:
         self._hi = np.asarray(hi, dtype=float)
 
     @classmethod
-    def from_pairs(cls, pairs, tol: float = MERGE_TOL) -> "IntervalSet":
+    def from_pairs(cls, pairs) -> "IntervalSet":
         pairs = list(pairs)
-        if not pairs:
-            return cls()
         lo = np.array([p[0] for p in pairs], dtype=float)
         hi = np.array([p[1] for p in pairs], dtype=float)
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise GeometryError("non-finite interval endpoint")
         if np.any(lo >= hi):
             raise GeometryError("inverted or empty interval")
-        mlo, mhi = _kernels.merge_intervals(lo, hi, tol)
+        mlo, mhi = _kernels.merge_intervals(lo, hi)
         return cls(mlo, mhi)
 
     @classmethod
-    def from_arrays(cls, lo: np.ndarray, hi: np.ndarray,
-                    tol: float = MERGE_TOL) -> "IntervalSet":
+    def from_arrays(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalSet":
         mlo, mhi = _kernels.merge_intervals(np.asarray(lo, float),
-                                            np.asarray(hi, float), tol)
+                                            np.asarray(hi, float))
         return cls(mlo, mhi)
 
     @property
@@ -165,7 +158,7 @@ class IntervalSet:
         if lo >= hi:
             raise GeometryError(f"inverted interval [{lo}, {hi}]")
         mlo, mhi = _kernels.merge_intervals(
-            np.append(self._lo, lo), np.append(self._hi, hi), MERGE_TOL)
+            np.append(self._lo, lo), np.append(self._hi, hi))
         return IntervalSet(mlo, mhi)
 
     def measure(self) -> float:
@@ -207,7 +200,7 @@ class CircularIntervalSet:
         return cls(((0.0, TWO_PI),))
 
     @classmethod
-    def from_arcs(cls, arcs, tol: float = MERGE_TOL) -> "CircularIntervalSet":
+    def from_arcs(cls, arcs) -> "CircularIntervalSet":
         """Union of (start, length) arcs, given as any (k, 2) array-like;
         start anywhere, length in (0, 2pi]."""
         arcs = np.asarray(arcs if hasattr(arcs, "__len__") else list(arcs),
@@ -217,12 +210,12 @@ class CircularIntervalSet:
         if arcs.ndim != 2 or arcs.shape[1] != 2:
             raise GeometryError(f"arcs of shape {arcs.shape}, not (k, 2)")
         start, length = arcs.T
-        bad = length[~((0 < length) & (length <= TWO_PI + tol))]
+        bad = length[~((0 < length) & (length <= TWO_PI + MERGE_TOL))]
         if bad.size:
             raise GeometryError(f"arc length {bad[0]} outside (0, 2pi]")
         if not np.isfinite(start).all():
             raise GeometryError("non-finite arc start")
-        if np.any(length >= TWO_PI - tol):
+        if np.any(length >= TWO_PI - MERGE_TOL):
             return cls.full()
         # split the arcs that cross the 0 = 2pi seam
         s = np.remainder(start, TWO_PI)
@@ -230,11 +223,12 @@ class CircularIntervalSet:
         wrap = e > TWO_PI
         mlo, mhi = _kernels.merge_intervals(
             np.concatenate([s, np.zeros(np.count_nonzero(wrap))]),
-            np.concatenate([np.minimum(e, TWO_PI), e[wrap] - TWO_PI]), tol)
+            np.concatenate([np.minimum(e, TWO_PI), e[wrap] - TWO_PI]))
         lengths = mhi - mlo
-        if float(np.sum(lengths)) >= TWO_PI - tol:
+        if float(np.sum(lengths)) >= TWO_PI - MERGE_TOL:
             return cls.full()
-        if mlo.size >= 2 and mlo[0] <= tol and mhi[-1] >= TWO_PI - tol:
+        if (mlo.size >= 2 and mlo[0] <= MERGE_TOL
+                and mhi[-1] >= TWO_PI - MERGE_TOL):
             # rejoin across the seam: the first arc continues the last one
             lengths[-1] += lengths[0]
             mlo, lengths = mlo[1:], lengths[1:]
@@ -248,15 +242,11 @@ class CircularIntervalSet:
         return len(self._arcs) == 1 and self._arcs[0][1] >= TWO_PI
 
     def measure(self) -> float:
-        if self.is_full():
-            return TWO_PI
         return float(sum(length for _, length in self._arcs))
 
     def insert(self, lo: float, length: float) -> "CircularIntervalSet":
         if not (0 < length <= TWO_PI):
             raise GeometryError(f"arc length {length} outside (0, 2pi]")
-        if self.is_full():
-            return self
         return CircularIntervalSet.from_arcs(
             list(self._arcs) + [(lo, length)])
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .geometry import MERGE_TOL, IntervalSet, Point2
+from .geometry import IntervalSet, Point2
 from .ifs import (DEFAULT_NODE_BUDGET, Generation, IFSystem,
                   generate_generation)
 from .visibility import radial_projection
@@ -70,13 +70,11 @@ def projection_measures(gen: Generation, thetas: np.ndarray) -> np.ndarray:
     """Union measure of the theta-projections for a whole batch of angles."""
     return _kernels.projection_measures(
         gen.corner_x, gen.corner_y, gen.sides,
-        np.ascontiguousarray(thetas, dtype=float), MERGE_TOL)
+        np.ascontiguousarray(thetas, dtype=float))
 
 
 def favard_length(gen: Generation, grid: AngleGrid) -> float:
     """Midpoint-rule value of the direction-averaged projection length."""
-    if len(gen) == 0:
-        return 0.0
     return float(np.mean(projection_measures(gen, grid.thetas)))
 
 
@@ -184,8 +182,7 @@ def bad_angle_measure(sys: IFSystem, L: int, grid: AngleGrid,
     return BadAngleReport(K, len(bad) * grid.spacing, bad, sups)
 
 
-def fav_upper_pipeline(sys: IFSystem, a: Point2, n: int, grid: AngleGrid,
-                       budget: int = DEFAULT_NODE_BUDGET):
+def fav_upper_pipeline(sys: IFSystem, a: Point2, n: int, grid: AngleGrid):
     """Measured visibility of J_n from a, paired with sqrt(Fav(J_L)) at the
     logarithmically shallower depth L = ceil(log_s n)."""
     hull = sys.hull
@@ -193,9 +190,9 @@ def fav_upper_pipeline(sys: IFSystem, a: Point2, n: int, grid: AngleGrid,
     dy = max(hull.corner.y - a.y, 0.0, a.y - hull.corner.y - hull.side)
     if math.hypot(dx, dy) < 0.1 * hull.side:
         raise ValueError("vantage point too close to the hull")
-    gen_n = generate_generation(sys, n, budget=budget)
+    gen_n = generate_generation(sys, n)
     vis = radial_projection(gen_n, a).measure() / (2 * math.pi)
     L = 0 if n <= 1 else math.ceil(math.log(n) / math.log(sys.s))
-    gen_l = generate_generation(sys, L, budget=budget)
+    gen_l = generate_generation(sys, L)
     bound = math.sqrt(favard_length(gen_l, grid))
     return vis, bound

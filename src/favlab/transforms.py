@@ -193,8 +193,6 @@ def radial_vs_projection_bridge(A: PointCloud, xs: Sequence[float],
     in direction theta_x."""
     if not all(-10 <= x <= 0 for x in xs):
         raise DomainError("vantage abscissa must lie in [-10, 0]")
-    if len(A) == 0:
-        return [(0, 0.0)] * len(xs)
     vds = vis_delta([Point2(x, 0.0) for x in xs], A, fam, c)
     image = _projective_forward(A.points)
     # each delta-ball maps to a region within delta * |J| of the image point

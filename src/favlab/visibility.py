@@ -223,17 +223,12 @@ def vis_delta(vantages: Sequence[Point2], A: PointCloud, fam: LineFamily,
               c: float = DEFAULT_C) -> list[int]:
     """Per vantage, the count of family lines whose 2-delta tube contains it
     and whose c-delta tube meets the cloud."""
-    pts = _points(vantages)
-    if len(A) == 0:
-        return [0] * len(pts)
-    return _window_sums(pts, counts_table(A, fam, c) > 0, fam,
+    return _window_sums(_points(vantages), counts_table(A, fam, c) > 0, fam,
                         2 * fam.delta).sum(axis=1).tolist()
 
 
 def l2_norm_f(A: PointCloud, fam: LineFamily, c: float = DEFAULT_C) -> float:
     """Family-averaged squared richness (1/|L|) * sum_l f_delta(l)^2."""
-    if len(A) == 0:
-        return 0.0
     mask = np.ones(fam.k1_count, dtype=bool)
     sum_sq, _ = _kernels.f_delta_stats(
         np.ascontiguousarray(A.x), np.ascontiguousarray(A.y),
@@ -264,8 +259,6 @@ def mass(a: Point2, theta_set: Arc, A: PointCloud, fam: LineFamily,
          c: float = DEFAULT_C) -> int:
     """Total richness of the lines through the vantage's 2-delta ball whose
     direction lies in the arc or its antipode."""
-    if len(A) == 0:
-        return 0
     sums = _window_sums(_points([a]), counts_table(A, fam, c), fam,
                         2 * fam.delta)[0]
     return int(sums[_direction_mask(fam, theta_set)].sum())
@@ -275,8 +268,6 @@ def cone_count(a: Point2, theta_set: Arc, A: PointCloud, fam: LineFamily,
                c: float = DEFAULT_C) -> int:
     """Exact count of pairs (a', l): a' in the cloud, a' != a, both a and a'
     within c*delta of l, and the direction of l in the arc."""
-    if len(A) == 0:
-        return 0
     pts = _points([a])
     reach = c * fam.delta
     dmask = _direction_mask(fam, theta_set, antipodal=False)
@@ -319,8 +310,6 @@ def select_intervals(a: Point2, A: PointCloud, fam: LineFamily, k: int,
     """
     if k <= 10 or k % 2:
         raise ValueError("k must be even and > 10")
-    if len(A) == 0:
-        return None
     sums = _window_sums(_points([a]), counts_table(A, fam, c), fam,
                         2 * fam.delta)[0]
     width = TWO_PI / k
@@ -355,8 +344,6 @@ class RichnessHistogram:
 
 def richness_histogram(A: PointCloud, fam: LineFamily,
                        c: float = DEFAULT_C) -> RichnessHistogram:
-    if len(A) == 0:
-        return RichnessHistogram({}, fam.n_lines)
     mask = np.ones(fam.k1_count, dtype=bool)
     _, hist = _kernels.f_delta_stats(
         np.ascontiguousarray(A.x), np.ascontiguousarray(A.y),
@@ -381,8 +368,6 @@ def scan_line_low_visibility(ell0: Line, A: PointCloud, fam: LineFamily,
         return [0.0] * len(lams)
     half = math.sqrt(fam.d ** 2 - ell0.offset ** 2)
     n = max(1, int(math.floor(2 * half / step)))
-    if len(A) == 0:
-        return [n * step] * len(lams)
     ts = (np.arange(n) + 0.5) * step - half
     nx, ny = -math.sin(ell0.theta), math.cos(ell0.theta)
     dx, dy = math.cos(ell0.theta), math.sin(ell0.theta)

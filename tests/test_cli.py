@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import favlab.cli
 from favlab.cli import (EXPERIMENTS, ExperimentConfig, _FIELD_TYPES,
                         build_parser, config_from_args, main, validate)
-from favlab.ifs import generate_generation, preset
+from favlab.ifs import generate_generation, preset, resolve_ifs
 
 
 def read_csv(path):
@@ -115,18 +115,47 @@ def _unequal_ifs(tmp_path, experiment="vis-delta-sweep"):
                  "--out", str(tmp / "o.csv")],
     lambda tmp: ["bridge", "--n", "2", "--vantage=-2,5",
                  "--out", str(tmp / "o.csv")],
+    lambda tmp: ["favard-scaling", "--angles", "many",
+                 "--out", str(tmp / "o.csv")],
+    lambda tmp: ["no-such-experiment", "--out", str(tmp / "o.csv")],
+    lambda tmp: ["favard-scaling", "--out", str(tmp / "o.csv"), "--n"],
 ], ids=["bridge-domain", "census-L-over-N", "config-type", "unwritable-out",
         "config-unknown-key", "census-fractional-k", "unequal-ratios",
         "config-not-object", "alpha-nan", "alpha-negative", "samples-zero",
         "samples-negative", "C-inf", "energy-unequal-ratios",
         "config-experiment-mismatch", "vantage-one-number", "n-malformed",
-        "bridge-vantage-off-axis"])
+        "bridge-vantage-off-axis", "flag-type", "unknown-experiment",
+        "flag-without-value"])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     rc = main(argv(tmp_path))
     err = capsys.readouterr().err
     assert rc == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("experiment, key, val", [
+    ("line-scan", "lambdas", 5), ("visibility-point", "vantages", 3)])
+def test_config_list_option_not_a_list(tmp_path, capsys, experiment, key,
+                                       val):
+    assert main(_config_argv(tmp_path, {key: val}, experiment)) == 2
+    assert capsys.readouterr().err == (
+        f"error: config: {key} must be a list, got {val!r}\n")
+
+
+def test_ifs_resolved_once_per_run(tmp_path, monkeypatch):
+    resolved = []
+
+    def counting(spec):
+        resolved.append(spec)
+        return resolve_ifs(spec)
+
+    monkeypatch.setattr(favlab.cli, "resolve_ifs", counting)
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps(DIAGONAL_IFS))
+    assert main(["favard-scaling", "--ifs", str(path), "--n", "1",
+                 "--angles", "8", "--out", str(tmp_path / "o.csv")]) == 0
+    assert resolved == [str(path)]
 
 
 class TestAngles:

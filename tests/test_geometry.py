@@ -143,12 +143,12 @@ class TestCircularIntervalSet:
             CircularIntervalSet.from_arcs([0.0, 1.0, 2.0])
 
 
-def from_arcs_loop(arcs, tol=MERGE_TOL):
+def from_arcs_loop(arcs):
     """The arc-by-arc union the array form of from_arcs replaced."""
     lo_list = []
     hi_list = []
     for start, length in arcs:
-        if length >= TWO_PI - tol:
+        if length >= TWO_PI - MERGE_TOL:
             return CircularIntervalSet.full()
         s = start % TWO_PI
         e = s + length
@@ -160,12 +160,13 @@ def from_arcs_loop(arcs, tol=MERGE_TOL):
             hi_list.append(e)
     if not lo_list:
         return CircularIntervalSet()
-    iv = IntervalSet.from_arrays(np.array(lo_list), np.array(hi_list), tol)
+    iv = IntervalSet.from_arrays(np.array(lo_list), np.array(hi_list))
     mlo, mhi = iv.lo, iv.hi
-    if float(np.sum(mhi - mlo)) >= TWO_PI - tol:
+    if float(np.sum(mhi - mlo)) >= TWO_PI - MERGE_TOL:
         return CircularIntervalSet.full()
     segs = list(zip(mlo.tolist(), mhi.tolist()))
-    if len(segs) >= 2 and segs[0][0] <= tol and segs[-1][1] >= TWO_PI - tol:
+    if (len(segs) >= 2 and segs[0][0] <= MERGE_TOL
+            and segs[-1][1] >= TWO_PI - MERGE_TOL):
         first = segs.pop(0)
         last = segs.pop()
         segs.append((last[0], last[1] - last[0] + (first[1] - first[0])))

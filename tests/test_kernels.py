@@ -64,7 +64,7 @@ class TestFrozenValues:
         x0 = rng.uniform(-1, 1, 300)
         y0 = rng.uniform(-1, 1, 300)
         thetas = rng.uniform(0, np.pi, 8)
-        got = _kernels.projection_measures(x0, y0, 0.05, thetas, 1e-12)
+        got = _kernels.projection_measures(x0, y0, 0.05, thetas)
         frozen = [2.191177235026902, 2.476998270344671, 2.3200168345975225,
                   2.640927672720498, 2.663098047736288, 2.603944847289472,
                   2.3066572411818873, 2.6589291838517672]
@@ -100,25 +100,25 @@ class TestIntervals:
     def test_union_measure(self):
         lo = np.array([0.0, 0.5, 3.0])
         hi = np.array([1.0, 2.0, 4.0])
-        assert _kernels.union_measure_np(lo, hi, 1e-12) == pytest.approx(3.0)
+        assert _kernels.union_measure_np(lo, hi) == pytest.approx(3.0)
 
     def test_merge_intervals(self):
         lo = np.array([3.0, 0.0, 0.5, 2.0 + 1e-13])
         hi = np.array([4.0, 1.0, 2.0, 2.5])
-        mlo, mhi = _kernels.merge_intervals(lo, hi, 1e-12)
+        mlo, mhi = _kernels.merge_intervals(lo, hi)
         assert mlo.tolist() == [0.0, 3.0]
         assert mhi.tolist() == [2.5, 4.0]
 
     def test_empty(self):
-        mlo, mhi = _kernels.merge_intervals(np.empty(0), np.empty(0), 1e-12)
+        mlo, mhi = _kernels.merge_intervals(np.empty(0), np.empty(0))
         assert mlo.size == mhi.size == 0
-        assert _kernels.union_measure_np(np.empty(0), np.empty(0), 0.0) == 0.0
+        assert _kernels.union_measure_np(np.empty(0), np.empty(0)) == 0.0
 
     def test_single_square_projection(self):
         # the projection of a unit square at angle th has length |cos|+|sin|
         thetas = np.array([0.0, 0.5, 1.3, 2.9])
         got = _kernels.projection_measures(np.zeros(1), np.zeros(1), 1.0,
-                                           thetas, 1e-12)
+                                           thetas)
         np.testing.assert_allclose(
             got, np.abs(np.cos(thetas)) + np.abs(np.sin(thetas)), atol=1e-15)
 

@@ -84,6 +84,12 @@ class TestFavard:
         got = favard_length(gens(0), grid4096)
         assert got == pytest.approx(4 / math.pi, abs=1e-6)
 
+    def test_empty_generation(self, fourcorner, grid256):
+        from favlab.ifs import Generation
+        empty = Generation(fourcorner, 1, np.empty(0), np.empty(0),
+                           np.empty(0))
+        assert favard_length(empty, grid256) == 0.0
+
     def test_monotone_in_n(self, gens, grid256):
         vals = [favard_length(gens(n), grid256) for n in range(1, 6)]
         assert all(a > b for a, b in zip(vals, vals[1:]))

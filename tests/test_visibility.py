@@ -296,6 +296,11 @@ class TestMassAndCones:
 
 
 class TestSelectIntervals:
+    def test_empty_cloud(self):
+        fam = build_line_family(0.05, 2.0)
+        A = PointCloud(np.empty((0, 2)), 0.05)
+        assert select_intervals(Point2(0.0, 0.0), A, fam, 12) is None
+
     def test_two_perpendicular_clusters(self):
         delta = 0.01
         rng = np.random.default_rng(1)
