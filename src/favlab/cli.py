@@ -367,7 +367,8 @@ def _parse_n(val) -> tuple[int, int]:
 def _parse_vantage(val) -> tuple[float, float]:
     """A vantage from a flag ('X,Y') or a config file ([x, y])."""
     xy = ([float(t) for t in val.split(",")] if isinstance(val, str)
-          else [_typed("vantage", t, float) for t in val])
+          else [_typed("vantage", t, float) for t in val]
+          if isinstance(val, list) else [])
     if len(xy) != 2:
         raise ValueError(f"vantage: expected X,Y, got {val!r}")
     return xy[0], xy[1]

@@ -134,13 +134,16 @@ def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("experiment, key, val", [
-    ("line-scan", "lambdas", 5), ("visibility-point", "vantages", 3)])
-def test_config_list_option_not_a_list(tmp_path, capsys, experiment, key,
-                                       val):
-    assert main(_config_argv(tmp_path, {key: val}, experiment)) == 2
-    assert capsys.readouterr().err == (
-        f"error: config: {key} must be a list, got {val!r}\n")
+@pytest.mark.parametrize("experiment, blob, message", [
+    ("line-scan", {"lambdas": 5}, "config: lambdas must be a list, got 5"),
+    ("visibility-point", {"vantages": 3},
+     "config: vantages must be a list, got 3"),
+    ("visibility-point", {"vantages": [3]}, "vantage: expected X,Y, got 3"),
+])
+def test_config_list_errors_name_the_key(tmp_path, capsys, experiment, blob,
+                                         message):
+    assert main(_config_argv(tmp_path, blob, experiment)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_ifs_resolved_once_per_run(tmp_path, monkeypatch):
