@@ -16,24 +16,18 @@ MERGE_TOL = 1e-12
 def merge_intervals(lo: np.ndarray, hi: np.ndarray):
     """Merge intervals into a disjoint sorted family; returns (lo, hi) arrays.
 
-    Intervals whose gap is <= MERGE_TOL are treated as touching.
+    Intervals whose gap is <= MERGE_TOL are treated as touching.  Needs
+    lo <= hi for each interval, which holds because every caller builds hi
+    as lo plus a non-negative length or rejects lo >= hi.
     """
-    if lo.size == 0:
-        return lo.copy(), hi.copy()
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    hi = hi[order]
-    # running maximum of right endpoints seen before each interval
-    run = np.maximum.accumulate(hi)
-    starts = np.empty(lo.size, dtype=bool)
-    starts[0] = True
-    starts[1:] = lo[1:] > run[:-1] + MERGE_TOL
-    idx = np.flatnonzero(starts)
-    seg_lo = lo[idx]
-    seg_hi = np.empty(idx.size)
-    seg_hi[:-1] = run[idx[1:] - 1]
-    seg_hi[-1] = run[-1]
-    return seg_lo, seg_hi
+    lo = np.sort(lo)
+    hi = np.sort(hi)
+    # lo[i] > hi[i-1] + MERGE_TOL means the i intervals opening before lo[i]
+    # have all closed (lo <= hi puts the i smallest hi among them), so a
+    # merged interval starts at lo[i] and the one before it ends at hi[i-1]
+    gap = np.flatnonzero(lo[1:] > hi[:-1] + MERGE_TOL)
+    return (np.concatenate((lo[:1], lo[gap + 1])),
+            np.concatenate((hi[gap], hi[-1:])))
 
 
 def union_measure_np(lo: np.ndarray, hi: np.ndarray) -> float:
@@ -92,6 +86,8 @@ def _k2_windows(t, delta, reach, k2min, k2max):
 def _count_rows(px, py, delta, c_mult, k1s, k2min, k2max):
     """Yield, for each direction k1 in k1s, the row whose entry k2 - k2min
     counts the points within c_mult*delta of the line ell_{k1,k2}."""
+    if not (math.isfinite(c_mult) and c_mult > 0):
+        raise ValueError(f"c must be positive and finite, got {c_mult}")
     nk2 = k2max - k2min + 1
     reach = c_mult * delta
     for k1 in k1s:

@@ -117,8 +117,8 @@ def _checked(cfg: ExperimentConfig) -> tuple[IFSystem | None, list[str]]:
             float(cfg.k).is_integer() and cfg.k >= 1):
         errs.append(f"k: subword length must be an integer >= 1, "
                     f"got {cfg.k}")
-    if not cfg.c > 0:
-        errs.append("c: must be positive")
+    if not (math.isfinite(cfg.c) and cfg.c > 0):
+        errs.append("c: must be positive and finite")
     if not (math.isfinite(cfg.C) and cfg.C > 0):
         errs.append("C: must be positive and finite")
     if not (math.isfinite(cfg.alpha) and cfg.alpha > 0):
@@ -359,9 +359,16 @@ def _typed(key: str, val, kind: type):
 
 
 def _parse_n(val) -> tuple[int, int]:
-    """A depth 'N' or a range 'LO..HI'."""
-    lo, sep, hi = str(val).partition("..")
-    return int(lo), int(hi if sep else lo)
+    """A depth, given as an int or a string 'N', or a range 'LO..HI'."""
+    if isinstance(val, str):
+        lo, sep, hi = val.partition("..")
+        try:
+            return int(lo), int(hi if sep else lo)
+        except ValueError:
+            pass
+    elif isinstance(val, int) and not isinstance(val, bool):
+        return val, val
+    raise ValueError(f"n: expected N or LO..HI, got {val!r}")
 
 
 def _parse_vantage(val) -> tuple[float, float]:

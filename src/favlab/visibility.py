@@ -161,8 +161,8 @@ def build_line_family(delta: float, d: float) -> LineFamily:
 
 def f_delta(ell: DiscreteLine, A: PointCloud, c: float = DEFAULT_C) -> int:
     """Number of cloud points within c*delta of the line (closed)."""
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError("c must be positive and finite")
     th = ell.line.theta
     t = -math.sin(th) * A.x + math.cos(th) * A.y
     return int(np.count_nonzero(np.abs(t - ell.line.offset)

@@ -119,13 +119,15 @@ def _unequal_ifs(tmp_path, experiment="vis-delta-sweep"):
                  "--out", str(tmp / "o.csv")],
     lambda tmp: ["no-such-experiment", "--out", str(tmp / "o.csv")],
     lambda tmp: ["favard-scaling", "--out", str(tmp / "o.csv"), "--n"],
+    lambda tmp: ["vis-delta-sweep", "--n", "2", "--c", "inf",
+                 "--out", str(tmp / "o.csv")],
 ], ids=["bridge-domain", "census-L-over-N", "config-type", "unwritable-out",
         "config-unknown-key", "census-fractional-k", "unequal-ratios",
         "config-not-object", "alpha-nan", "alpha-negative", "samples-zero",
         "samples-negative", "C-inf", "energy-unequal-ratios",
         "config-experiment-mismatch", "vantage-one-number", "n-malformed",
         "bridge-vantage-off-axis", "flag-type", "unknown-experiment",
-        "flag-without-value"])
+        "flag-without-value", "c-inf"])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     rc = main(argv(tmp_path))
     err = capsys.readouterr().err
@@ -139,6 +141,10 @@ def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     ("visibility-point", {"vantages": 3},
      "config: vantages must be a list, got 3"),
     ("visibility-point", {"vantages": [3]}, "vantage: expected X,Y, got 3"),
+    ("favard-scaling", {"n": [1, 2]}, "n: expected N or LO..HI, got [1, 2]"),
+    ("favard-scaling", {"n": 2.5}, "n: expected N or LO..HI, got 2.5"),
+    ("favard-scaling", {"n": True}, "n: expected N or LO..HI, got True"),
+    ("favard-scaling", {"n": "2.5"}, "n: expected N or LO..HI, got '2.5'"),
 ])
 def test_config_list_errors_name_the_key(tmp_path, capsys, experiment, blob,
                                          message):
@@ -477,8 +483,8 @@ def small_argv(draw):
             "--seed", str(draw(st.integers(0, 5)))]
     if draw(st.booleans()):
         argv += ["--angles", str(draw(st.integers(-1, 64)))]
-    for flag, extra in (("--c", [4.0]), ("--C", [256.0, math.inf]),
-                        ("--k", [12.0]),
+    for flag, extra in (("--c", [4.0, math.inf]),
+                        ("--C", [256.0, math.inf]), ("--k", [12.0]),
                         ("--delta", [0.05, 1e-4]), ("--alpha", [])):
         if draw(st.booleans()):
             argv += [flag, repr(draw(st.sampled_from(ODD_NUMBERS + extra)))]
@@ -501,8 +507,8 @@ def small_argv(draw):
 @given(case=small_argv())
 def test_main_fuzz_keeps_exit_contract(tmp_path_factory, case):
     """Random small configurations exit 0, 2 or 3 with no traceback; a
-    dimension alpha or a constant C that is not positive and finite, or a
-    sample count below 1, exits 2."""
+    dimension alpha or a constant c or C that is not positive and finite,
+    or a sample count below 1, exits 2."""
     argv, extra_keys = case
     tmp = tmp_path_factory.mktemp("fuzz")
     if extra_keys:
@@ -522,6 +528,11 @@ def test_main_fuzz_keeps_exit_contract(tmp_path_factory, case):
         if not (math.isfinite(alpha) and alpha > 0):
             assert rc == 2
             assert extra_keys or "alpha: must be positive" in err.getvalue()
+    if "--c" in argv:
+        c = float(argv[argv.index("--c") + 1])
+        if not (math.isfinite(c) and c > 0):
+            assert rc == 2
+            assert extra_keys or "c: must be positive" in err.getvalue()
     if "--C" in argv:
         C = float(argv[argv.index("--C") + 1])
         if not (math.isfinite(C) and C > 0):

@@ -96,6 +96,74 @@ def test_riesz_half_sum_matches_full_sum():
         want, rel=1e-12)
 
 
+def argsort_merge(lo, hi):
+    """The merge as it stood before it sorted the two endpoint arrays
+    separately: one argsort, gathers by that order and a running maximum."""
+    if lo.size == 0:
+        return lo.copy(), hi.copy()
+    order = np.argsort(lo, kind="stable")
+    lo = lo[order]
+    hi = hi[order]
+    run = np.maximum.accumulate(hi)
+    starts = np.empty(lo.size, dtype=bool)
+    starts[0] = True
+    starts[1:] = lo[1:] > run[:-1] + _kernels.MERGE_TOL
+    idx = np.flatnonzero(starts)
+    seg_lo = lo[idx]
+    seg_hi = np.empty(idx.size)
+    seg_hi[:-1] = run[idx[1:] - 1]
+    seg_hi[-1] = run[-1]
+    return seg_lo, seg_hi
+
+
+#: how an interval is drawn relative to an earlier one
+_INTERVAL_KINDS = ("fresh", "same-left", "nested", "point", "touching",
+                   "gap-tol", "gap-tol-ulp")
+
+
+@st.composite
+def interval_families(draw):
+    """A shuffled family of closed intervals (lo <= hi), each drawn fresh or
+    against an earlier one: same left end, nested, degenerate, touching, or
+    a gap of exactly MERGE_TOL or one ulp above it."""
+    coord = st.floats(-4.0, 4.0)
+    length = st.floats(0.0, 2.0)
+    ivs = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(_INTERVAL_KINDS)) if ivs else "fresh"
+        plo, phi = ivs[draw(st.integers(0, len(ivs) - 1))] if ivs else (0, 0)
+        if kind == "fresh":
+            lo = draw(coord)
+            ivs.append((lo, lo + draw(length)))
+        elif kind == "same-left":
+            ivs.append((plo, plo + draw(length)))
+        elif kind == "nested":
+            lo = draw(st.floats(plo, phi))
+            ivs.append((lo, draw(st.floats(lo, phi))))
+        elif kind == "point":
+            lo = draw(st.sampled_from([plo, phi])) if draw(
+                st.booleans()) else draw(coord)
+            ivs.append((lo, lo))
+        else:
+            lo = {"touching": phi, "gap-tol": phi + _kernels.MERGE_TOL,
+                  "gap-tol-ulp": np.nextafter(phi + _kernels.MERGE_TOL,
+                                              np.inf)}[kind]
+            ivs.append((lo, lo + draw(length)))
+    ivs = draw(st.permutations(ivs))
+    return (np.array([iv[0] for iv in ivs], dtype=float),
+            np.array([iv[1] for iv in ivs], dtype=float))
+
+
+@settings(max_examples=500, deadline=None)
+@given(family=interval_families())
+def test_merge_matches_argsort_merge(family):
+    lo, hi = family
+    got_lo, got_hi = _kernels.merge_intervals(lo, hi)
+    want_lo, want_hi = argsort_merge(lo, hi)
+    assert np.array_equal(got_lo, want_lo)
+    assert np.array_equal(got_hi, want_hi)
+
+
 class TestIntervals:
     def test_union_measure(self):
         lo = np.array([0.0, 0.5, 3.0])

@@ -150,6 +150,17 @@ class TestFDelta:
         with pytest.raises(ValueError):
             f_delta(DiscreteLine(0, 0, Line(0.0, 0.0), 0.1), A, 0.0)
 
+    @pytest.mark.parametrize("c", [-1.0, math.inf, math.nan])
+    def test_count_rows_reject_bad_c(self, c):
+        A = PointCloud(np.array([[0.0, 0.0]]), 0.1)
+        fam = build_line_family(0.1, 1.0)
+        with pytest.raises(ValueError):
+            f_delta(DiscreteLine(0, 0, Line(0.0, 0.0), 0.1), A, c)
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            l2_norm_f(A, fam, c)
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            vis_delta([Point2(-1.0, 0.0)], A, fam, c)
+
     def test_counts_table_matches_f_delta(self, k4_setup):
         A, fam, table = k4_setup
         rng = np.random.default_rng(11)
