@@ -131,7 +131,7 @@ def interval_families(draw):
     ivs = []
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(_INTERVAL_KINDS)) if ivs else "fresh"
-        plo, phi = ivs[draw(st.integers(0, len(ivs) - 1))] if ivs else (0, 0)
+        plo, phi = draw(st.sampled_from(ivs)) if ivs else (0.0, 0.0)
         if kind == "fresh":
             lo = draw(coord)
             ivs.append((lo, lo + draw(length)))
