@@ -83,17 +83,27 @@ def _k2_windows(t, delta, reach, k2min, k2max):
     return a, b
 
 
+def _direction_windows(px, py, delta, reach, k1s, k2min, k2max):
+    """Yield, for each direction k1 in k1s, the clipped k2 windows [a, b] of
+    the points with |t_k1(p) - k2*delta| <= reach (_k2_windows)."""
+    k1s = np.asarray(k1s)
+    # blocks of directions hold about one row of cells: memory stays
+    # O(row + points), and a small point set costs few calls per direction
+    step = max(1, (k2max - k2min + 1) // max(px.size, 1))
+    for s in range(0, k1s.size, step):
+        th = k1s[s:s + step, None] * delta
+        t = -np.sin(th) * px + np.cos(th) * py
+        yield from zip(*_k2_windows(t, delta, reach, k2min, k2max))
+
+
 def _count_rows(px, py, delta, c_mult, k1s, k2min, k2max):
     """Yield, for each direction k1 in k1s, the row whose entry k2 - k2min
     counts the points within c_mult*delta of the line ell_{k1,k2}."""
     if not (math.isfinite(c_mult) and c_mult > 0):
         raise ValueError(f"c must be positive and finite, got {c_mult}")
     nk2 = k2max - k2min + 1
-    reach = c_mult * delta
-    for k1 in k1s:
-        th = k1 * delta
-        t = -np.sin(th) * px + np.cos(th) * py
-        a, b = _k2_windows(t, delta, reach, k2min, k2max)
+    for a, b in _direction_windows(px, py, delta, c_mult * delta, k1s, k2min,
+                                   k2max):
         ok = a <= b
         # +1 where a point's window opens, -1 just past where it closes
         diff = (np.bincount(a[ok] - k2min, minlength=nk2 + 1)

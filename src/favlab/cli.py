@@ -99,7 +99,10 @@ def _checked(cfg: ExperimentConfig) -> tuple[IFSystem | None, list[str]]:
         sys_ = None
     if cfg.n_lo < 0 or cfg.n_hi < cfg.n_lo:
         errs.append("n: need 0 <= lo <= hi")
-    if sys_ is not None and sys_.s ** cfg.n_hi > cfg.budget:
+    # s^n > budget already at n = budget.bit_length() (s >= 2), so the
+    # power is capped there instead of growing with a huge n
+    if sys_ is not None and (sys_.s ** min(cfg.n_hi, cfg.budget.bit_length())
+                             > cfg.budget):
         errs.append(f"n: depth {cfg.n_hi} exceeds node budget "
                     f"({sys_.s}^{cfg.n_hi} > {cfg.budget})")
     if cfg.delta is not None and not cfg.delta > 0:

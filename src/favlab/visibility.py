@@ -26,11 +26,8 @@ from .ifs import Generation, ResourceBudgetError
 #: d <= 2 fixtures (checked directly in the test suite)
 DEFAULT_C = 4.0
 
-#: cap on the cells of a dense count table
+#: cap on the cells of a line family, counted as a dense count table
 TABLE_BUDGET = 50_000_000
-#: vantages per block of _window_sums; the saving of a batch is one table
-#: sweep per call, and larger blocks only make the gathers slower
-_VANTAGE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -169,13 +166,17 @@ def f_delta(ell: DiscreteLine, A: PointCloud, c: float = DEFAULT_C) -> int:
                                 <= c * ell.delta))
 
 
+def _check_table_budget(fam: LineFamily) -> None:
+    """Raise ResourceBudgetError past the cell cap of a dense count table."""
+    if fam.n_lines > TABLE_BUDGET:
+        raise ResourceBudgetError(
+            f"count table needs {fam.n_lines} cells; cap is {TABLE_BUDGET}")
+
+
 def counts_table(A: PointCloud, fam: LineFamily,
                  c: float = DEFAULT_C) -> np.ndarray:
     """Dense table of f_delta over the whole family; cnt[k1, k2 - k2_min]."""
-    size = fam.k1_count * (2 * fam.k2_max + 1)
-    if size > TABLE_BUDGET:
-        raise ResourceBudgetError(
-            f"count table needs {size} cells; cap is {TABLE_BUDGET}")
+    _check_table_budget(fam)
     return _kernels.line_counts_table(
         np.ascontiguousarray(A.x), np.ascontiguousarray(A.y),
         fam.delta, c, fam.k1_count, fam.k2_min, fam.k2_max)
@@ -186,45 +187,41 @@ def _points(vantages) -> np.ndarray:
     return np.array([(a.x, a.y) for a in vantages], dtype=float).reshape(-1, 2)
 
 
+def _window_sums(pts: np.ndarray, A: PointCloud, fam: LineFamily, c: float,
+                 reach: float, *, occupied: bool):
+    """Yield, per direction k1, the (m,) sums of the count row k1 (of row > 0
+    if occupied) over each vantage's window |t_k1(a) - k2*delta| <= reach,
+    read from one prefix sum of the streamed row; no table is kept."""
+    _check_table_budget(fam)
+    rows = _kernels._count_rows(
+        np.ascontiguousarray(A.x), np.ascontiguousarray(A.y), fam.delta, c,
+        range(fam.k1_count), fam.k2_min, fam.k2_max)
+    prefix = np.zeros(2 * fam.k2_max + 2, dtype=np.int64)
+    for row, (lo, hi) in zip(rows, _vantage_windows(pts, fam, reach)):
+        np.cumsum(row > 0 if occupied else row, out=prefix[1:])
+        yield prefix[hi - fam.k2_min + 1] - prefix[lo - fam.k2_min]
+
+
 def _vantage_windows(pts: np.ndarray, fam: LineFamily, reach: float):
-    """Table columns [lo, hi] of the lines ell_{k1,k2} with
-    |t_k1(a) - k2*delta| <= reach, one row of k1_count windows per vantage;
-    an empty window has lo > hi."""
-    th = fam.thetas
-    t = -np.sin(th) * pts[:, :1] + np.cos(th) * pts[:, 1:]
-    lo, hi = _kernels._k2_windows(t, fam.delta, reach, fam.k2_min,
-                                  fam.k2_max)
-    return lo - fam.k2_min, hi - fam.k2_min
+    """Per direction k1, the k2 windows [lo, hi] within reach of the pts."""
+    return _kernels._direction_windows(pts[:, 0], pts[:, 1], fam.delta, reach,
+                                       range(fam.k1_count), fam.k2_min,
+                                       fam.k2_max)
 
 
-def _window_sums(vantages: np.ndarray, table: np.ndarray, fam: LineFamily,
-                 reach: float) -> np.ndarray:
-    """(m, k1_count) sums of table[k1, k2 - k2_min] over the window
-    |t_k1(a) - k2*delta| <= reach of each vantage a.
-
-    Works in blocks of _VANTAGE_BLOCK vantages, so no temporary grows with m.
-    """
-    flat = table.ravel()
-    row_start = (np.arange(fam.k1_count) * table.shape[1])[:, None]
-    out = np.empty((len(vantages), fam.k1_count), dtype=np.int64)
-    for s in range(0, len(vantages), _VANTAGE_BLOCK):
-        lo, hi = _vantage_windows(vantages[s:s + _VANTAGE_BLOCK], fam, reach)
-        width = max(int((hi - lo).max()) + 1, 0)
-        cand = lo[..., None] + np.arange(width)
-        valid = cand <= hi[..., None]
-        # invalid candidates may point past the row (or the table): they
-        # are read clipped and masked out
-        vals = np.take(flat, row_start + cand, mode="clip")
-        out[s:s + _VANTAGE_BLOCK] = (vals * valid).sum(axis=2, dtype=np.int64)
-    return out
+def _direction_sums(a: Point2, A: PointCloud, fam: LineFamily, c: float,
+                    reach: float) -> np.ndarray:
+    """Per direction, the total richness of the lines within reach of a."""
+    return np.concatenate(list(_window_sums(_points([a]), A, fam, c, reach,
+                                            occupied=False)))
 
 
 def vis_delta(vantages: Sequence[Point2], A: PointCloud, fam: LineFamily,
               c: float = DEFAULT_C) -> list[int]:
     """Per vantage, the count of family lines whose 2-delta tube contains it
     and whose c-delta tube meets the cloud."""
-    return _window_sums(_points(vantages), counts_table(A, fam, c) > 0, fam,
-                        2 * fam.delta).sum(axis=1).tolist()
+    return sum(_window_sums(_points(vantages), A, fam, c, 2 * fam.delta,
+                            occupied=True)).tolist()
 
 
 def l2_norm_f(A: PointCloud, fam: LineFamily, c: float = DEFAULT_C) -> float:
@@ -259,8 +256,7 @@ def mass(a: Point2, theta_set: Arc, A: PointCloud, fam: LineFamily,
          c: float = DEFAULT_C) -> int:
     """Total richness of the lines through the vantage's 2-delta ball whose
     direction lies in the arc or its antipode."""
-    sums = _window_sums(_points([a]), counts_table(A, fam, c), fam,
-                        2 * fam.delta)[0]
+    sums = _direction_sums(a, A, fam, c, 2 * fam.delta)
     return int(sums[_direction_mask(fam, theta_set)].sum())
 
 
@@ -268,15 +264,13 @@ def cone_count(a: Point2, theta_set: Arc, A: PointCloud, fam: LineFamily,
                c: float = DEFAULT_C) -> int:
     """Exact count of pairs (a', l): a' in the cloud, a' != a, both a and a'
     within c*delta of l, and the direction of l in the arc."""
-    pts = _points([a])
     reach = c * fam.delta
     dmask = _direction_mask(fam, theta_set, antipodal=False)
-    total = int(_window_sums(pts, counts_table(A, fam, c), fam,
-                             reach)[0, dmask].sum())
+    total = int(_direction_sums(a, A, fam, c, reach)[dmask].sum())
     if np.any((A.x == a.x) & (A.y == a.y)):
         # each qualifying line counts the vantage itself once
-        lo, hi = _vantage_windows(pts, fam, reach)
-        total -= int(np.maximum(hi - lo + 1, 0)[0, dmask].sum())
+        total -= sum(int(hi[0] - lo[0] + 1) for (lo, hi), keep in zip(
+            _vantage_windows(_points([a]), fam, reach), dmask) if keep)
     return total
 
 
@@ -310,8 +304,7 @@ def select_intervals(a: Point2, A: PointCloud, fam: LineFamily, k: int,
     """
     if k <= 10 or k % 2:
         raise ValueError("k must be even and > 10")
-    sums = _window_sums(_points([a]), counts_table(A, fam, c), fam,
-                        2 * fam.delta)[0]
+    sums = _direction_sums(a, A, fam, c, 2 * fam.delta)
     width = TWO_PI / k
     arcs = [((i - 1) * width, width) for i in range(1, k + 1)]
     masses = [int(sums[_direction_mask(fam, arc)].sum()) for arc in arcs]
@@ -373,7 +366,6 @@ def scan_line_low_visibility(ell0: Line, A: PointCloud, fam: LineFamily,
     dx, dy = math.cos(ell0.theta), math.sin(ell0.theta)
     pts = np.stack([ell0.offset * nx + ts * dx,
                     ell0.offset * ny + ts * dy], axis=1)
-    vis = _window_sums(pts, counts_table(A, fam, c) > 0, fam,
-                       2 * fam.delta).sum(axis=1)
+    vis = sum(_window_sums(pts, A, fam, c, 2 * fam.delta, occupied=True))
     return [float(np.count_nonzero(vis < lam / fam.delta) * step)
             for lam in lams]

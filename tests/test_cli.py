@@ -121,13 +121,15 @@ def _unequal_ifs(tmp_path, experiment="vis-delta-sweep"):
     lambda tmp: ["favard-scaling", "--out", str(tmp / "o.csv"), "--n"],
     lambda tmp: ["vis-delta-sweep", "--n", "2", "--c", "inf",
                  "--out", str(tmp / "o.csv")],
+    lambda tmp: ["favard-scaling", "--n", "100000000",
+                 "--out", str(tmp / "o.csv")],
 ], ids=["bridge-domain", "census-L-over-N", "config-type", "unwritable-out",
         "config-unknown-key", "census-fractional-k", "unequal-ratios",
         "config-not-object", "alpha-nan", "alpha-negative", "samples-zero",
         "samples-negative", "C-inf", "energy-unequal-ratios",
         "config-experiment-mismatch", "vantage-one-number", "n-malformed",
         "bridge-vantage-off-axis", "flag-type", "unknown-experiment",
-        "flag-without-value", "c-inf"])
+        "flag-without-value", "c-inf", "n-huge"])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     rc = main(argv(tmp_path))
     err = capsys.readouterr().err

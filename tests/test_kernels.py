@@ -213,6 +213,52 @@ def test_table_matches_brute_force():
         table, brute_counts(px, py, delta, 2.0, n_dir, -k2max, k2max))
 
 
+def per_direction_rows(px, py, delta, c_mult, k1s, k2min, k2max):
+    """The count rows with each direction's point windows computed on its
+    own, as before the windows came in blocks of directions."""
+    nk2 = k2max - k2min + 1
+    for k1 in k1s:
+        th = k1 * delta
+        t = -np.sin(th) * px + np.cos(th) * py
+        a, b = _kernels._k2_windows(t, delta, c_mult * delta, k2min, k2max)
+        ok = a <= b
+        diff = (np.bincount(a[ok] - k2min, minlength=nk2 + 1)
+                - np.bincount(b[ok] - k2min + 1, minlength=nk2 + 1))
+        yield np.cumsum(diff[:-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(0, 80), seed=st.integers(0, 2 ** 32 - 1),
+       delta=st.floats(0.01, 0.4), c_mult=st.floats(0.5, 6.0),
+       d=st.floats(0.5, 2.0), data=st.data())
+def test_blocked_rows_match_per_direction_rows(m, seed, delta, c_mult, d,
+                                                data):
+    """Rows from direction blocks (from one block up to one direction per
+    block) equal the rows built one direction at a time, exactly; half the
+    points sit on a window edge |t_k1 - k2*delta| = c_mult*delta of some
+    line, where a rounding change would move them."""
+    rng = np.random.default_rng(seed)
+    n_dir, k2max = family_shape(delta, max(d, delta))
+    th = rng.integers(0, n_dir, m) * delta
+    r = (rng.integers(-k2max, k2max + 1, m)
+         + c_mult * rng.choice([-1.0, 1.0], m)) * delta
+    s = rng.uniform(-d, d, m)
+    edge = rng.random(m) < 0.5
+    px = np.where(edge, -r * np.sin(th) + s * np.cos(th),
+                  rng.uniform(-d, d, m))
+    py = np.where(edge, r * np.cos(th) + s * np.sin(th),
+                  rng.uniform(-d, d, m))
+    k1s = np.flatnonzero(np.array(data.draw(st.lists(
+        st.booleans(), min_size=n_dir, max_size=n_dir)), dtype=bool))
+    for ks in (k1s, range(n_dir)):
+        got = list(_kernels._count_rows(px, py, delta, c_mult, ks, -k2max,
+                                        k2max))
+        want = list(per_direction_rows(px, py, delta, c_mult, ks, -k2max,
+                                       k2max))
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 @settings(max_examples=40, deadline=None)
 @given(m=st.integers(0, 60), seed=st.integers(0, 2 ** 32 - 1),
        delta=st.floats(0.05, 0.4), c_mult=st.floats(0.5, 6.0),

@@ -1,15 +1,18 @@
 """Radial projections and the discretized line-incidence machinery."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from favlab import _kernels, visibility as vis_mod
 from favlab.geometry import Line, Point2, TWO_PI, dist_point_line
-from favlab.ifs import generate_generation, preset
+from favlab.ifs import ResourceBudgetError, generate_generation, preset
 from favlab.projections import projection_count
+from favlab.transforms import radial_vs_projection_bridge
 from favlab.visibility import (DEFAULT_C, DiscreteLine, LineFamily,
                                PointCloud, build_line_family,
                                cloud_from_generation, cone_count, counts_table,
@@ -470,8 +473,8 @@ def brute_queries(a, A, fam, c, arc):
 
 
 class TestEngineOracle:
-    """Every vantage query reads one window sum of the count table; pin the
-    batched engine to the line-by-line definitions."""
+    """Every vantage query reads window sums of the streamed count rows; pin
+    the batched engine to the line-by-line definitions."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(0, 30),
@@ -526,3 +529,121 @@ class TestEngineOracle:
                 for lam in lams]
         assert scan_line_low_visibility(ell0, A, fam, lams, c=1.0) == want
         assert want[0] > 0 and want == sorted(want, reverse=True)
+
+
+def table_window_sums(pts, table, fam, reach):
+    """The dense-table gather the vantage queries used before they streamed
+    the count rows: (m, k1_count) sums of table[k1, k2 - k2_min] over each
+    vantage's window |t_k1(a) - k2*delta| <= reach."""
+    th = fam.thetas
+    t = -np.sin(th) * pts[:, :1] + np.cos(th) * pts[:, 1:]
+    lo, hi = _kernels._k2_windows(t, fam.delta, reach, fam.k2_min, fam.k2_max)
+    lo, hi = lo - fam.k2_min, hi - fam.k2_min
+    cand = lo[..., None] + np.arange(max(int((hi - lo).max(initial=-1)) + 1,
+                                         0))
+    row_start = (np.arange(fam.k1_count) * table.shape[1])[:, None]
+    # candidates past a window may point past the row: read clipped, masked
+    vals = np.take(table.ravel(), row_start + cand, mode="clip")
+    return (vals * (cand <= hi[..., None])).sum(axis=2, dtype=np.int64)
+
+
+def table_cone_count(a, arc, A, fam, c):
+    """cone_count as read from the dense table."""
+    pts = np.array([[a.x, a.y]])
+    reach = c * fam.delta
+    dmask = _direction_mask(fam, arc, antipodal=False)
+    total = int(table_window_sums(pts, counts_table(A, fam, c), fam,
+                                  reach)[0, dmask].sum())
+    if np.any((A.x == a.x) & (A.y == a.y)):
+        ones = np.ones((fam.k1_count, 2 * fam.k2_max + 1), dtype=np.int64)
+        total -= int(table_window_sums(pts, ones, fam, reach)[0, dmask].sum())
+    return total
+
+
+def table_window_stream(pts, A, fam, c, reach, *, occupied):
+    """Stand-in for the streamed visibility._window_sums that reads the
+    dense table instead."""
+    table = counts_table(A, fam, c)
+    return iter(table_window_sums(pts, table > 0 if occupied else table, fam,
+                                  reach).T)
+
+
+@st.composite
+def line_family_cases(draw):
+    """A small family with a cloud (possibly empty, with coincident points
+    and points on horizontal family lines) and vantages inside, outside and
+    on the edge of B(0, d), and on a cloud point."""
+    delta = draw(st.floats(0.05, 0.4))
+    d = draw(st.floats(delta, 1.5))
+    fam = build_line_family(delta, d)
+    coord = st.floats(-1.2 * d, 1.2 * d)
+    pts = draw(st.lists(st.tuples(coord, coord), max_size=25))
+    on_line = draw(st.lists(st.tuples(coord, st.integers(fam.k2_min,
+                                                         fam.k2_max)),
+                            max_size=5))
+    pts += [(x, k2 * delta) for x, k2 in on_line]
+    if pts and draw(st.booleans()):
+        pts += pts[:draw(st.integers(1, len(pts)))]         # coincident
+    A = PointCloud(np.array(pts, dtype=float).reshape(-1, 2), delta)
+    phis = draw(st.lists(st.floats(0.0, TWO_PI), min_size=1, max_size=4))
+    vantages = [Point2(*p) for p in draw(st.lists(st.tuples(coord, coord),
+                                                  max_size=6))]
+    vantages += [Point2(d * math.cos(p), d * math.sin(p)) for p in phis]
+    if pts:
+        vantages.append(Point2(*pts[draw(st.integers(0, len(pts) - 1))]))
+    c = draw(st.floats(0.3, 6.0).filter(lambda v: not v.is_integer()))
+    arc = draw(st.tuples(st.floats(-7.0, 7.0), st.floats(0.0, 7.0)))
+    return fam, A, vantages, c, arc
+
+
+class TestStreamedMatchesTable:
+    """The vantage queries stream the count rows; pin them to the dense
+    table gather they replaced, exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=line_family_cases(), k=st.sampled_from([12, 14, 20]),
+           ell0=st.tuples(st.floats(0.0, math.pi), st.floats(-2.0, 2.0)),
+           lams=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4))
+    def test_queries_match_table_gather(self, case, k, ell0, lams):
+        fam, A, vantages, c, arc = case
+        pts = np.array([(a.x, a.y) for a in vantages])
+        table = counts_table(A, fam, c)
+        near = 2 * fam.delta
+        assert vis_delta(vantages, A, fam, c) == table_window_sums(
+            pts, table > 0, fam, near).sum(axis=1).tolist()
+        for i, a in enumerate(vantages):
+            sums = table_window_sums(pts[i:i + 1], table, fam, near)[0]
+            assert np.array_equal(vis_mod._direction_sums(a, A, fam, c, near),
+                                  sums)
+            assert mass(a, arc, A, fam, c) == int(
+                sums[_direction_mask(fam, arc)].sum())
+            assert cone_count(a, arc, A, fam, c) == table_cone_count(
+                a, arc, A, fam, c)
+        line = Line(*ell0)
+        streamed = ([select_intervals(a, A, fam, k, c) for a in vantages],
+                    scan_line_low_visibility(line, A, fam, lams, c=c))
+        with mock.patch.object(vis_mod, "_window_sums", table_window_stream):
+            from_table = (
+                [select_intervals(a, A, fam, k, c) for a in vantages],
+                scan_line_low_visibility(line, A, fam, lams, c=c))
+        assert streamed == from_table
+
+
+def test_vantage_queries_keep_table_budget():
+    """No query builds the table, but each keeps its cell cap."""
+    fam = build_line_family(0.0005, 2.0)
+    assert fam.n_lines > vis_mod.TABLE_BUDGET
+    A = PointCloud(np.array([[0.0, 0.0]]), 0.0005)
+    a = Point2(-1.0, 0.0)
+    queries = [
+        lambda: vis_delta([a], A, fam),
+        lambda: mass(a, (0.0, TWO_PI), A, fam),
+        lambda: cone_count(a, (0.0, TWO_PI), A, fam),
+        lambda: select_intervals(a, A, fam, 12),
+        lambda: scan_line_low_visibility(Line(0.0, 0.5), A, fam, [0.5]),
+        lambda: radial_vs_projection_bridge(A, [-1.0], fam),
+    ]
+    for query in queries:
+        with pytest.raises(ResourceBudgetError,
+                           match=f"count table needs {fam.n_lines} cells"):
+            query()
