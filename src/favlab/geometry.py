@@ -1,5 +1,5 @@
 """Exact primitive geometry: interval unions on the line and the circle,
-axis-aligned squares, lines, rotated rectangles, and angular hulls.
+axis-aligned squares, lines, and angular hulls of squares.
 
 Everything here is immutable and pure; values can be shared freely across
 workers.  Interval measures are exact sums of the stored endpoints; a merge
@@ -78,33 +78,6 @@ class Line:
             off = -off
         object.__setattr__(self, "theta", th)
         object.__setattr__(self, "offset", off)
-
-    def point_on(self) -> Point2:
-        return Point2(-self.offset * math.sin(self.theta),
-                      self.offset * math.cos(self.theta))
-
-
-@dataclass(frozen=True)
-class RotRect:
-    """Rotated rectangle: center, long-axis angle, dimensions r1 <= r2."""
-
-    center: Point2
-    axis_angle: float
-    r1: float
-    r2: float
-
-    def __post_init__(self):
-        if not (0 < self.r1 <= self.r2):
-            raise GeometryError(f"need 0 < r1 <= r2, got {self.r1}, {self.r2}")
-
-    def contains_points(self, pts: np.ndarray) -> np.ndarray:
-        """Boolean membership for an (m, 2) array of points."""
-        c, s = math.cos(self.axis_angle), math.sin(self.axis_angle)
-        dx = pts[:, 0] - self.center.x
-        dy = pts[:, 1] - self.center.y
-        u = dx * c + dy * s       # along long axis
-        v = -dx * s + dy * c      # across
-        return (np.abs(u) <= self.r2 / 2) & (np.abs(v) <= self.r1 / 2)
 
 
 def dist_point_line(p: Point2, line: Line) -> float:
@@ -265,33 +238,21 @@ class CircularIntervalSet:
 # angular hulls
 # ---------------------------------------------------------------------------
 
-FULL = "full"
-
-
-def angular_hull(sq: Square, a: Point2):
-    """Directions {(x - a)/|x - a| : x in sq} as (start, length), or FULL."""
-    arcs = hull_arcs_of_squares(np.array([sq.corner.x]),
-                                np.array([sq.corner.y]), sq.side, a)
-    return FULL if arcs is FULL else (float(arcs[0][0]), float(arcs[1][0]))
-
-
 def hull_arcs_of_squares(x0: np.ndarray, y0: np.ndarray, side: float,
-                         a: Point2):
+                         a: Point2) -> tuple[np.ndarray, np.ndarray]:
     """Angular hulls of many equal-side squares seen from a, as (starts,
-    widths), or FULL if the vantage lies in some closed square.
+    widths); a square whose closed set holds a has width 2pi.
 
     Exact for convex bodies: outside the square the hull is the minor arc
     spanned by the extreme corner directions.
     """
     inside = ((x0 <= a.x) & (a.x <= x0 + side)
               & (y0 <= a.y) & (a.y <= y0 + side))
-    if np.any(inside):
-        return FULL
     cx = np.stack([x0, x0 + side, x0 + side, x0], axis=1) - a.x
     cy = np.stack([y0, y0, y0 + side, y0 + side], axis=1) - a.y
     ang = np.sort(np.arctan2(cy, cx) % TWO_PI, axis=1)
     gaps = np.diff(np.concatenate([ang, ang[:, :1] + TWO_PI], axis=1), axis=1)
     k = np.argmax(gaps, axis=1)
-    widths = TWO_PI - gaps[np.arange(len(k)), k]
+    widths = np.where(inside, TWO_PI, TWO_PI - gaps[np.arange(len(k)), k])
     starts = ang[np.arange(len(k)), (k + 1) % 4]
     return starts, widths

@@ -78,12 +78,6 @@ def favard_length(gen: Generation, grid: AngleGrid) -> float:
     return float(np.mean(projection_measures(gen, grid.thetas)))
 
 
-def projection_count(gen: Generation, theta: float, r: float) -> int:
-    """Number of squares whose closed projection interval contains r."""
-    lo, hi = _projection_bounds(gen, theta)
-    return int(np.count_nonzero((lo <= r) & (r <= hi)))
-
-
 def _prefix_sums(v: np.ndarray):
     """[0, v_0, v_0 + v_1, ...] as a float cumsum s and the running total e
     of its rounding errors (Knuth's two-sum), so s + e is nearly exact."""

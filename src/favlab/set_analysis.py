@@ -278,8 +278,14 @@ def check_unrectifiable_one_set(A: PointCloud, C: float, seed: int = 0,
 
 def riesz_energy(A: PointCloud, s: float) -> float:
     """Off-diagonal weighted energy sum with the kernel floored at the
-    cloud's separation scale."""
-    if s <= 0:
+    cloud's separation scale.
+
+    The pair sum differences coordinates of size ~1, so it loses digits
+    on points far closer than that: on a 2-map generation of ratio 0.1 at
+    n = 4 it is 1.8e-14 relative off the exact sum at s = 2, where
+    generation_energy, built from the difference measure, is 2.2e-16 off.
+    """
+    if not s > 0:
         raise ValueError("s must be positive")
     if len(A) == 0:
         raise ValueError("empty point cloud")

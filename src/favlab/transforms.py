@@ -33,18 +33,17 @@ JACOBIAN_GRID_STEP = 1e-2
 DOMAIN_PAD = 1e-9
 
 
-def projective_T(p: Point2, allow_near_singular: bool = False) -> Point2:
+def projective_T(p: Point2) -> Point2:
     """(x, y) -> ((x+1)/y, (y+1)/y); maps lines to lines, y = 0 is sent to
     the line at infinity.
 
     The library guard requires |y| >= 1/2 (the intended fixtures sit in
-    [1, 20]^2); pass allow_near_singular to lift it.
+    [1, 20]^2).
     """
     if p.y == 0:
         raise SingularInputError("projective map undefined on y = 0")
-    if abs(p.y) < 0.5 and not allow_near_singular:
-        raise DomainError(
-            f"|y| = {abs(p.y)} < 1/2; pass allow_near_singular to override")
+    if abs(p.y) < 0.5:
+        raise DomainError(f"|y| = {abs(p.y)} < 1/2")
     return Point2((p.x + 1) / p.y, (p.y + 1) / p.y)
 
 
@@ -130,8 +129,6 @@ POLAR = DiffeoPreset("polar", _polar_forward, _polar_jacobian,
 PROJECTIVE_T = DiffeoPreset("projectiveT", _projective_forward,
                             _projective_jacobian,
                             Square(Point2(1.0, 1.0), 19.0))
-
-DIFFEO_PRESETS = {"polar": POLAR, "projectiveT": PROJECTIVE_T}
 
 
 def _inverse_jacobian_sup(d: DiffeoPreset) -> float:

@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .geometry import (FULL, TWO_PI, CircularIntervalSet, GeometryError,
-                       Line, Point2, hull_arcs_of_squares)
+from .geometry import (TWO_PI, CircularIntervalSet, GeometryError, Line,
+                       Point2, hull_arcs_of_squares)
 from .ifs import Generation, ResourceBudgetError
 
 #: default richness-neighborhood multiplier; large enough for ambient radius
@@ -41,8 +41,8 @@ class PointCloud:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         object.__setattr__(self, "points", pts)
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("delta must be positive and finite")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (len(pts),) or np.any(w < 0):
@@ -72,10 +72,8 @@ def cloud_from_generation(gen: Generation) -> PointCloud:
 
 def radial_projection(gen: Generation, a: Point2) -> CircularIntervalSet:
     """Exact direction set of the generation squares seen from a."""
-    arcs = hull_arcs_of_squares(gen.corner_x, gen.corner_y, gen.sides, a)
-    if arcs is FULL:
-        return CircularIntervalSet.full()
-    return CircularIntervalSet.from_arcs(np.column_stack(arcs))
+    return CircularIntervalSet.from_arcs(np.column_stack(
+        hull_arcs_of_squares(gen.corner_x, gen.corner_y, gen.sides, a)))
 
 
 def radial_projection_balls(cloud: PointCloud, radius: float,
@@ -126,6 +124,11 @@ class LineFamily:
         if not (0 < self.delta <= self.d):
             raise GeometryError(
                 f"need 0 < delta <= d, got delta={self.delta}, d={self.d}")
+        if not (math.isfinite(math.pi / self.delta)
+                and math.isfinite(self.d / self.delta)):
+            raise GeometryError(
+                f"pi/delta and d/delta must be finite, got delta={self.delta}, "
+                f"d={self.d}")
 
     @property
     def k1_count(self) -> int:
@@ -359,6 +362,7 @@ def scan_line_low_visibility(ell0: Line, A: PointCloud, fam: LineFamily,
         raise ValueError("sample_step must be <= delta")
     if abs(ell0.offset) >= fam.d:
         return [0.0] * len(lams)
+    _check_table_budget(fam)       # before the chord samples are built
     half = math.sqrt(fam.d ** 2 - ell0.offset ** 2)
     n = max(1, int(math.floor(2 * half / step)))
     ts = (np.arange(n) + 0.5) * step - half

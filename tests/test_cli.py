@@ -14,6 +14,7 @@ import favlab.cli
 from favlab.cli import (EXPERIMENTS, ExperimentConfig, _FIELD_TYPES,
                         build_parser, config_from_args, main, validate)
 from favlab.ifs import generate_generation, preset, resolve_ifs
+from favlab.visibility import TABLE_BUDGET
 
 
 def read_csv(path):
@@ -123,13 +124,23 @@ def _unequal_ifs(tmp_path, experiment="vis-delta-sweep"):
                  "--out", str(tmp / "o.csv")],
     lambda tmp: ["favard-scaling", "--n", "100000000",
                  "--out", str(tmp / "o.csv")],
+    lambda tmp: ["vis-delta-sweep", "--n", "2", "--delta", "1e-320",
+                 "--out", str(tmp / "o.csv")],
+    lambda tmp: ["line-scan", "--n", "2", "--delta", "1e-320",
+                 "--out", str(tmp / "o.csv")],
+    lambda tmp: ["bridge", "--n", "2", "--delta", "1e-320",
+                 "--out", str(tmp / "o.csv")],
+    lambda tmp: ["vis-delta-sweep", "--n", "2", "--vantage=1e308,0",
+                 "--out", str(tmp / "o.csv")],
 ], ids=["bridge-domain", "census-L-over-N", "config-type", "unwritable-out",
         "config-unknown-key", "census-fractional-k", "unequal-ratios",
         "config-not-object", "alpha-nan", "alpha-negative", "samples-zero",
         "samples-negative", "C-inf", "energy-unequal-ratios",
         "config-experiment-mismatch", "vantage-one-number", "n-malformed",
         "bridge-vantage-off-axis", "flag-type", "unknown-experiment",
-        "flag-without-value", "c-inf", "n-huge"])
+        "flag-without-value", "c-inf", "n-huge", "sweep-delta-subnormal",
+        "scan-delta-subnormal", "bridge-delta-subnormal",
+        "sweep-vantage-huge"])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     rc = main(argv(tmp_path))
     err = capsys.readouterr().err
@@ -342,10 +353,14 @@ class TestRuns:
         assert (int(n), int(ell), int(samples)) == (8, 1, 2000)
         assert 0.0 <= float(frac) <= 1.0
 
-    def test_budget_exit_code(self, tmp_path):
-        rc = main(["vis-delta-sweep", "--n", "2", "--delta", "1e-4",
-                   "--out", str(tmp_path / "o.csv")])
-        assert rc == 3
+    def test_budget_exit_code(self, tmp_path, capsys):
+        # line-scan checks the cap before it builds its chord samples
+        for argv in (["vis-delta-sweep", "--n", "2", "--delta", "1e-4"],
+                     ["line-scan", "--n", "2", "--delta", "1e-300"]):
+            assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: count table needs ")
+            assert err.endswith(f"cap is {TABLE_BUDGET}\n")
 
     def test_line_scan_runs(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from favlab.geometry import (FULL, MERGE_TOL, TWO_PI, CircularIntervalSet,
-                             GeometryError, IntervalSet, Line, Point2,
-                             RotRect, Square, angular_hull, dist_point_line,
-                             hull_arcs_of_squares)
+from favlab.geometry import (MERGE_TOL, TWO_PI, CircularIntervalSet,
+                             GeometryError, IntervalSet, Line, Point2, Square,
+                             dist_point_line, hull_arcs_of_squares)
 
 
 def grid_measure(pairs, lo=-5.0, hi=15.0, n=200_001):
@@ -194,10 +193,16 @@ def test_from_arcs_array_matches_loop(arcs):
         np.array(arcs, dtype=float).reshape(-1, 2)).arcs == want
 
 
+def square_hull(sq, a):
+    """The (start, width) hull of one square through hull_arcs_of_squares."""
+    starts, widths = hull_arcs_of_squares(np.array([sq.corner.x]),
+                                          np.array([sq.corner.y]), sq.side, a)
+    return float(starts[0]), float(widths[0])
+
+
 class TestAngularHull:
     def test_side_vantage(self):
-        arc = angular_hull(Square(Point2(0, 0), 1.0), Point2(-1.0, 0.5))
-        assert arc is not FULL
+        arc = square_hull(Square(Point2(0, 0), 1.0), Point2(-1.0, 0.5))
         start, width = arc
         assert width == pytest.approx(2 * math.atan(0.5), abs=1e-9)
         # the arc is centered on direction 0
@@ -207,12 +212,11 @@ class TestAngularHull:
         assert not s.contains(math.atan(0.5) + 1e-3)
 
     def test_interior_vantage(self):
-        assert angular_hull(Square(Point2(0, 0), 1.0),
-                            Point2(0.5, 0.5)) is FULL
+        _, width = square_hull(Square(Point2(0, 0), 1.0), Point2(0.5, 0.5))
+        assert width == TWO_PI
 
     def test_distant_vantage(self):
-        arc = angular_hull(Square(Point2(0, 0), 1.0), Point2(0.5, -10.0))
-        _, width = arc
+        _, width = square_hull(Square(Point2(0, 0), 1.0), Point2(0.5, -10.0))
         # the near edge's corners subtend the extremal directions; width is
         # consistent with the vis <~ diam/dist scaling
         assert width == pytest.approx(2 * math.atan(0.5 / 10.0), abs=1e-9)
@@ -226,7 +230,7 @@ class TestAngularHull:
         starts, widths = hull_arcs_of_squares(x0, y0, 0.25, a)
         for i in range(30):
             sq = Square(Point2(x0[i], y0[i]), 0.25)
-            assert angular_hull(sq, a) == (starts[i], widths[i])
+            assert square_hull(sq, a) == (starts[i], widths[i])
             st_, w_ = corner_angle_hull(sq, a)
             assert starts[i] == pytest.approx(st_, abs=1e-12)
             assert widths[i] == pytest.approx(w_, abs=1e-12)
@@ -254,23 +258,11 @@ class TestLines:
         assert 0 <= ell.theta < math.pi
         assert ell.theta == pytest.approx(0.3, abs=1e-12)
         assert ell.offset == pytest.approx(-0.7, abs=1e-12)
-        # the geometric line is unchanged by the wrap
-        p = Line(math.pi + 0.3, 0.7).point_on()
+        # the geometric line is unchanged by the wrap: the foot of the
+        # normal, read from the unwrapped angle and offset, stays on it
+        th, off = math.pi + 0.3, 0.7
+        p = Point2(-off * math.sin(th), off * math.cos(th))
         assert dist_point_line(p, ell) < 1e-12
-
-    def test_point_on(self):
-        ell = Line(0.4, -1.3)
-        assert dist_point_line(ell.point_on(), ell) < 1e-12
-
-    def test_rotrect_membership(self):
-        r = RotRect(Point2(0, 0), math.pi / 4, 0.2, 2.0)
-        pts = np.array([[0.5, 0.5], [0.9, 0.9], [-0.5, 0.5], [0.0, 0.0]])
-        inside = r.contains_points(pts)
-        assert inside.tolist() == [True, False, False, True]
-
-    def test_rotrect_rejects_bad_dims(self):
-        with pytest.raises(GeometryError):
-            RotRect(Point2(0, 0), 0.0, 1.0, 0.5)
 
 
 def test_point_rejects_nonfinite():

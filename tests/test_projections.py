@@ -12,9 +12,17 @@ from favlab.geometry import Point2, Square
 from favlab.ifs import IFSystem, Similitude, generate_generation
 from favlab.projections import (AngleGrid, DegenerateError, bad_angle_measure,
                                 favard_length, fav_upper_pipeline, hl_maximal,
-                                project_generation, projection_count,
-                                projection_measures, stacked_census,
-                                sup_projection_count)
+                                project_generation, projection_measures,
+                                stacked_census, sup_projection_count)
+
+
+def projection_count(gen, theta, r):
+    """Oracle: the number of squares whose closed theta-projection, the span
+    of their projected corners, contains r."""
+    side = np.reshape(gen.sides, (-1, 1))
+    t = ((gen.corner_x[:, None] + side * [0, 1, 1, 0]) * math.cos(theta)
+         + (gen.corner_y[:, None] + side * [0, 0, 1, 1]) * math.sin(theta))
+    return int(np.count_nonzero((t.min(axis=1) <= r) & (r <= t.max(axis=1))))
 
 
 def sweep_measure_where(gen, theta, predicate):

@@ -362,9 +362,11 @@ class TestRieszEnergy:
             riesz_energy(A, 1.0)
 
     def test_rejects_bad_s(self):
-        A = PointCloud(np.array([[0.0, 0.0]]), 0.01)
-        with pytest.raises(ValueError):
-            riesz_energy(A, 0.0)
+        # two points at distance 1, where a NaN s once gave 0.5
+        A = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.01)
+        for s in (0.0, math.nan):
+            with pytest.raises(ValueError, match="s must be positive"):
+                riesz_energy(A, s)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty point cloud"):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from favlab import _kernels, visibility as vis_mod
 from favlab.geometry import Line, Point2, TWO_PI, dist_point_line
 from favlab.ifs import ResourceBudgetError, generate_generation, preset
-from favlab.projections import projection_count
 from favlab.transforms import radial_vs_projection_bridge
 from favlab.visibility import (DEFAULT_C, DiscreteLine, LineFamily,
                                PointCloud, build_line_family,
@@ -85,6 +84,12 @@ class TestRadialProjection:
         assert radial_projection_balls(A, 0.5, Point2(0.2, 0.0)).is_full()
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
+def test_point_cloud_rejects_bad_delta(delta):
+    with pytest.raises(ValueError, match="delta must be positive"):
+        PointCloud(np.array([[0.0, 0.0]]), delta)
+
+
 class TestLineFamily:
     def test_spec_count(self):
         fam = build_line_family(0.1, 2.0)
@@ -112,6 +117,10 @@ class TestLineFamily:
         from favlab.geometry import GeometryError
         with pytest.raises(GeometryError):
             build_line_family(0.5, 0.1)
+        # pi/delta or d/delta overflows to inf
+        for delta, d in ((1e-320, 2.0), (0.0625, 1e308), (0.0625, math.inf)):
+            with pytest.raises(GeometryError, match="must be finite"):
+                build_line_family(delta, d)
 
     def test_budget_guard(self):
         from favlab.ifs import ResourceBudgetError
@@ -417,6 +426,15 @@ class TestLineScan:
         A, fam, table = k4_setup
         with pytest.raises(ValueError):
             scan_line_low_visibility(Line(0.0, -0.5), A, fam, [0.5, 0.0])
+
+
+def projection_count(gen, theta, r):
+    """Oracle: the number of squares whose closed theta-projection, the span
+    of their projected corners, contains r."""
+    side = np.reshape(gen.sides, (-1, 1))
+    t = ((gen.corner_x[:, None] + side * [0, 1, 1, 0]) * math.cos(theta)
+         + (gen.corner_y[:, None] + side * [0, 0, 1, 1]) * math.sin(theta))
+    return int(np.count_nonzero((t.min(axis=1) <= r) & (r <= t.max(axis=1))))
 
 
 class TestAntipodalConsistency:
