@@ -57,6 +57,66 @@ def projection_measures(x0, y0, side, thetas) -> np.ndarray:
     return out
 
 
+#: elements of one block of _depth_measures' padded (angles x width) rows;
+#: a block of angles is halved before a depth would exceed it.  Four-corner
+#: n=0..7 at 4096 angles ran in 0.75-0.85 s at 2^14, 2^15 and 2^16 on a
+#: 2-core host, and in 1.1-1.2 s at 2^18
+_DEPTH_BLOCK = 2 ** 16
+
+
+def _depth_measures(lam, zx, zy, corner_x, corner_y, side, thetas, n):
+    """Per depth 0..n and per angle, the measure and the merged-interval
+    count of the theta-projection of the stage-d squares of the homothety
+    IFS x -> lam_i x + (zx_i, zy_i) on the square hull (corner, side).
+
+    Uses pi(K_d) = U_i (lam_i pi(K_{d-1}) + pi(z_i)): each depth shifts and
+    scales the previous depth's merged intervals and merges their s copies
+    as merge_intervals does.  Rows are padded with copies of their last
+    merged interval, which leave the union, and so each row's result, the
+    same whatever the block.  Returns two (n + 1, angles) arrays.
+    """
+    c, s = np.cos(thetas), np.sin(thetas)
+    lo = corner_x * c + corner_y * s + side * (np.minimum(c, 0.0)
+                                               + np.minimum(s, 0.0))
+    hi = lo + side * (np.abs(c) + np.abs(s))
+    shift = np.outer(c, zx) + np.outer(s, zy)          # (angles, maps)
+    measures = np.empty((n + 1, thetas.size))
+    counts = np.empty((n + 1, thetas.size), dtype=np.int64)
+    measures[0] = hi - lo
+    counts[0] = 1
+    lam = lam[None, :, None]
+    # (first angle, past-the-last angle, depth, lo, hi): angles a:b merged
+    # at `depth`, one padded row each
+    work = [(0, thetas.size, 0, lo[:, None], hi[:, None])]
+    while work:
+        a, b, depth, lo, hi = work.pop()
+        if depth == n:
+            continue
+        rows = b - a
+        if rows > 1 and rows * lam.size * lo.shape[1] > _DEPTH_BLOCK:
+            h = rows // 2
+            work += [(a + h, b, depth, lo[h:], hi[h:]),
+                     (a, a + h, depth, lo[:h], hi[:h])]
+            continue
+        t = shift[a:b, :, None]
+        # each map's copy is a sorted run, which the stable sort sees
+        lo = (lam * lo[:, None, :] + t).reshape(rows, -1)
+        hi = (lam * hi[:, None, :] + t).reshape(rows, -1)
+        lo.sort(axis=1, kind="stable")
+        hi.sort(axis=1, kind="stable")
+        gap = lo[:, 1:] > hi[:, :-1] + MERGE_TOL
+        edge = np.ones((rows, 1), dtype=bool)
+        seg_lo = lo[np.hstack((edge, gap))]
+        seg_hi = hi[np.hstack((gap, edge))]
+        m = gap.sum(axis=1) + 1
+        first = np.concatenate(([0], np.cumsum(m[:-1])))
+        measures[depth + 1, a:b] = np.add.reduceat(seg_hi - seg_lo, first)
+        counts[depth + 1, a:b] = m
+        take = first[:, None] + np.minimum(np.arange(m.max()), m[:, None] - 1)
+        work.append((a, b, depth + 1, seg_lo[take], seg_hi[take]))
+    return measures, counts
+
+
 def riesz_energy_sum(px, py, w, s, floor) -> float:
     """Sum_{i != j} w_i w_j max(|p_i - p_j|, floor)^(-s), as twice i < j."""
     m = px.size

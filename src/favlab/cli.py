@@ -28,7 +28,7 @@ from . import __version__
 from .geometry import Line, Point2
 from .ifs import (DEFAULT_NODE_BUDGET, IFSystem, ResourceBudgetError,
                   generate_generation, resolve_ifs, subword_census)
-from .projections import (AngleGrid, bad_angle_measure, favard_length,
+from .projections import (AngleGrid, bad_angle_measure, favard_lengths,
                           project_generation, stacked_census)
 from .set_analysis import (box_dimension_estimate, check_discrete_alpha_set,
                            check_unrectifiable_one_set, difference_measure,
@@ -43,10 +43,13 @@ EXPERIMENTS = ("favard-scaling", "visibility-point", "vis-delta-sweep",
                "stacking", "bad-angles", "generic-census", "bridge")
 
 #: per experiment, the value each option it uses takes when unset; delta
-#: is the side of the stage-n squares, computed from (IFS, n)
+#: is the side of the stage-n squares and generic-census's subword length
+#: k the depth L = max(1, ceil(log_s N)) of fav_upper_pipeline, both
+#: computed from (IFS, n)
 DEFAULTS = {
     "favard-scaling": {"angles": 4096}, "bad-angles": {"angles": 4096},
-    "box-dim-sweep": {"angles": 360}, "stacking": {"angles": 16},
+    "box-dim-sweep": {"angles": 360}, "stacking": {"angles": 16, "k": 12.0},
+    "generic-census": {"k": lambda sys_, n: float(max(1, sys_.log_depth(n)))},
     "visibility-point": {"vantages": [(-1.0, -1.0)]},
     "vis-delta-sweep": {"delta": IFSystem.stage_side,
                         "vantages": [(-1.0, -1.0)]},
@@ -70,7 +73,7 @@ class ExperimentConfig:
     vantages: list[tuple[float, float]] = field(default_factory=list)
     lambdas: list[float] = field(default_factory=list)
     c: float = DEFAULT_C
-    k: float = 12.0
+    k: float | None = None
     alpha: float = 1.0
     C: float = 256.0
     samples: int = 100_000
@@ -116,7 +119,7 @@ def _checked(cfg: ExperimentConfig) -> tuple[IFSystem | None, list[str]]:
         for lam in cfg.lambdas:
             if not (0 < lam <= 1):
                 errs.append(f"lambda: {lam} outside (0, 1]")
-    if cfg.experiment == "generic-census" and not (
+    if cfg.experiment == "generic-census" and cfg.k is not None and not (
             float(cfg.k).is_integer() and cfg.k >= 1):
         errs.append(f"k: subword length must be an integer >= 1, "
                     f"got {cfg.k}")
@@ -193,13 +196,11 @@ def run(cfg: ExperimentConfig) -> int:
 def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
     ns = list(range(cfg.n_lo, cfg.n_hi + 1))
     if cfg.experiment == "favard-scaling":
-        grid = AngleGrid(cfg.angles)
-        rows = []
-        for n in ns:
-            gen = generate_generation(sys_, n, budget=cfg.budget)
-            rows.append([n, cfg.angles, favard_length(gen, grid)])
+        favs, merged = favard_lengths(sys_, cfg.n_hi, AngleGrid(cfg.angles))
+        rows = [[n, cfg.angles, float(favs[n])] for n in ns]
         return rows, ["n", "theta_count", "favard"], {
-            "favard": {str(r[0]): r[2] for r in rows}}
+            "favard": {str(n): float(favs[n]) for n in ns},
+            "merged": {str(n): float(merged[n]) for n in ns}}
 
     if cfg.experiment == "visibility-point":
         gen = generate_generation(sys_, cfg.n_hi, budget=cfg.budget)
@@ -386,7 +387,7 @@ def _parse_vantage(val) -> tuple[float, float]:
 
 def _set(cfg: ExperimentConfig, key: str, val) -> None:
     """Set one option of `cfg` from a config-file or flag value.  A null
-    delta or angle count stays unset, for `run` to resolve."""
+    delta, angle count or k stays unset, for `run` to resolve."""
     if key in ("vantage", "vantages", "lambdas") and not isinstance(val, list):
         raise ValueError(f"config: {key} must be a list, got {val!r}")
     elif key == "n":
@@ -400,7 +401,7 @@ def _set(cfg: ExperimentConfig, key: str, val) -> None:
     elif key == "experiment" and val != cfg.experiment:
         raise ValueError(f"config: experiment {val!r} differs from the "
                          f"subcommand {cfg.experiment!r}")
-    elif val is None and key in ("delta", "angles"):
+    elif val is None and key in ("delta", "angles", "k"):
         setattr(cfg, key, None)
     else:
         setattr(cfg, key, _typed(key, val, _FIELD_TYPES[key]))

@@ -65,6 +65,14 @@ class IFSystem:
         lams = [m.lam for m in self.maps]
         return all(abs(l - lams[0]) < 1e-15 for l in lams)
 
+    def log_depth(self, n: int) -> int:
+        """Least L >= 0 with s^L >= n, i.e. ceil(log_s n) for n >= 1,
+        computed in integers."""
+        L = 0
+        while self.s ** L < n:
+            L += 1
+        return L
+
     def stage_side(self, n: int) -> float:
         """Common side of the stage-n squares, as `generate_generation`
         computes it; only equal-ratio systems have one."""

@@ -74,8 +74,24 @@ def projection_measures(gen: Generation, thetas: np.ndarray) -> np.ndarray:
 
 
 def favard_length(gen: Generation, grid: AngleGrid) -> float:
-    """Midpoint-rule value of the direction-averaged projection length."""
+    """Midpoint-rule value of the direction-averaged projection length of
+    one generation's squares; the per-square reference of favard_lengths."""
     return float(np.mean(projection_measures(gen, grid.thetas)))
+
+
+def favard_lengths(sys: IFSystem, n: int, grid: AngleGrid):
+    """Fav(K_0), ..., Fav(K_n) by the midpoint rule, and per depth the mean
+    number of merged projection intervals per angle, from one pass that
+    carries each angle's merged projection from depth d - 1 to d."""
+    if n < 0:
+        raise ValueError("generation index must be >= 0")
+    hull = sys.hull
+    measures, counts = _kernels._depth_measures(
+        np.array([m.lam for m in sys.maps]),
+        np.array([m.z[0] for m in sys.maps]),
+        np.array([m.z[1] for m in sys.maps]), hull.corner.x, hull.corner.y,
+        hull.side, grid.thetas, n)
+    return measures.mean(axis=1), counts.mean(axis=1)
 
 
 def _prefix_sums(v: np.ndarray):
@@ -165,7 +181,7 @@ def bad_angle_measure(sys: IFSystem, L: int, grid: AngleGrid,
     """Angle-measure of {theta : sup of the stage-L counting function at
     theta - pi/2 is at most 1/sqrt(Fav(J_L))}."""
     gen = generate_generation(sys, L, budget=budget)
-    fav = favard_length(gen, grid)
+    fav = float(favard_lengths(sys, L, grid)[0][L])
     if fav <= 0:
         raise DegenerateError("Favard estimate is zero; threshold undefined")
     K = 1.0 / math.sqrt(fav)
@@ -186,7 +202,6 @@ def fav_upper_pipeline(sys: IFSystem, a: Point2, n: int, grid: AngleGrid):
         raise ValueError("vantage point too close to the hull")
     gen_n = generate_generation(sys, n)
     vis = radial_projection(gen_n, a).measure() / (2 * math.pi)
-    L = 0 if n <= 1 else math.ceil(math.log(n) / math.log(sys.s))
-    gen_l = generate_generation(sys, L)
-    bound = math.sqrt(favard_length(gen_l, grid))
+    L = sys.log_depth(n)
+    bound = math.sqrt(favard_lengths(sys, L, grid)[0][L])
     return vis, bound

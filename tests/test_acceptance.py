@@ -12,7 +12,8 @@ import pytest
 
 from favlab.geometry import Point2
 from favlab.ifs import generate_generation, preset
-from favlab.projections import AngleGrid, favard_length, project_generation
+from favlab.projections import (AngleGrid, favard_length, favard_lengths,
+                                project_generation)
 from favlab.set_analysis import (box_dimension_estimate,
                                  check_discrete_alpha_set,
                                  check_unrectifiable_one_set, riesz_energy)
@@ -33,10 +34,7 @@ def verdict(num: int, name: str, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_favard_scaling(fourcorner, grid4096):
-    favs = []
-    for n in range(2, 9):
-        gen = generate_generation(fourcorner, n)
-        favs.append(favard_length(gen, grid4096))
+    favs = list(favard_lengths(fourcorner, 8, grid4096)[0][2:9])
     products = [n * f for n, f in zip(range(2, 9), favs)]
     c0 = 1.5
     ok = (min(products) >= c0

@@ -76,3 +76,67 @@ def test_newest_earlier_record(tmp_path):
         "BENCH_ccccccc.json"
     first = record("eeeeeee", "2025-12-31T00:00:00+00:00")
     assert bench_record.newest_earlier(tmp_path, first) is None
+
+
+PARENT = [5.0, 5.2, 4.9, 5.1, 5.3, 5.0, 4.8, 5.2, 5.1, 5.0]
+
+
+def test_pair_claim_holds_on_a_clear_gain():
+    head = [3.2, 3.3, 3.1, 3.2, 3.4, 3.2, 3.1, 3.3, 3.2, 3.3]
+    got = bench_record.pair_summary(PARENT, head, "lower")
+    assert (got["wins"], got["losses"], got["ties"]) == (10, 0, 0)
+    assert got["parent"]["median"] == 5.05
+    assert got["head"]["median"] == 3.2
+    assert got["median_gain"] == pytest.approx(1.85)
+    assert got["parent_iqr"] == pytest.approx(5.2 - 4.975)
+    assert got["claim_holds"]
+    assert "holds" in bench_record.format_pairs([{"metric": "wall_s", **got}])
+
+
+def test_pair_claim_needs_nine_wins_in_ten():
+    # eight wins, a tie in pair 5 and a loss in pair 8: ties count for
+    # neither side
+    head = [3.0, 3.0, 3.0, 3.0, 3.0, 5.0, 3.0, 3.0, 5.4, 3.0]
+    got = bench_record.pair_summary(PARENT, head, "lower")
+    assert (got["wins"], got["losses"], got["ties"]) == (8, 1, 1)
+    assert not got["claim_holds"]
+    head[5] = 4.99                  # the tie becomes a win: 9 of 10
+    assert bench_record.pair_summary(PARENT, head, "lower")["claim_holds"]
+
+
+def test_pair_claim_needs_a_gap_above_the_parent_spread():
+    """Ten wins by a hair are no gain: the median gap (0.01) is inside the
+    parent's inter-quartile spread."""
+    head = [p - 0.01 for p in PARENT]
+    got = bench_record.pair_summary(PARENT, head, "lower")
+    assert got["wins"] == 10
+    assert got["median_gain"] < got["parent_iqr"]
+    assert not got["claim_holds"]
+    assert "does not hold" in bench_record.format_pairs(
+        [{"metric": "wall_s", **got}])
+
+
+def test_pair_claim_reads_the_better_direction():
+    rate = [100.0 + i for i in range(10)]
+    faster = [150.0 + i for i in range(10)]
+    assert bench_record.pair_summary(rate, faster, "higher")["claim_holds"]
+    assert not bench_record.pair_summary(rate, faster, "lower")["claim_holds"]
+    assert bench_record.pair_summary(rate, faster, "lower")["losses"] == 10
+
+
+def test_pairs_mode_refuses_too_few_pairs(capsys):
+    with pytest.raises(SystemExit):
+        bench_record.parse_args(["--checkout", "/elsewhere", "--pairs", "9",
+                                 "--workload", "projection", "--seed", "4"])
+    assert "--pairs must be >= 10" in capsys.readouterr().err
+
+
+def test_op_medians_read_the_untraced_passes(tmp_path):
+    (tmp_path / ".bench_out").mkdir()
+    passes = [{"traced": False, "ops": {"a": 1.0, "b": 5.0}},
+              {"traced": True, "ops": {"a": 9.0, "b": 9.0}},
+              {"traced": False, "ops": {"a": 3.0, "b": 6.0}},
+              {"traced": False, "ops": {"a": 2.0, "b": 4.0}}]
+    (tmp_path / ".bench_out" / "lines-full-trace0.json").write_text(
+        json.dumps({"passes": passes}))
+    assert bench_record.op_medians(tmp_path, "lines") == {"a": 2.0, "b": 5.0}

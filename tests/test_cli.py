@@ -219,7 +219,9 @@ RESOLVED = {
     "favard-scaling": {"angles": 4096},
     "bad-angles": {"angles": 4096},
     "box-dim-sweep": {"angles": 360},
-    "stacking": {"angles": 16},
+    "stacking": {"angles": 16, "k": 12.0},
+    # ceil(log_4 2) = 1
+    "generic-census": {"k": 1.0},
     "visibility-point": {"vantages": [[-1.0, -1.0]]},
     "vis-delta-sweep": {"delta": SIDE_2, "vantages": [[-1.0, -1.0]]},
     "line-scan": {"delta": SIDE_2,
@@ -244,7 +246,7 @@ class TestResolvedDefaults:
         assert main([experiment, "--n", "2", "--out", str(out)]) == 0
         cfg = json.loads((tmp_path / "o.json").read_text())["config"]
         want = RESOLVED[experiment]
-        for key in ("angles", "delta", "vantages", "lambdas"):
+        for key in ("angles", "delta", "vantages", "lambdas", "k"):
             unset = [] if key in ("vantages", "lambdas") else None
             assert cfg[key] == want.get(key, unset), key
         if "delta" in want:
@@ -341,6 +343,25 @@ class TestRuns:
         assert blob["increment"] == {
             n: energy[n] - energy[str(int(n) - 1)] for n in ("3", "4")}
         assert blob["atoms"] == {"2": 81, "3": 729, "4": 6561}
+
+    def test_favard_scaling_sidecar_merged_counts(self, tmp_path):
+        out = tmp_path / "fav.csv"
+        assert main(["favard-scaling", "--n", "0..2", "--angles", "4",
+                     "--out", str(out)]) == 0
+        blob = json.loads((tmp_path / "fav.json").read_text())
+        assert set(blob["merged"]) == {"0", "1", "2"}
+        assert blob["merged"]["0"] == 1.0
+        # more merged intervals per angle than at depth 0, fewer than 4^n
+        assert 1.0 < blob["merged"]["1"] <= 4.0
+        assert blob["merged"]["1"] < blob["merged"]["2"] <= 16.0
+
+    def test_generic_census_default_subword_length(self, tmp_path):
+        """Without --k, L is ceil(log_s N) (at least 1): 1 at N = 4."""
+        out = tmp_path / "cen.csv"
+        assert main(["generic-census", "--n", "4", "--out", str(out)]) == 0
+        cfg = json.loads((tmp_path / "cen.json").read_text())["config"]
+        assert cfg["k"] == 1.0
+        assert read_csv(out)[1][:2] == ["4", "1"]
 
     def test_generic_census_row(self, tmp_path):
         out = tmp_path / "cen.csv"

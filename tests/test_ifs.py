@@ -182,6 +182,18 @@ class TestPresets:
         assert got == [(2.0, 3.0), (2.0, 4.5), (3.5, 3.0), (3.5, 4.5)]
 
 
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 7])
+def test_log_depth_is_the_integer_ceil_log(s):
+    """s^L >= n > s^(L-1), also at the powers where a float ceil of
+    log(n) / log(s) overshoots (125 = 5^3, 216 = 6^3, 16807 = 7^5)."""
+    sys_ = IFSystem(tuple(Similitude(0.25, (0.0, 0.0)) for _ in range(s)),
+                    UNIT)
+    assert sys_.log_depth(0) == sys_.log_depth(1) == 0
+    for n in [*range(2, 300), s ** 5, s ** 5 + 1]:
+        L = sys_.log_depth(n)
+        assert s ** L >= n > s ** (L - 1)
+
+
 def test_similitude_rejects_expansion():
     with pytest.raises(ValueError):
         Similitude(1.5, (0.0, 0.0))

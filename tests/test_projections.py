@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from favlab import _kernels
 from favlab.geometry import Point2, Square
 from favlab.ifs import IFSystem, Similitude, generate_generation
 from favlab.projections import (AngleGrid, DegenerateError, bad_angle_measure,
-                                favard_length, fav_upper_pipeline, hl_maximal,
+                                favard_length, favard_lengths,
+                                fav_upper_pipeline, hl_maximal,
                                 project_generation, projection_measures,
                                 stacked_census, sup_projection_count)
 
@@ -409,3 +411,95 @@ def test_angle_grid_contract():
     assert g.thetas[-1] < math.pi
     with pytest.raises(ValueError):
         AngleGrid(0)
+
+
+# ---------------------------------------------------------------------------
+# the depth recursion of favard_lengths against the per-square flat path
+# ---------------------------------------------------------------------------
+
+def depth_measures(sys_, thetas, n):
+    """The recursion's per-depth, per-angle measures and merged counts."""
+    hull = sys_.hull
+    return _kernels._depth_measures(
+        np.array([m.lam for m in sys_.maps]),
+        np.array([m.z[0] for m in sys_.maps]),
+        np.array([m.z[1] for m in sys_.maps]), hull.corner.x, hull.corner.y,
+        hull.side, np.asarray(thetas, dtype=float), n)
+
+
+def flat_measures(sys_, thetas, n):
+    """Per depth, the measures and merged counts of all the squares."""
+    measures, counts = [], []
+    for d in range(n + 1):
+        g = generate_generation(sys_, d)
+        measures.append(_kernels.projection_measures(
+            g.corner_x, g.corner_y, g.sides, np.asarray(thetas, dtype=float)))
+        counts.append([_kernels.merge_intervals(*_kernels._projection_bounds(
+            g.corner_x, g.corner_y, g.sides, th))[0].size for th in thetas])
+    return np.array(measures), np.array(counts)
+
+
+@st.composite
+def homothety_systems(draw):
+    """A homothety IFS of 2-5 maps with unequal ratios; its images may
+    overlap and leave the hull."""
+    s = draw(st.integers(2, 5))
+    maps = tuple(Similitude(draw(st.sampled_from([0.25, 0.5]) | st.floats(
+        0.2, 0.6)), (draw(st.floats(-0.2, 0.8)), draw(st.floats(-0.2, 0.8))))
+        for _ in range(s))
+    corner = Point2(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    return IFSystem(maps, Square(corner, draw(st.floats(0.5, 2.0))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sys_=homothety_systems(), n=st.integers(0, 5),
+       thetas=st.lists(ANGLES, min_size=1, max_size=12))
+def test_depth_recursion_matches_flat_path(sys_, n, thetas):
+    n = min(n, int(math.log(4000) / math.log(sys_.s)))   # <= 4000 squares
+    got, got_counts = depth_measures(sys_, thetas, n)
+    want, want_counts = flat_measures(sys_, thetas, n)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(got_counts, want_counts)
+
+
+def test_depth_recursion_four_corner(fourcorner):
+    """n <= 7 on 512 angles; the counts are the flat merges' at n <= 5 on
+    every 8th angle."""
+    thetas = AngleGrid(512).thetas
+    got, counts = depth_measures(fourcorner, thetas, 7)
+    for n in range(8):
+        g = generate_generation(fourcorner, n)
+        want = projection_measures(g, thetas)
+        np.testing.assert_allclose(got[n], want, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(
+        counts[:6, ::8], flat_measures(fourcorner, thetas[::8], 5)[1])
+
+
+def test_depth_blocks_do_not_change_rows(fourcorner, monkeypatch):
+    """One angle per block gives the same bits as the default blocks, on
+    the four-corner set and on an unequal-ratio system; 300 angles split
+    unevenly."""
+    skew = IFSystem((Similitude(0.5, (0.0, 0.0)), Similitude(0.3, (0.6, 0.1)),
+                     Similitude(0.25, (0.2, 0.75))),
+                    Square(Point2(0.0, 0.0), 1.0))
+    thetas = AngleGrid(300).thetas
+    default = [depth_measures(fourcorner, thetas, 6),
+               depth_measures(skew, thetas, 7)]
+    monkeypatch.setattr(_kernels, "_DEPTH_BLOCK", 1)
+    single = [depth_measures(fourcorner, thetas, 6),
+              depth_measures(skew, thetas, 7)]
+    for (m0, c0), (m1, c1) in zip(default, single):
+        assert np.array_equal(m0, m1) and np.array_equal(c0, c1)
+
+
+def test_favard_lengths_are_the_flat_favard_lengths(fourcorner, gens,
+                                                    grid256):
+    favs, merged = favard_lengths(fourcorner, 5, grid256)
+    assert favs.shape == merged.shape == (6,)
+    for n in range(6):
+        assert favs[n] == pytest.approx(favard_length(gens(n), grid256),
+                                        rel=1e-14)
+    assert merged[0] == 1.0
+    assert all(a < b for a, b in zip(merged, merged[1:]))
+    with pytest.raises(ValueError):
+        favard_lengths(fourcorner, -1, grid256)

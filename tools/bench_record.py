@@ -3,6 +3,8 @@ record.
 
     python3 tools/bench_record.py                     # this checkout
     python3 tools/bench_record.py --checkout ../old   # another checkout
+    python3 tools/bench_record.py --checkout ../parent --pairs 10 \
+        --workload projection --seed 4                # paired gain check
 
 Runs the command that BENCHMARK.json declares (`perfbench/run.py`) with
 `--trace 0` once per seed (1, 2 and 3) for every workload, at the declared
@@ -14,6 +16,17 @@ spread is part of the result.
 
 It then prints the difference from the newest earlier record in `bench/`
 and flags every metric that is worse than its bound in BENCHMARK.json.
+
+With `--pairs P` it instead compares the `--checkout` (the parent) with
+this checkout (the head) on one workload and seed: P pairs of runs, the
+parent first in even pairs and the head first in odd ones, so drift in
+the host's speed hits both sides alike.  Per end-to-end metric it prints
+each side's median and quartiles and the pairs each side won (ties count
+for neither), and whether a gain claim holds: the head wins at least 9 in
+10 pairs, and its median beats the parent's by more than the parent's
+inter-quartile spread.  It also prints each side's median of the per-op
+medians that perfbench/run.py leaves in `.bench_out/`.  The runs and
+verdicts go to `bench/PAIRS_<head-rev>_<workload>.json`.
 """
 
 from __future__ import annotations
@@ -30,18 +43,38 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = ROOT / "bench"
 SEEDS = (1, 2, 3)
+#: least share of the pairs the head must win for a gain claim
+WIN_SHARE = 0.9
+MIN_PAIRS = 10
 
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--checkout", type=Path, default=ROOT,
-                   help="favlab checkout to measure (default: this one)")
-    return p.parse_args(argv)
+                   help="favlab checkout to measure (default: this one); "
+                        "with --pairs, the parent to compare this one with")
+    p.add_argument("--pairs", type=int,
+                   help=f"paired mode: number of parent/head pairs "
+                        f"(>= {MIN_PAIRS})")
+    p.add_argument("--workload", help="paired mode: the workload to run")
+    p.add_argument("--seed", type=int, help="paired mode: the seed of "
+                   "every run")
+    args = p.parse_args(argv)
+    if args.pairs is not None:
+        if args.pairs < MIN_PAIRS:
+            p.error(f"--pairs must be >= {MIN_PAIRS}")
+        if args.workload is None or args.seed is None:
+            p.error("--pairs needs --workload and --seed")
+        if args.checkout.resolve() == ROOT:
+            p.error("--pairs needs --checkout of another checkout")
+    return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     checkout = args.checkout.resolve()
+    if args.pairs is not None:
+        return main_pairs(checkout, args.workload, args.seed, args.pairs)
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     runs: dict[str, list[dict]] = {}
     env = None
@@ -70,6 +103,112 @@ def main(argv=None) -> int:
               for m in spec["end_to_end"]}
     print(format_diff(diff_records(old, record, limits)))
     return 0
+
+
+def main_pairs(parent: Path, workload: str, seed: int, pairs: int) -> int:
+    """Paired mode: alternate parent and head runs, print and record the
+    comparison of each end-to-end metric."""
+    specs = {side: json.loads((path / "BENCHMARK.json").read_text())
+             for side, path in (("parent", parent), ("head", ROOT))}
+    checkouts = {"parent": parent, "head": ROOT}
+    runs: dict[str, list[dict]] = {"parent": [], "head": []}
+    op_runs: dict[str, list[dict]] = {"parent": [], "head": []}
+    revs = {}
+    for i in range(pairs):
+        for side in (("parent", "head") if i % 2 == 0 else
+                     ("head", "parent")):
+            print(f"pair {i + 1}/{pairs}: {side} ...", file=sys.stderr,
+                  flush=True)
+            try:
+                env, result = run_once(specs[side], checkouts[side],
+                                       workload, seed)
+            except RuntimeError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+            revs[side] = (env.get("git_revision")
+                          or env["source_sha256"])[:7]
+            runs[side].append(result)
+            op_runs[side].append(op_medians(checkouts[side], workload))
+    rows = []
+    for m in specs["head"]["end_to_end"]:
+        name = m["name"]
+        rows.append({"metric": name, "better": m["better"], **pair_summary(
+            [r["metrics"][name]["value"] for r in runs["parent"]],
+            [r["metrics"][name]["value"] for r in runs["head"]],
+            m["better"])})
+    ops = {op: {side: statistics.median(r[op] for r in op_runs[side])
+                for side in op_runs}
+           for op in op_runs["head"][0]}
+    record = {
+        "parent": revs["parent"], "head": revs["head"],
+        "recorded": datetime.datetime.now(datetime.timezone.utc)
+        .isoformat(timespec="seconds"),
+        "workload": workload, "seed": seed, "pairs": pairs,
+        "seconds": specs["head"]["run_seconds"],
+        "correct": {side: all(r["correct"] for r in results)
+                    for side, results in runs.items()},
+        "metrics": rows,
+        "op_medians": ops,
+    }
+    BENCH_DIR.mkdir(exist_ok=True)
+    path = BENCH_DIR / f"PAIRS_{revs['head']}_{workload}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"{workload}, seed {seed}: parent {revs['parent']} against head "
+          f"{revs['head']}, {pairs} pairs")
+    print(format_pairs(rows))
+    for op, sides in ops.items():
+        print(f"  {op + '_s':22s} parent {sides['parent']:8.3f}  head "
+              f"{sides['head']:8.3f}")
+    if not all(record["correct"].values()):
+        print(f"CHECKS FAILED: {record['correct']}")
+    print(f"wrote {path}")
+    return 0
+
+
+def op_medians(checkout: Path, workload: str) -> dict:
+    """Per op of the last untraced run, its median time over the passes."""
+    record = json.loads((checkout / ".bench_out" /
+                         f"{workload}-full-trace0.json").read_text())
+    passes = [p["ops"] for p in record["passes"] if not p["traced"]]
+    return {op: statistics.median(p[op] for p in passes) for op in passes[0]}
+
+
+def pair_summary(parent: list, head: list, better: str) -> dict:
+    """Both sides' quartiles, the pairs each side won, and whether a gain
+    claim holds: the head wins at least WIN_SHARE of the pairs and its
+    median beats the parent's by more than the parent's inter-quartile
+    spread.  parent[i] and head[i] form pair i."""
+    sign = 1.0 if better == "lower" else -1.0
+    # gain > 0 where the head did better
+    gains = [sign * (p - h) for p, h in zip(parent, head, strict=True)]
+    p1, p2, p3 = statistics.quantiles(parent, n=4)
+    h1, h2, h3 = statistics.quantiles(head, n=4)
+    wins = sum(g > 0 for g in gains)
+    losses = sum(g < 0 for g in gains)
+    median_gain = sign * (p2 - h2)
+    return {
+        "parent": {"q1": p1, "median": p2, "q3": p3, "runs": list(parent)},
+        "head": {"q1": h1, "median": h2, "q3": h3, "runs": list(head)},
+        "wins": wins, "losses": losses, "ties": len(gains) - wins - losses,
+        "median_gain": median_gain, "parent_iqr": p3 - p1,
+        "claim_holds": (wins >= WIN_SHARE * len(gains)
+                        and median_gain > p3 - p1),
+    }
+
+
+def format_pairs(rows: list[dict]) -> str:
+    lines = [f"  {'metric':12s} {'parent q1/med/q3':>28s} "
+             f"{'head q1/med/q3':>28s} {'won':>4s} {'lost':>4s} "
+             f"{'tied':>4s}  claim"]
+    for r in rows:
+        sides = [" ".join(f"{r[side][k]:8.3f}" for k in ("q1", "median", "q3"))
+                 for side in ("parent", "head")]
+        verdict = ("holds" if r["claim_holds"] else "does not hold")
+        lines.append(f"  {r['metric']:12s} {sides[0]:>28s} {sides[1]:>28s} "
+                     f"{r['wins']:4d} {r['losses']:4d} {r['ties']:4d}  "
+                     f"{verdict} (median gain {r['median_gain']:.3f}, parent "
+                     f"IQR {r['parent_iqr']:.3f})")
+    return "\n".join(lines)
 
 
 def run_once(spec: dict, checkout: Path, workload: str, seed: int):
