@@ -7,7 +7,8 @@ Flags override a config file, whose `experiment` must name the subcommand.
 Outputs are deterministic for a fixed seed: reductions run in fixed index
 order and no timestamps enter the data files.
 
-Exit codes: 0 success, 2 validation error, 3 resource cap exceeded.
+Exit codes: 0 success, 2 validation error, 3 resource cap exceeded or an
+allocation refused.
 """
 
 from __future__ import annotations
@@ -170,9 +171,10 @@ def run(cfg: ExperimentConfig) -> int:
     try:
         cfg = _resolved(cfg, sys_)
         rows, header, summary = _dispatch(cfg, sys_)
-    except (ResourceBudgetError, ValueError) as exc:  # caps, input errors
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, ResourceBudgetError) else 2
+    except (ResourceBudgetError, MemoryError, ValueError) as exc:
+        # a cap or an allocation the host refuses exits 3, bad input 2
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        return 2 if isinstance(exc, ValueError) else 3
     sidecar = Path(cfg.out).with_suffix(".json")
     if str(sidecar) == cfg.out:
         sidecar = Path(cfg.out + ".summary.json")

@@ -19,12 +19,21 @@ from .geometry import Point2, Square
 
 #: hard cap on the number of generation squares materialized at once
 DEFAULT_NODE_BUDGET = 4 ** 10
+#: cap on the steps of one streamed engine run, counted before it starts: a
+#: step costs 1.2-1.7e-8 s on a 2-core host, so the cap stops a run near 20 s
+WORK_BUDGET = 2 ** 30
 
 Word = tuple[int, ...]
 
 
 class ResourceBudgetError(RuntimeError):
     """A requested computation exceeds the configured size budget."""
+
+
+def check_budget(what: str, need: int, unit: str, cap: int) -> None:
+    """Raise ResourceBudgetError when `what` needs more than `cap` units."""
+    if need > cap:
+        raise ResourceBudgetError(f"{what} needs {need} {unit}; cap is {cap}")
 
 
 class DimensionError(ValueError):
@@ -170,11 +179,7 @@ def generate_generation(sys: IFSystem, n: int,
     """All s^n stage-n squares, lexicographic in the word."""
     if n < 0:
         raise ValueError("generation index must be >= 0")
-    count = sys.s ** n
-    if count > budget:
-        raise ResourceBudgetError(
-            f"generation {n} needs {count} nodes; budget is {budget} "
-            f"(raise the cap to at least {count} to proceed)")
+    check_budget(f"generation {n}", sys.s ** n, "nodes", budget)
     lam_arr = np.array([m.lam for m in sys.maps])
     zx_arr = np.array([m.z[0] for m in sys.maps])
     zy_arr = np.array([m.z[1] for m in sys.maps])

@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from . import _kernels
 from .geometry import IntervalSet
-from .ifs import Generation, IFSystem, ResourceBudgetError
+from .ifs import WORK_BUDGET, Generation, IFSystem, check_budget
 from .visibility import PointCloud
 
 N_RANDOM = 10_000
@@ -327,7 +327,8 @@ def generation_energy(gen: Generation, s: float) -> float:
     so E_n = m^-2 [sum_d mult(d) max(|d|, delta)^-s - m delta^-s] with
     delta = gen.side.  The atoms are streamed as outer prefixes against a
     dense inner block, so memory is bounded at every depth; four-corner
-    has 9^n atoms against 16^n / 2 pairs.  Needs equal contraction ratios.
+    has 9^n atoms against 16^n / 2 pairs.  Needs equal contraction ratios;
+    more than WORK_BUDGET atoms raise ResourceBudgetError before any sum.
     """
     if not s > 0:
         raise ValueError("s must be positive")
@@ -335,6 +336,7 @@ def generation_energy(gen: Generation, s: float) -> float:
     lam = gen.sys.maps[0].lam
     atoms, counts = difference_measure(gen.sys)
     a, n = atoms.size, gen.n
+    check_budget(f"energy of generation {n}", a ** n, "atoms", WORK_BUDGET)
     j = n                       # inner depth
     while a ** j > _ENERGY_BLOCK:
         j -= 1
@@ -451,10 +453,8 @@ def check_well_distributed(positions, weights, delta: float, kappa: float,
     cum = np.concatenate([[0.0], np.cumsum(w_s)])
     starts = np.arange(start_lo, start_hi + g / 2, g)
     n_len = int(math.floor(max_len / g)) - int(math.ceil(delta / g)) + 1
-    if starts.size * max(n_len, 1) > INTERVAL_BUDGET:
-        raise ResourceBudgetError(
-            "well-distribution sweep exceeds the interval budget; "
-            "reduce the grid or the admissible range")
+    check_budget("well-distribution sweep", starts.size * max(n_len, 1),
+                 "intervals", INTERVAL_BUDGET)
     worst = WellDistributedResult(True, (0.0, 0.0), 0.0, 1.0)
     worst_ratio = 0.0
     length = math.ceil(delta / g) * g

@@ -20,13 +20,13 @@ import numpy as np
 from . import _kernels
 from .geometry import (TWO_PI, CircularIntervalSet, GeometryError, Line,
                        Point2, hull_arcs_of_squares)
-from .ifs import Generation, ResourceBudgetError
+from .ifs import WORK_BUDGET, Generation, check_budget
 
 #: default richness-neighborhood multiplier; large enough for ambient radius
 #: d <= 2 fixtures (checked directly in the test suite)
 DEFAULT_C = 4.0
 
-#: cap on the cells of a line family, counted as a dense count table
+#: cap on the cells that the dense oracle table `counts_table` holds
 TABLE_BUDGET = 50_000_000
 
 
@@ -169,17 +169,18 @@ def f_delta(ell: DiscreteLine, A: PointCloud, c: float = DEFAULT_C) -> int:
                                 <= c * ell.delta))
 
 
-def _check_table_budget(fam: LineFamily) -> None:
-    """Raise ResourceBudgetError past the cell cap of a dense count table."""
-    if fam.n_lines > TABLE_BUDGET:
-        raise ResourceBudgetError(
-            f"count table needs {fam.n_lines} cells; cap is {TABLE_BUDGET}")
+def _check_line_work(A: PointCloud, fam: LineFamily, m: int) -> None:
+    """Raise ResourceBudgetError past WORK_BUDGET for one stream of the
+    count rows with m vantages: per direction, it windows the cloud points
+    and the vantages and sweeps the row of k2 offsets."""
+    steps = fam.k1_count * (len(A) + 2 * fam.k2_max + 1 + m)
+    check_budget("line family", steps, "steps", WORK_BUDGET)
 
 
 def counts_table(A: PointCloud, fam: LineFamily,
                  c: float = DEFAULT_C) -> np.ndarray:
     """Dense table of f_delta over the whole family; cnt[k1, k2 - k2_min]."""
-    _check_table_budget(fam)
+    check_budget("count table", fam.n_lines, "cells", TABLE_BUDGET)
     return _kernels.line_counts_table(
         np.ascontiguousarray(A.x), np.ascontiguousarray(A.y),
         fam.delta, c, fam.k1_count, fam.k2_min, fam.k2_max)
@@ -195,7 +196,7 @@ def _window_sums(pts: np.ndarray, A: PointCloud, fam: LineFamily, c: float,
     """Yield, per direction k1, the (m,) sums of the count row k1 (of row > 0
     if occupied) over each vantage's window |t_k1(a) - k2*delta| <= reach,
     read from one prefix sum of the streamed row; no table is kept."""
-    _check_table_budget(fam)
+    _check_line_work(A, fam, len(pts))
     rows = _kernels._count_rows(
         np.ascontiguousarray(A.x), np.ascontiguousarray(A.y), fam.delta, c,
         range(fam.k1_count), fam.k2_min, fam.k2_max)
@@ -227,12 +228,17 @@ def vis_delta(vantages: Sequence[Point2], A: PointCloud, fam: LineFamily,
                             occupied=True)).tolist()
 
 
+def _richness_stats(A: PointCloud, fam: LineFamily, c: float):
+    """f_delta_stats over every direction of the family."""
+    _check_line_work(A, fam, 0)
+    return _kernels.f_delta_stats(
+        np.ascontiguousarray(A.x), np.ascontiguousarray(A.y), fam.delta, c,
+        np.ones(fam.k1_count, dtype=bool), fam.k2_min, fam.k2_max)
+
+
 def l2_norm_f(A: PointCloud, fam: LineFamily, c: float = DEFAULT_C) -> float:
     """Family-averaged squared richness (1/|L|) * sum_l f_delta(l)^2."""
-    mask = np.ones(fam.k1_count, dtype=bool)
-    sum_sq, _ = _kernels.f_delta_stats(
-        np.ascontiguousarray(A.x), np.ascontiguousarray(A.y),
-        fam.delta, c, mask, fam.k2_min, fam.k2_max)
+    sum_sq, _ = _richness_stats(A, fam, c)
     return sum_sq / fam.n_lines
 
 
@@ -340,10 +346,7 @@ class RichnessHistogram:
 
 def richness_histogram(A: PointCloud, fam: LineFamily,
                        c: float = DEFAULT_C) -> RichnessHistogram:
-    mask = np.ones(fam.k1_count, dtype=bool)
-    _, hist = _kernels.f_delta_stats(
-        np.ascontiguousarray(A.x), np.ascontiguousarray(A.y),
-        fam.delta, c, mask, fam.k2_min, fam.k2_max)
+    _, hist = _richness_stats(A, fam, c)
     buckets = {lev - 1: int(cnt) for lev, cnt in enumerate(hist) if cnt > 0}
     return RichnessHistogram(buckets, fam.n_lines)
 
@@ -358,13 +361,13 @@ def scan_line_low_visibility(ell0: Line, A: PointCloud, fam: LineFamily,
     if not all(0 < lam <= 1 for lam in lams):
         raise ValueError("lam must be in (0, 1]")
     step = fam.delta / 2 if sample_step is None else sample_step
-    if step > fam.delta:
-        raise ValueError("sample_step must be <= delta")
+    if not 0 < step <= fam.delta:          # also rejects nan
+        raise ValueError(f"sample_step must be in (0, delta], got {step}")
     if abs(ell0.offset) >= fam.d:
         return [0.0] * len(lams)
-    _check_table_budget(fam)       # before the chord samples are built
     half = math.sqrt(fam.d ** 2 - ell0.offset ** 2)
     n = max(1, int(math.floor(2 * half / step)))
+    _check_line_work(A, fam, n)    # before the chord samples are built
     ts = (np.arange(n) + 0.5) * step - half
     nx, ny = -math.sin(ell0.theta), math.cos(ell0.theta)
     dx, dy = math.cos(ell0.theta), math.sin(ell0.theta)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import favlab.cli
 from favlab.cli import (EXPERIMENTS, ExperimentConfig, _FIELD_TYPES,
                         build_parser, config_from_args, main, validate)
-from favlab.ifs import generate_generation, preset, resolve_ifs
-from favlab.visibility import TABLE_BUDGET
+from favlab.ifs import (WORK_BUDGET, generate_generation, preset,
+                        resolve_ifs)
 
 
 def read_csv(path):
@@ -380,8 +380,30 @@ class TestRuns:
                      ["line-scan", "--n", "2", "--delta", "1e-300"]):
             assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 3
             err = capsys.readouterr().err
-            assert err.startswith("error: count table needs ")
-            assert err.endswith(f"cap is {TABLE_BUDGET}\n")
+            assert err.startswith("error: line family needs ")
+            assert err.endswith(f"cap is {WORK_BUDGET}\n")
+
+    def test_bridge_reaches_n5(self, tmp_path):
+        # its family reaches the vantage at x = -9.5: 6.9e7 steps
+        out = tmp_path / "bridge.csv"
+        assert main(["bridge", "--n", "5", "--out", str(out)]) == 0
+        assert len(read_csv(out)) == 11
+
+    def test_energy_capped_on_atoms(self, tmp_path, capsys):
+        # 4^10 squares are within the node budget; 9^10 atoms are not
+        assert main(["energy", "--n", "10",
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: energy of generation 10 needs {9 ** 10} atoms; "
+            f"cap is {WORK_BUDGET}\n")
+
+    def test_refused_allocation_exit_code(self, tmp_path, capsys):
+        # numpy refuses the (samples, N) word array before allocating it
+        assert main(["generic-census", "--n", "8",
+                     "--samples", "10000000000000",
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_line_scan_runs(self, tmp_path):
         out = tmp_path / "scan.csv"

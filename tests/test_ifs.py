@@ -87,7 +87,8 @@ class TestGenerateGeneration:
                                    atol=1e-15)
 
     def test_budget_error_names_cap(self, fourcorner):
-        with pytest.raises(ResourceBudgetError, match="budget"):
+        with pytest.raises(ResourceBudgetError,
+                           match="^generation 3 needs 64 nodes; cap is 10$"):
             generate_generation(fourcorner, 3, budget=10)
 
     def test_word_roundtrip(self, gens):

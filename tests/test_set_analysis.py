@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -479,6 +480,34 @@ class TestGenerationEnergy:
     def test_rejects_bad_s(self, gens, s):
         with pytest.raises(ValueError, match="s must be positive"):
             generation_energy(gens(2), s)
+
+    @pytest.mark.parametrize("block", [7, 2 ** 15])
+    @pytest.mark.parametrize("system, n", [(None, 0), (None, 3), (None, 5),
+                                           (OVERLAPPING, 4)])
+    def test_atom_estimate_is_the_atoms_summed(self, monkeypatch, fourcorner,
+                                               block, system, n):
+        """The checked atom count, read from its refusal at cap 0, equals
+        the outer x inner atoms whose kernel terms are summed."""
+        gen = generate_generation(system or fourcorner, n)
+        monkeypatch.setattr(set_analysis, "WORK_BUDGET", 0)
+        with pytest.raises(ResourceBudgetError) as err:
+            generation_energy(gen, 1.0)
+        want = int(re.fullmatch(
+            rf"energy of generation {n} needs (\d+) atoms; cap is 0",
+            str(err.value)).group(1))
+        monkeypatch.setattr(set_analysis, "WORK_BUDGET", want)
+        monkeypatch.setattr(set_analysis, "_ENERGY_BLOCK", block)
+        sizes = []
+        atom_block = set_analysis._atom_block
+
+        def recording(*args):
+            sizes.append(args[5] - args[4])
+            return atom_block(*args)
+
+        monkeypatch.setattr(set_analysis, "_atom_block", recording)
+        generation_energy(gen, 1.0)
+        inner, *outer = sizes               # the inner block comes first
+        assert inner * sum(outer) == want
 
 
 class TestBoxDimension:

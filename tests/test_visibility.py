@@ -1,6 +1,7 @@
 """Radial projections and the discretized line-incidence machinery."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from favlab import _kernels, visibility as vis_mod
 from favlab.geometry import Line, Point2, TWO_PI, dist_point_line
-from favlab.ifs import ResourceBudgetError, generate_generation, preset
+from favlab.ifs import (WORK_BUDGET, ResourceBudgetError, generate_generation,
+                        preset)
 from favlab.transforms import radial_vs_projection_bridge
 from favlab.visibility import (DEFAULT_C, DiscreteLine, LineFamily,
                                PointCloud, build_line_family,
@@ -427,6 +429,13 @@ class TestLineScan:
         with pytest.raises(ValueError):
             scan_line_low_visibility(Line(0.0, -0.5), A, fam, [0.5, 0.0])
 
+    @pytest.mark.parametrize("step", [-0.01, 0.0, math.nan, math.inf, 1.0])
+    def test_rejects_bad_sample_step(self, k4_setup, step):
+        A, fam, table = k4_setup
+        with pytest.raises(ValueError, match="sample_step must be in"):
+            scan_line_low_visibility(Line(0.0, -0.5), A, fam, [0.5],
+                                     sample_step=step)
+
 
 def projection_count(gen, theta, r):
     """Oracle: the number of squares whose closed theta-projection, the span
@@ -647,21 +656,82 @@ class TestStreamedMatchesTable:
         assert streamed == from_table
 
 
-def test_vantage_queries_keep_table_budget():
-    """No query builds the table, but each keeps its cell cap."""
-    fam = build_line_family(0.0005, 2.0)
-    assert fam.n_lines > vis_mod.TABLE_BUDGET
-    A = PointCloud(np.array([[0.0, 0.0]]), 0.0005)
+def test_line_queries_keep_work_budget():
+    """Each query over the line family refuses a stream past the work cap,
+    directions x (points + offsets + vantages), before it counts a row."""
+    fam = build_line_family(1e-4, 2.0)
+    A = PointCloud(np.array([[0.0, 0.0]]), 1e-4)
     a = Point2(-1.0, 0.0)
+    chord = int(math.floor(2 * math.sqrt(2.0 ** 2 - 0.5 ** 2)
+                           / (fam.delta / 2)))
     queries = [
-        lambda: vis_delta([a], A, fam),
-        lambda: mass(a, (0.0, TWO_PI), A, fam),
-        lambda: cone_count(a, (0.0, TWO_PI), A, fam),
-        lambda: select_intervals(a, A, fam, 12),
-        lambda: scan_line_low_visibility(Line(0.0, 0.5), A, fam, [0.5]),
-        lambda: radial_vs_projection_bridge(A, [-1.0], fam),
+        (lambda: vis_delta([a], A, fam), 1),
+        (lambda: mass(a, (0.0, TWO_PI), A, fam), 1),
+        (lambda: cone_count(a, (0.0, TWO_PI), A, fam), 1),
+        (lambda: select_intervals(a, A, fam, 12), 1),
+        (lambda: scan_line_low_visibility(Line(0.0, 0.5), A, fam, [0.5]),
+         chord),
+        (lambda: radial_vs_projection_bridge(A, [-1.0], fam), 1),
+        (lambda: l2_norm_f(A, fam), 0),
+        (lambda: richness_histogram(A, fam), 0),
+    ]
+    for query, m in queries:
+        work = fam.k1_count * (len(A) + 2 * fam.k2_max + 1 + m)
+        assert work > WORK_BUDGET
+        with mock.patch.object(_kernels, "_count_rows",
+                               side_effect=AssertionError("streamed")), \
+                pytest.raises(ResourceBudgetError,
+                              match=f"^line family needs {work} steps; "
+                                    f"cap is {WORK_BUDGET}$"):
+            query()
+
+
+def streamed_steps(query):
+    """Run query, counting the steps its streams take: per direction
+    windowed, the points or vantages windowed, and per row, its length."""
+    steps = 0
+    windows, rows = _kernels._direction_windows, _kernels._count_rows
+
+    def counting_windows(px, *args):
+        nonlocal steps
+        for window in windows(px, *args):
+            steps += px.size
+            yield window
+
+    def counting_rows(*args):
+        nonlocal steps
+        for row in rows(*args):
+            steps += row.size
+            yield row
+
+    with mock.patch.object(_kernels, "_direction_windows", counting_windows), \
+            mock.patch.object(_kernels, "_count_rows", counting_rows):
+        query()
+    return steps
+
+
+def checked_work(query):
+    """The line work that query checks, read from its refusal at cap 0."""
+    with mock.patch.object(vis_mod, "WORK_BUDGET", 0), \
+            pytest.raises(ResourceBudgetError) as err:
+        query()
+    return int(re.fullmatch(r"line family needs (\d+) steps; cap is 0",
+                            str(err.value)).group(1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_line_work_estimate_is_the_streamed_steps(gens, n):
+    """The checked estimate is exactly what the streams then process."""
+    gen = gens(n)
+    A = cloud_from_generation(gen)
+    fam = build_line_family(float(gen.side), 2.5)
+    vantages = [Point2(-1.0, -1.0), Point2(0.3, 0.4), Point2(2.0, 0.0)]
+    queries = [
+        lambda: vis_delta(vantages, A, fam),
+        lambda: scan_line_low_visibility(Line(0.3, -0.5), A, fam, [0.5]),
+        lambda: scan_line_low_visibility(Line(1.0, 0.2), A, fam, [0.5],
+                                         sample_step=fam.delta / 3),
+        lambda: l2_norm_f(A, fam),
     ]
     for query in queries:
-        with pytest.raises(ResourceBudgetError,
-                           match=f"count table needs {fam.n_lines} cells"):
-            query()
+        assert checked_work(query) == streamed_steps(query)
