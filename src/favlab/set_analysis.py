@@ -28,9 +28,11 @@ RECT_CENTERS = 200
 RECT_ORIENTATIONS = 64
 #: cap on the (start, length) intervals of one well-distribution sweep
 INTERVAL_BUDGET = 20_000_000
-# elements per strip-mass pass: 64 KiB temporaries stay under glibc's 128 KiB
-# mmap threshold (2^14 and more ran the n=6 line check at half speed)
-_STRIP_BLOCK = 2 ** 13
+# elements per pass of the line check (strip masses summed, and the window
+# points evaluated) and of the rectangle census (centre distances): 64 KiB
+# temporaries stay under glibc's 128 KiB mmap threshold and in cache (2^14
+# and more ran the dense n=6 line check at half speed)
+_BLOCK = 2 ** 13
 # difference atoms per kernel pass of generation_energy: four-corner n=9
 # ran in 3.4 s at 2^15 on a 2-core host, 3.7-4.4 s at 2^13, 2^14 and 2^16
 _ENERGY_BLOCK = 2 ** 15
@@ -131,13 +133,76 @@ def _strip_masses(dist: np.ndarray, radius: float,
     return (inner - outer) / (math.pi * radius ** 2)
 
 
+def _strip_windows(ts: np.ndarray, offsets: np.ndarray, radius: float,
+                   halfwidth: float):
+    """Per offset, the ranges of the sorted projections ts with a non-zero
+    strip mass, [lo, hi), and with the whole mass, [clo, chi).
+
+    The mass is 0 where the inner clip argument of _strip_masses is >= 1 and
+    whole where it is <= -1.  Both tests are monotone in dist, so testing
+    the points just outside [lo, hi) and the outermost of [clo, chi) makes
+    the ranges exact: where rounding fails a test, [lo, hi) is widened to
+    every point or [clo, chi) emptied.
+    """
+    m = ts.size
+
+    def clip_arg(j):
+        dist = np.abs(ts[np.clip(j, 0, m - 1)] - offsets)
+        return (dist - halfwidth) / radius
+
+    reach, core = halfwidth + 2 * radius, halfwidth - 2 * radius
+    lo = np.searchsorted(ts, offsets - reach)
+    hi = np.searchsorted(ts, offsets + reach, side="right")
+    lo[(lo > 0) & ~(clip_arg(lo - 1) >= 1)] = 0
+    hi[(hi < m) & ~(clip_arg(hi) >= 1)] = m
+    clo = np.searchsorted(ts, offsets - core)
+    chi = np.searchsorted(ts, offsets + core, side="right")
+    whole = (chi > clo) & (clip_arg(clo) <= -1) & (clip_arg(chi - 1) <= -1)
+    return lo, clo, np.where(whole, chi, clo), hi
+
+
+def _strip_sums(t: np.ndarray, offsets: np.ndarray, radius: float,
+                halfwidth: float, block: np.ndarray) -> np.ndarray:
+    """Per offset, the strip mass of all points, summed in a row of the
+    zeroed (rows, m) block.  Only the points in the offset's _strip_windows
+    range are evaluated and scattered into the row in their original order,
+    so it sums the same values in the same places as a dense row would."""
+    rows, m = block.shape
+    flat = block.reshape(-1)
+    order = np.argsort(t)
+    ts = t[order]
+    lo, clo, chi, hi = _strip_windows(ts, offsets, radius, halfwidth)
+    whole = _strip_masses(np.zeros(1), radius, halfwidth)[0]
+    ends = np.zeros(offsets.size + 1, dtype=np.int64)
+    np.cumsum(hi - lo, out=ends[1:])     # window points of offsets before
+    sums = np.empty(offsets.size)
+    a = 0
+    while a < offsets.size:              # passes of about _BLOCK points
+        fit = int(np.searchsorted(ends, ends[a] + _BLOCK, "right")) - 1 - a
+        b = min(a + max(rows, fit - fit % rows), offsets.size)
+        k = np.repeat(np.arange(a, b), hi[a:b] - lo[a:b])
+        j = lo[k] + np.arange(k.size) - (ends[k] - ends[a])
+        vals = np.full(j.size, whole)
+        edge = (j < clo[k]) | (j >= chi[k])
+        vals[edge] = _strip_masses(np.abs(ts[j[edge]] - offsets[k[edge]]),
+                                   radius, halfwidth)
+        pos = (k - a) % rows * m + order[j]
+        for s in range(a, b, rows):
+            e = slice(ends[s] - ends[a], ends[min(s + rows, b)] - ends[a])
+            flat[pos[e]] = vals[e]
+            sums[s:s + rows] = block[:min(rows, b - s)].sum(axis=1)
+            flat[pos[e]] = 0.0
+        a = b
+    return sums
+
+
 def _line_check(A: PointCloud, C: float, rng: np.random.Generator,
                 n_random: int) -> CheckResult:
     pts = A.points
     m = len(pts)
     halfwidth = 1.0 / C
     bound = m / 10.0
-    rows = max(1, _STRIP_BLOCK // m)     # offsets per strip-mass pass
+    block = np.zeros((max(1, _BLOCK // m), m))   # one row per offset
     # deterministic design: axis and diagonal lines through every point
     fixed_thetas = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4]
     n_theta = max(1, int(math.sqrt(n_random)))
@@ -152,10 +217,7 @@ def _line_check(A: PointCloud, C: float, rng: np.random.Generator,
             center = 0.5 * (t.min() + t.max())
             offsets = rng.uniform(center - scale, center + scale,
                                   n_random // n_theta)
-        masses = np.concatenate([
-            _strip_masses(np.abs(t - offsets[a:a + rows, None]), A.delta,
-                          halfwidth).sum(axis=1)
-            for a in range(0, offsets.size, rows)])
+        masses = _strip_sums(t, offsets, A.delta, halfwidth, block)
         i = int(np.argmax(masses))
         best.append((theta, offsets[i], masses[i]))
     best = np.array(best)
@@ -202,6 +264,19 @@ def check_discrete_alpha_set(A: PointCloud, alpha: float, C: float,
                           n_random=n_random)
 
 
+def _dyadic_level(x: np.ndarray, xc: np.ndarray, delta: float, levels: int,
+                  out: np.ndarray) -> np.ndarray:
+    """ceil(log2(max(2|x - xc|/delta, 1))) clipped to [0, levels], in out."""
+    np.subtract(x, xc[:, None], out=out)
+    np.abs(out, out=out)
+    np.multiply(out, 2, out=out)
+    np.divide(out, delta, out=out)
+    np.maximum(out, 1.0, out=out)
+    np.log2(out, out=out)
+    np.ceil(out, out=out)
+    return np.minimum(out, levels, out=out)
+
+
 def _rectangle_census(A: PointCloud, rng: np.random.Generator):
     """Counts |A n R| over dyadic-dimension rotated rectangles.
 
@@ -219,8 +294,11 @@ def _rectangle_census(A: PointCloud, rng: np.random.Generator):
     centers = np.concatenate([
         pts[idx],
         rng.uniform(lo, hi, size=(RECT_CENTERS - len(idx), 2))])
-    counts = np.zeros((RECT_ORIENTATIONS, len(centers), levels + 1,
-                       levels + 1), dtype=np.int64)
+    k, side = len(centers), levels + 1
+    counts = np.empty((RECT_ORIENTATIONS, k, side, side), dtype=np.int64)
+    rows = max(1, _BLOCK // m)           # centres per pass
+    du, dv = np.empty((rows, m)), np.empty((rows, m))
+    base = np.arange(rows)[:, None] * side
     for j in range(RECT_ORIENTATIONS):
         phi = j * math.pi / RECT_ORIENTATIONS
         c, s = math.cos(phi), math.sin(phi)
@@ -228,18 +306,16 @@ def _rectangle_census(A: PointCloud, rng: np.random.Generator):
         v = -pts[:, 0] * s + pts[:, 1] * c
         uc = centers[:, 0] * c + centers[:, 1] * s
         vc = -centers[:, 0] * s + centers[:, 1] * c
-        du = np.abs(u[None, :] - uc[:, None])
-        dv = np.abs(v[None, :] - vc[:, None])
-        with np.errstate(divide="ignore"):
-            iu = np.ceil(np.log2(np.maximum(2 * du / A.delta, 1.0))).astype(int)
-            iv = np.ceil(np.log2(np.maximum(2 * dv / A.delta, 1.0))).astype(int)
-        np.clip(iu, 0, levels, out=iu)
-        np.clip(iv, 0, levels, out=iv)
-        flat = (np.arange(len(centers))[:, None] * (levels + 1) + iu
-                ) * (levels + 1) + iv
-        hist = np.bincount(flat.ravel(),
-                           minlength=len(centers) * (levels + 1) ** 2)
-        counts[j] = hist.reshape(len(centers), levels + 1, levels + 1)
+        for a in range(0, k, rows):
+            r = min(rows, k - a)
+            iu = _dyadic_level(u, uc[a:a + r], A.delta, levels, du[:r])
+            iv = _dyadic_level(v, vc[a:a + r], A.delta, levels, dv[:r])
+            iu += base[:r]
+            iu *= side
+            iu += iv                             # (centre, iu, iv) cell
+            counts[j, a:a + r] = np.bincount(
+                iu.astype(np.intp).ravel(), minlength=r * side * side
+            ).reshape(r, side, side)
     counts = counts.cumsum(axis=2).cumsum(axis=3)
     radii = A.delta * 2.0 ** np.arange(levels)
     return counts[:, :, :levels, :levels], radii

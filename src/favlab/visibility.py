@@ -366,7 +366,8 @@ def scan_line_low_visibility(ell0: Line, A: PointCloud, fam: LineFamily,
     if abs(ell0.offset) >= fam.d:
         return [0.0] * len(lams)
     half = math.sqrt(fam.d ** 2 - ell0.offset ** 2)
-    n = max(1, int(math.floor(2 * half / step)))
+    ratio = 2 * half / step                # inf for a tiny step
+    n = max(1, math.floor(ratio)) if math.isfinite(ratio) else ratio
     _check_line_work(A, fam, n)    # before the chord samples are built
     ts = (np.arange(n) + 0.5) * step - half
     nx, ny = -math.sin(ell0.theta), math.cos(ell0.theta)

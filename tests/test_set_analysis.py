@@ -14,10 +14,12 @@ from favlab.geometry import IntervalSet, Point2, Square
 from favlab.ifs import (IFSystem, ResourceBudgetError, Similitude,
                         generate_generation)
 from favlab.projections import project_generation
-from favlab.set_analysis import (KAPPA_GRID, CheckResult, SetCertificate,
+from favlab.set_analysis import (KAPPA_GRID, RECT_CENTERS, RECT_ORIENTATIONS,
+                                 CheckResult, SetCertificate,
                                  UndefinedDimensionError, _ball_check,
-                                 _covering_count_intervals, _diameter,
-                                 _rectangle_census, _strip_masses,
+                                 _bbox, _covering_count_intervals, _diameter,
+                                 _line_check, _rectangle_census,
+                                 _strip_masses, _strip_windows,
                                  box_dimension_estimate,
                                  check_discrete_alpha_set,
                                  check_unrectifiable_one_set,
@@ -231,6 +233,53 @@ def line_check_loop(A, C, rng, n_random):
     return worst
 
 
+def rectangle_census_dense(A, rng):
+    """The census the centre blocks replaced: dense 200 x m distance and level
+    arrays per orientation, one bincount each."""
+    pts = A.points
+    m = len(pts)
+    diam = _diameter(pts)
+    levels = max(1, math.ceil(math.log2(diam / A.delta))) + 1
+    half = RECT_CENTERS // 2
+    idx = rng.choice(m, size=min(half, m), replace=False)
+    lo, hi = _bbox(pts)
+    centers = np.concatenate([
+        pts[idx],
+        rng.uniform(lo, hi, size=(RECT_CENTERS - len(idx), 2))])
+    counts = np.zeros((RECT_ORIENTATIONS, len(centers), levels + 1,
+                       levels + 1), dtype=np.int64)
+    for j in range(RECT_ORIENTATIONS):
+        phi = j * math.pi / RECT_ORIENTATIONS
+        c, s = math.cos(phi), math.sin(phi)
+        u = pts[:, 0] * c + pts[:, 1] * s
+        v = -pts[:, 0] * s + pts[:, 1] * c
+        uc = centers[:, 0] * c + centers[:, 1] * s
+        vc = -centers[:, 0] * s + centers[:, 1] * c
+        du = np.abs(u[None, :] - uc[:, None])
+        dv = np.abs(v[None, :] - vc[:, None])
+        with np.errstate(divide="ignore"):
+            iu = np.ceil(np.log2(np.maximum(2 * du / A.delta, 1.0))).astype(int)
+            iv = np.ceil(np.log2(np.maximum(2 * dv / A.delta, 1.0))).astype(int)
+        np.clip(iu, 0, levels, out=iu)
+        np.clip(iv, 0, levels, out=iv)
+        flat = (np.arange(len(centers))[:, None] * (levels + 1) + iu
+                ) * (levels + 1) + iv
+        hist = np.bincount(flat.ravel(),
+                           minlength=len(centers) * (levels + 1) ** 2)
+        counts[j] = hist.reshape(len(centers), levels + 1, levels + 1)
+    counts = counts.cumsum(axis=2).cumsum(axis=3)
+    radii = A.delta * 2.0 ** np.arange(levels)
+    return counts[:, :, :levels, :levels], radii
+
+
+def assert_census_matches_dense(A, seed):
+    counts, radii = _rectangle_census(A, np.random.default_rng(seed))
+    want, want_radii = rectangle_census_dense(A, np.random.default_rng(seed))
+    assert counts.dtype == want.dtype
+    assert np.array_equal(counts, want)
+    assert np.array_equal(radii, want_radii)
+
+
 def rectangle_loop(A, C, seed):
     """The (orientation, centre) loop the whole-array rectangle and kappa
     reductions replaced: (rectangle check, kappa estimate)."""
@@ -327,6 +376,96 @@ def test_certifier_matches_loops(A, C, seed, n_random):
                                             "rectangle": rectangle},
                           kappa, seed, n_random)
     assert cert.to_json() == want.to_json()
+
+
+@settings(max_examples=30, deadline=None)
+@given(A=small_clouds(), seed=st.integers(0, 2**31))
+def test_census_matches_dense(A, seed):
+    assert_census_matches_dense(A, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_census_matches_dense_on_four_corner(gens, n):
+    assert_census_matches_dense(cloud_from_generation(gens(n)), n)
+
+
+def test_census_matches_dense_on_level_ties():
+    """At orientation 0, u = x and v = y exactly, so a centre at the origin
+    puts 2|du|/delta and 2|dv|/delta on 2^k and one ulp either side, where
+    the rounding of log2 decides the level."""
+    delta = 1 / 64
+    ts = [t for k in range(7) for t0 in [delta / 2 * 2.0 ** k]
+          for t in (np.nextafter(t0, 0.0), t0, np.nextafter(t0, 1.0))]
+    pts = [(0.0, 0.0)] + [(t, 0.0) for t in ts] + [(0.0, t) for t in ts]
+    assert len(pts) <= RECT_CENTERS // 2     # every point is a centre
+    for seed in range(3):
+        assert_census_matches_dense(PointCloud(np.array(pts), delta), seed)
+
+
+@st.composite
+def strip_windows_cases(draw):
+    """Sorted projections, offsets among and between them, a ball radius and
+    a strip halfwidth: on a 1/64 grid (ties), in general position, or one
+    ulp apart, where rounding moves the searchsorted ranges."""
+    kind = draw(st.sampled_from(["grid", "float", "ulp"]))
+    if kind == "grid":
+        ts = [k / 64 for k in draw(st.lists(st.integers(0, 63), min_size=1,
+                                            max_size=40))]
+        radius = draw(st.sampled_from([1 / 64, 1 / 32, 0.01]))
+    elif kind == "float":
+        ts = draw(st.lists(st.floats(0, 1), min_size=1, max_size=40))
+        radius = draw(st.sampled_from([1 / 64, 0.01, 0.1]))
+    else:
+        base = draw(st.sampled_from([1.0, 0.75, 1e6]))
+        ulp = math.ulp(base)
+        ks = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=40))
+        ts = [base + k * ulp for k in ks]
+        radius = draw(st.sampled_from([0.3, 1.0, 2.5])) * ulp
+    ts = np.sort(np.array(ts))
+    offsets = np.concatenate([
+        ts[draw(st.lists(st.integers(0, ts.size - 1), max_size=5))],
+        draw(st.lists(st.floats(ts[0] - 4 * radius, ts[-1] + 4 * radius),
+                      min_size=1, max_size=5))])
+    ratio = draw(st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0, 5.0]),
+                           st.floats(0.01, 20.0)))
+    halfwidth = float(np.nextafter(ratio * radius, draw(st.sampled_from(
+        [0.0, math.inf]))) if draw(st.booleans()) else ratio * radius)
+    return ts, offsets, radius, halfwidth
+
+
+@settings(max_examples=200, deadline=None)
+# ulp-spaced points where searchsorted at halfwidth - 2 delta takes in a point
+# whose inner clip argument rounds above -1
+@example(case=(0.75 + np.arange(-6, 7) * 2.0 ** -53,
+               np.array([0.75 - 2.0 ** -52]), 2.0 ** -55, 1.23 * 2.0 ** -53))
+# a halfwidth one ulp past |offset|, where |t - o| rounds down to the
+# halfwidth for the float t just outside o -/+ reach: it keeps half a mass
+@example(case=(np.array([np.nextafter(-2.0 ** -54, -1.0),
+                         np.nextafter(2.0 ** -54, 1.0)]),
+               np.array([0.3, -0.3]), 1e-20, 0.3 + 2.0 ** -54))
+@given(case=strip_windows_cases())
+def test_strip_windows_bound_the_masses(case):
+    """Every point outside [lo, hi) has mass exactly 0, and every point in
+    [clo, chi) has exactly the whole mass."""
+    ts, offsets, radius, halfwidth = case
+    lo, clo, chi, hi = _strip_windows(ts, offsets, radius, halfwidth)
+    whole = _strip_masses(np.zeros(1), radius, halfwidth)[0]
+    for i, off in enumerate(offsets):
+        masses = _strip_masses(np.abs(ts - off), radius, halfwidth)
+        assert 0 <= lo[i] <= clo[i] <= chi[i] <= hi[i] <= ts.size
+        assert not masses[:lo[i]].any() and not masses[hi[i]:].any()
+        assert (masses[clo[i]:chi[i]] == whole).all()
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("C", [4.0, 256.0, 1e4])
+def test_line_check_matches_loop_on_four_corner(gens, n, C):
+    """Strips wider than 2 delta (C=4, 256) have a whole-mass core; C=1e4
+    gives halfwidth < delta; n=5 has 1024 points, so 8 offsets share a
+    strip-mass sum."""
+    A = cloud_from_generation(gens(n))
+    assert _line_check(A, C, np.random.default_rng(n), 2000) == \
+        line_check_loop(A, C, np.random.default_rng(n), 2000)
 
 
 class TestRieszEnergy:

@@ -686,6 +686,16 @@ def test_line_queries_keep_work_budget():
             query()
 
 
+def test_line_scan_tiny_step_hits_the_work_cap():
+    """A step so small that the chord's sample count is an infinite float is
+    refused by the work cap, not by an OverflowError from int()."""
+    fam = build_line_family(0.1, 2.0)
+    A = PointCloud(np.array([[0.0, 0.0]]), 0.1)
+    with pytest.raises(ResourceBudgetError, match="^line family needs inf "):
+        scan_line_low_visibility(Line(0.0, 0.0), A, fam, [0.5],
+                                 sample_step=1e-320)
+
+
 def streamed_steps(query):
     """Run query, counting the steps its streams take: per direction
     windowed, the points or vantages windowed, and per row, its length."""
