@@ -157,8 +157,8 @@ def _strip_windows(ts: np.ndarray, offsets: np.ndarray, radius: float,
     hi[(hi < m) & ~(clip_arg(hi) >= 1)] = m
     clo = np.searchsorted(ts, offsets - core)
     chi = np.searchsorted(ts, offsets + core, side="right")
-    whole = (chi > clo) & (clip_arg(clo) <= -1) & (clip_arg(chi - 1) <= -1)
-    return lo, clo, np.where(whole, chi, clo), hi
+    full = (chi > clo) & (clip_arg(clo) <= -1) & (clip_arg(chi - 1) <= -1)
+    return lo, clo, np.where(full, chi, clo), hi
 
 
 def _strip_sums(t: np.ndarray, offsets: np.ndarray, radius: float,
@@ -202,7 +202,7 @@ def _line_check(A: PointCloud, C: float, rng: np.random.Generator,
     m = len(pts)
     halfwidth = 1.0 / C
     bound = m / 10.0
-    block = np.zeros((max(1, _BLOCK // m), m))   # one row per offset
+    block = np.zeros((max(1, _BLOCK // m), m))   # a row per offset summed
     # deterministic design: axis and diagonal lines through every point
     fixed_thetas = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4]
     n_theta = max(1, int(math.sqrt(n_random)))
