@@ -22,12 +22,32 @@ def merge_intervals(lo: np.ndarray, hi: np.ndarray):
     """
     lo = np.sort(lo)
     hi = np.sort(hi)
+    k = _merge_sorted(lo, hi)
+    return lo[:k].copy(), hi[:k].copy()
+
+
+#: elements per pass of _merge_sorted
+_MERGE_BLOCK = 2 ** 16
+
+
+def _merge_sorted(lo: np.ndarray, hi: np.ndarray) -> int:
+    """Merge in place the intervals whose sorted lo and sorted hi values
+    the arrays hold: the k merged intervals' lo and hi values are written,
+    in order, to the first k entries of lo and hi, and k is returned.
+    Passes of _MERGE_BLOCK entries keep the temporaries small."""
     # lo[i] > hi[i-1] + MERGE_TOL means the i intervals opening before lo[i]
     # have all closed (lo <= hi puts the i smallest hi among them), so a
-    # merged interval starts at lo[i] and the one before it ends at hi[i-1]
-    gap = np.flatnonzero(lo[1:] > hi[:-1] + MERGE_TOL)
-    return (np.concatenate((lo[:1], lo[gap + 1])),
-            np.concatenate((hi[gap], hi[-1:])))
+    # merged interval starts at lo[i] and the one before it ends at hi[i-1].
+    # A pass over [i, j) writes below index j - 1, where no later pass reads.
+    k = min(lo.size, 1)
+    for i in range(1, lo.size, _MERGE_BLOCK):
+        j = min(i + _MERGE_BLOCK, lo.size)
+        opens = np.flatnonzero(lo[i:j] > hi[i - 1:j - 1] + MERGE_TOL)
+        hi[k - 1:k - 1 + opens.size] = hi[i - 1:j - 1][opens]
+        lo[k:k + opens.size] = lo[i:j][opens]
+        k += opens.size
+    hi[k - 1:k] = hi[-1:]
+    return k
 
 
 def union_measure_np(lo: np.ndarray, hi: np.ndarray) -> float:

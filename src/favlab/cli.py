@@ -37,7 +37,7 @@ from .set_analysis import (box_dimension_estimate, check_discrete_alpha_set,
 from .transforms import radial_vs_projection_bridge
 from .visibility import (DEFAULT_C, build_line_family, cloud_from_generation,
                          radial_projection_balls, scan_line_low_visibility,
-                         vis_delta, visibility)
+                         streamed_visibility, vis_delta)
 
 EXPERIMENTS = ("favard-scaling", "visibility-point", "vis-delta-sweep",
                "line-scan", "certify-set", "energy", "box-dim-sweep",
@@ -104,9 +104,11 @@ def _checked(cfg: ExperimentConfig) -> tuple[IFSystem | None, list[str]]:
     if cfg.n_lo < 0 or cfg.n_hi < cfg.n_lo:
         errs.append("n: need 0 <= lo <= hi")
     # s^n > budget already at n = budget.bit_length() (s >= 2), so the
-    # power is capped there instead of growing with a huge n
-    if sys_ is not None and (sys_.s ** min(cfg.n_hi, cfg.budget.bit_length())
-                             > cfg.budget):
+    # power is capped there instead of growing with a huge n; the streamed
+    # visibility builds no generation and checks its own work
+    if (sys_ is not None and cfg.experiment != "visibility-point"
+            and sys_.s ** min(cfg.n_hi, cfg.budget.bit_length())
+            > cfg.budget):
         errs.append(f"n: depth {cfg.n_hi} exceeds node budget "
                     f"({sys_.s}^{cfg.n_hi} > {cfg.budget})")
     if cfg.delta is not None and not cfg.delta > 0:
@@ -205,11 +207,13 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
             "merged": {str(n): float(merged[n]) for n in ns}}
 
     if cfg.experiment == "visibility-point":
-        gen = generate_generation(sys_, cfg.n_hi, budget=cfg.budget)
-        rows = [[vx, vy, visibility(gen, Point2(vx, vy))]
-                for vx, vy in cfg.vantages]
+        found = streamed_visibility(
+            sys_, cfg.n_hi, [Point2(vx, vy) for vx, vy in cfg.vantages])
+        rows = [[vx, vy, vis]
+                for (vx, vy), (vis, _) in zip(cfg.vantages, found)]
         return rows, ["vantage_x", "vantage_y", "vis"], {
-            "vis": [r[2] for r in rows]}
+            "vis": [vis for vis, _ in found],
+            "arcs": [arcs for _, arcs in found]}
 
     if cfg.experiment == "vis-delta-sweep":
         gen = generate_generation(sys_, cfg.n_hi, budget=cfg.budget)

@@ -176,36 +176,8 @@ class CircularIntervalSet:
     def from_arcs(cls, arcs) -> "CircularIntervalSet":
         """Union of (start, length) arcs, given as any (k, 2) array-like;
         start anywhere, length in (0, 2pi]."""
-        arcs = np.asarray(arcs if hasattr(arcs, "__len__") else list(arcs),
-                          dtype=float)
-        if arcs.size == 0:
-            return cls()
-        if arcs.ndim != 2 or arcs.shape[1] != 2:
-            raise GeometryError(f"arcs of shape {arcs.shape}, not (k, 2)")
-        start, length = arcs.T
-        bad = length[~((0 < length) & (length <= TWO_PI + MERGE_TOL))]
-        if bad.size:
-            raise GeometryError(f"arc length {bad[0]} outside (0, 2pi]")
-        if not np.isfinite(start).all():
-            raise GeometryError("non-finite arc start")
-        if np.any(length >= TWO_PI - MERGE_TOL):
-            return cls.full()
-        # split the arcs that cross the 0 = 2pi seam
-        s = np.remainder(start, TWO_PI)
-        e = s + length
-        wrap = e > TWO_PI
-        mlo, mhi = _kernels.merge_intervals(
-            np.concatenate([s, np.zeros(np.count_nonzero(wrap))]),
-            np.concatenate([np.minimum(e, TWO_PI), e[wrap] - TWO_PI]))
-        lengths = mhi - mlo
-        if float(np.sum(lengths)) >= TWO_PI - MERGE_TOL:
-            return cls.full()
-        if (mlo.size >= 2 and mlo[0] <= MERGE_TOL
-                and mhi[-1] >= TWO_PI - MERGE_TOL):
-            # rejoin across the seam: the first arc continues the last one
-            lengths[-1] += lengths[0]
-            mlo, lengths = mlo[1:], lengths[1:]
-        return cls(tuple(zip(mlo.tolist(), lengths.tolist())))
+        starts, lengths = _seam_joined(*_seam_merged(arcs))
+        return cls(tuple(zip(starts.tolist(), lengths.tolist())))
 
     @property
     def arcs(self) -> tuple[tuple[float, float], ...]:
@@ -234,14 +206,62 @@ class CircularIntervalSet:
         return f"CircularIntervalSet({self._arcs!r})"
 
 
+def _seam_merged(arcs):
+    """Checked (start, length) arcs, given as any (k, 2) array-like, split
+    at the 0 = 2pi seam and merged: (lo, hi) arrays on [0, 2pi], and
+    whether one arc alone covers the circle (the arrays are then empty).
+
+    Merging the outputs of several calls again with merge_intervals gives
+    the output of one call on all the arcs, bit for bit: a merged interval
+    keeps the least lo and the greatest hi of its members, and
+    fl(hi + MERGE_TOL) grows with hi, so the gaps that split the union are
+    the same."""
+    arcs = np.asarray(arcs if hasattr(arcs, "__len__") else list(arcs),
+                      dtype=float)
+    if arcs.size == 0:
+        return np.empty(0), np.empty(0), False
+    if arcs.ndim != 2 or arcs.shape[1] != 2:
+        raise GeometryError(f"arcs of shape {arcs.shape}, not (k, 2)")
+    start, length = arcs.T
+    bad = length[~((0 < length) & (length <= TWO_PI + MERGE_TOL))]
+    if bad.size:
+        raise GeometryError(f"arc length {bad[0]} outside (0, 2pi]")
+    if not np.isfinite(start).all():
+        raise GeometryError("non-finite arc start")
+    if np.any(length >= TWO_PI - MERGE_TOL):
+        return np.empty(0), np.empty(0), True
+    s = np.remainder(start, TWO_PI)
+    e = s + length
+    wrap = e > TWO_PI
+    return (*_kernels.merge_intervals(
+        np.concatenate([s, np.zeros(np.count_nonzero(wrap))]),
+        np.concatenate([np.minimum(e, TWO_PI), e[wrap] - TWO_PI])), False)
+
+
+def _seam_joined(mlo: np.ndarray, mhi: np.ndarray, full: bool):
+    """(starts, lengths) arrays of the arcs that `_seam_merged`'s output
+    makes: one arc (0, 2pi) when they cover the circle, and the intervals
+    at the two ends of [0, 2pi] joined into one arc across the seam."""
+    lengths = mhi - mlo
+    if full or float(np.sum(lengths)) >= TWO_PI - MERGE_TOL:
+        return np.zeros(1), np.full(1, TWO_PI)
+    if (mlo.size >= 2 and mlo[0] <= MERGE_TOL
+            and mhi[-1] >= TWO_PI - MERGE_TOL):
+        # the first arc continues the last one
+        lengths[-1] += lengths[0]
+        mlo, lengths = mlo[1:], lengths[1:]
+    return mlo, lengths
+
+
 # ---------------------------------------------------------------------------
 # angular hulls
 # ---------------------------------------------------------------------------
 
-def hull_arcs_of_squares(x0: np.ndarray, y0: np.ndarray, side: float,
+def hull_arcs_of_squares(x0: np.ndarray, y0: np.ndarray, side: np.ndarray,
                          a: Point2) -> tuple[np.ndarray, np.ndarray]:
-    """Angular hulls of many equal-side squares seen from a, as (starts,
-    widths); a square whose closed set holds a has width 2pi.
+    """Angular hulls of the squares with lower-left corners (x0, y0) and
+    per-square sides `side`, seen from a, as (starts, widths); a square
+    whose closed set holds a has width 2pi.
 
     Exact for convex bodies: outside the square the hull is the minor arc
     spanned by the extreme corner directions.

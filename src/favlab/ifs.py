@@ -17,7 +17,8 @@ import numpy as np
 
 from .geometry import Point2, Square
 
-#: hard cap on the number of generation squares materialized at once
+#: cap on the squares that one `generate_generation` call returns, counted
+#: before it builds them
 DEFAULT_NODE_BUDGET = 4 ** 10
 #: cap on the steps of one streamed engine run, counted before it starts: a
 #: step costs 1.2-1.7e-8 s on a 2-core host, so the cap stops a run near 20 s
@@ -174,27 +175,53 @@ def compose_word(sys: IFSystem, w: Word) -> Similitude:
     return Similitude(lam, (zx, zy))
 
 
+def _extended(sys: IFSystem, lam: np.ndarray, zx: np.ndarray,
+              zy: np.ndarray, letters: int):
+    """The composed maps (lam, zx, zy) of words, each extended by every
+    word of `letters` more letters, lexicographic with the last letter
+    fastest."""
+    lam_arr = np.array([m.lam for m in sys.maps])
+    zx_arr = np.array([m.z[0] for m in sys.maps])
+    zy_arr = np.array([m.z[1] for m in sys.maps])
+    for _ in range(letters):
+        lam = (lam[:, None] * lam_arr[None, :]).ravel()
+        zx = (zx[:, None] * lam_arr[None, :] + zx_arr[None, :]).ravel()
+        zy = (zy[:, None] * lam_arr[None, :] + zy_arr[None, :]).ravel()
+    return lam, zx, zy
+
+
+def _squares(sys: IFSystem, lam, zx, zy):
+    """(corner_x, corner_y, sides) of the images of the hull under the
+    composed maps."""
+    hull = sys.hull
+    return (lam * hull.corner.x + zx, lam * hull.corner.y + zy,
+            lam * hull.side)
+
+
 def generate_generation(sys: IFSystem, n: int,
                         budget: int = DEFAULT_NODE_BUDGET) -> Generation:
     """All s^n stage-n squares, lexicographic in the word."""
     if n < 0:
         raise ValueError("generation index must be >= 0")
     check_budget(f"generation {n}", sys.s ** n, "nodes", budget)
-    lam_arr = np.array([m.lam for m in sys.maps])
-    zx_arr = np.array([m.z[0] for m in sys.maps])
-    zy_arr = np.array([m.z[1] for m in sys.maps])
-    # composed maps over all words, extending by the last letter
-    lam = np.ones(1)
-    zx = np.zeros(1)
-    zy = np.zeros(1)
-    for _ in range(n):
-        lam = (lam[:, None] * lam_arr[None, :]).ravel()
-        zx = (zx[:, None] * lam_arr[None, :] + zx_arr[None, :]).ravel()
-        zy = (zy[:, None] * lam_arr[None, :] + zy_arr[None, :]).ravel()
-    cx = lam * sys.hull.corner.x + zx
-    cy = lam * sys.hull.corner.y + zy
-    sides = lam * sys.hull.side
-    return Generation(sys, n, cx, cy, sides)
+    maps = _extended(sys, np.ones(1), np.zeros(1), np.zeros(1), n)
+    return Generation(sys, n, *_squares(sys, *maps))
+
+
+def _generation_blocks(sys: IFSystem, n: int, block: int):
+    """The stage-n squares as (corner_x, corner_y, sides) blocks of at most
+    max(block, 1) squares, in lexicographic word order.  A block is one
+    word prefix's composed map extended by every suffix through the float
+    operations of `generate_generation`, so the blocks concatenate to its
+    arrays bit for bit; only the prefixes' maps are held at once."""
+    suffix = 0
+    while suffix < n and sys.s ** (suffix + 1) <= block:
+        suffix += 1
+    lam, zx, zy = _extended(sys, np.ones(1), np.zeros(1), np.zeros(1),
+                            n - suffix)
+    for i in range(lam.size):
+        yield _squares(sys, *_extended(sys, lam[i:i + 1], zx[i:i + 1],
+                                       zy[i:i + 1], suffix))
 
 
 def subword_census(sys: IFSystem, N: int, L: int, samples: int = 100_000,

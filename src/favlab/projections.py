@@ -18,7 +18,7 @@ from . import _kernels
 from .geometry import IntervalSet, Point2
 from .ifs import (DEFAULT_NODE_BUDGET, Generation, IFSystem,
                   generate_generation)
-from .visibility import radial_projection
+from .visibility import streamed_visibility
 
 
 class DegenerateError(ArithmeticError):
@@ -200,8 +200,7 @@ def fav_upper_pipeline(sys: IFSystem, a: Point2, n: int, grid: AngleGrid):
     dy = max(hull.corner.y - a.y, 0.0, a.y - hull.corner.y - hull.side)
     if math.hypot(dx, dy) < 0.1 * hull.side:
         raise ValueError("vantage point too close to the hull")
-    gen_n = generate_generation(sys, n)
-    vis = radial_projection(gen_n, a).measure() / (2 * math.pi)
+    vis = streamed_visibility(sys, n, [a])[0][0]
     L = sys.log_depth(n)
     bound = math.sqrt(favard_lengths(sys, L, grid)[0][L])
     return vis, bound

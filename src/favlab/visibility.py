@@ -10,6 +10,7 @@ all the definitions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -19,8 +20,10 @@ import numpy as np
 
 from . import _kernels
 from .geometry import (TWO_PI, CircularIntervalSet, GeometryError, Line,
-                       Point2, hull_arcs_of_squares)
-from .ifs import WORK_BUDGET, Generation, check_budget
+                       Point2, _seam_joined, _seam_merged,
+                       hull_arcs_of_squares)
+from .ifs import (WORK_BUDGET, Generation, IFSystem, _generation_blocks,
+                  check_budget)
 
 #: default richness-neighborhood multiplier; large enough for ambient radius
 #: d <= 2 fixtures (checked directly in the test suite)
@@ -28,6 +31,10 @@ DEFAULT_C = 4.0
 
 #: cap on the cells that the dense oracle table `counts_table` holds
 TABLE_BUDGET = 50_000_000
+
+#: squares per block of the radial arc union; a block's hull arcs take
+#: about 0.2 KB a square while they are computed
+_ARC_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -70,10 +77,89 @@ def cloud_from_generation(gen: Generation) -> PointCloud:
 # radial projections
 # ---------------------------------------------------------------------------
 
+def _arc_union(blocks, a: Point2):
+    """(starts, lengths) arrays of the union of the hull arcs, seen from a,
+    of the squares that come as (corner_x, corner_y, sides) blocks.
+
+    Each block's arcs are split at the seam, merged and appended to lo and
+    hi behind the running union; once these pending arcs outnumber the
+    union, both are sorted and merged in place into the new union.  Memory
+    stays O(union + block), and `_seam_merged` says why the result is the
+    one union of all the arcs bit for bit."""
+    lo = hi = np.empty(0)
+    union = filled = 0      # the union in [:union], pending arcs up to filled
+    full = False
+    for x0, y0, sides in blocks:
+        blo, bhi, block_full = _seam_merged(np.column_stack(
+            hull_arcs_of_squares(x0, y0, sides, a)))
+        full |= block_full
+        end = filled + blo.size
+        if end > lo.size:
+            # room for up to `union` more pending arcs, one fold's worth
+            size = end + max(union, blo.size)
+            lo, hi = _grown(lo, filled, size), _grown(hi, filled, size)
+        lo[filled:end] = blo
+        hi[filled:end] = bhi
+        filled = end
+        # the next block is built while this one's names still hold it
+        del x0, y0, sides, blo, bhi
+        if filled > 2 * union:
+            union = filled = _fold(lo[:filled], hi[:filled])
+    if filled > union:
+        union = _fold(lo[:filled], hi[:filled])
+    return _seam_joined(lo[:union], hi[:union], full)
+
+
+def _grown(buf: np.ndarray, filled: int, size: int) -> np.ndarray:
+    """A buffer of `size` entries holding buf's first `filled`; the pages
+    past them stay untouched until written."""
+    grown = np.empty(size)
+    grown[:filled] = buf[:filled]
+    return grown
+
+
+def _fold(lo: np.ndarray, hi: np.ndarray) -> int:
+    """Sort and merge lo and hi in place as merge_intervals does; returns
+    the number of merged intervals, now at their front."""
+    lo.sort()
+    hi.sort()
+    return _kernels._merge_sorted(lo, hi)
+
+
 def radial_projection(gen: Generation, a: Point2) -> CircularIntervalSet:
     """Exact direction set of the generation squares seen from a."""
-    return CircularIntervalSet.from_arcs(np.column_stack(
-        hull_arcs_of_squares(gen.corner_x, gen.corner_y, gen.sides, a)))
+    blocks = ((gen.corner_x[i:i + _ARC_BLOCK], gen.corner_y[i:i + _ARC_BLOCK],
+               gen.sides[i:i + _ARC_BLOCK])
+              for i in range(0, len(gen), _ARC_BLOCK))
+    starts, lengths = _arc_union(blocks, a)
+    return CircularIntervalSet(tuple(zip(starts.tolist(), lengths.tolist())))
+
+
+def streamed_visibility(sys: IFSystem, n: int,
+                        vantages: Sequence[Point2]) -> list[tuple[float, int]]:
+    """Per vantage, `visibility` of the stage-n squares and the number of
+    arcs of their radial projection, bit for bit, from squares streamed in
+    blocks of `_ARC_BLOCK`: no generation and no arc tuples are held.
+
+    The squares streamed for all the vantages are checked first against
+    WORK_BUDGET >> 5 (one costs about 0.5 us on a 2-core host, so the cap
+    stops a run near 17 s); past the cap's bit length the figure reported
+    is s^bit_length, a lower bound of the s^n squares."""
+    if n < 0:
+        raise ValueError("generation index must be >= 0")
+    cap = WORK_BUDGET >> 5
+    check_budget(f"visibility of generation {n}",
+                 len(vantages) * sys.s ** min(n, cap.bit_length()),
+                 "squares", cap)
+    found = []
+    for a in vantages:
+        _, lengths = _arc_union(_generation_blocks(sys, n, _ARC_BLOCK), a)
+        # CircularIntervalSet.measure's sum, one block of floats at a time
+        measure = sum(itertools.chain.from_iterable(
+            lengths[i:i + _ARC_BLOCK].tolist()
+            for i in range(0, lengths.size, _ARC_BLOCK)))
+        found.append((measure / TWO_PI, lengths.size))
+    return found
 
 
 def radial_projection_balls(cloud: PointCloud, radius: float,

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 import favlab.cli
 from favlab.cli import (EXPERIMENTS, ExperimentConfig, _FIELD_TYPES,
                         build_parser, config_from_args, main, validate)
+from favlab.geometry import Point2
 from favlab.ifs import (WORK_BUDGET, generate_generation, preset,
                         resolve_ifs)
+from favlab.visibility import radial_projection, visibility
 
 
 def read_csv(path):
@@ -404,6 +407,38 @@ class TestRuns:
                      "--out", str(tmp_path / "o.csv")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_visibility_point_streams_past_the_node_budget(self, tmp_path):
+        """n = 10 equals the whole generation's visibility bit for bit, and
+        the sidecar's arcs are its arc counts; n = 11 builds no generation,
+        so the node budget does not refuse it."""
+        out = tmp_path / "vis.csv"
+        vantages = [(-0.25, 0.5), (-0.3182, 0.1279)]
+        assert main(["visibility-point", "--n", "10", "--out", str(out)]
+                    + [f"--vantage={x!r},{y!r}" for x, y in vantages]) == 0
+        gen = generate_generation(preset("fourcorner"), 10)
+        points = [Point2(x, y) for x, y in vantages]
+        assert read_csv(out)[1:] == [
+            [repr(a.x), repr(a.y), repr(visibility(gen, a))] for a in points]
+        blob = json.loads((tmp_path / "vis.json").read_text())
+        assert blob["arcs"] == [len(radial_projection(gen, a))
+                                for a in points]
+        assert main(["visibility-point", "--n", "11",
+                     "--out", str(tmp_path / "deep.csv")]) == 0
+
+    @pytest.mark.parametrize("n", [13, 100_000_000])
+    def test_visibility_point_capped_on_squares(self, tmp_path, capsys, n):
+        """The squares of every vantage are checked once, so the refusal is
+        quick; past the cap's bit length the power is capped."""
+        cap = WORK_BUDGET >> 5
+        start = time.monotonic()
+        assert main(["visibility-point", "--n", str(n),
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        assert time.monotonic() - start < 1.0
+        need = 4 ** min(n, cap.bit_length())
+        assert capsys.readouterr().err == (
+            f"error: visibility of generation {n} needs {need} squares; "
+            f"cap is {cap}\n")
 
     def test_line_scan_runs(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -8,8 +8,8 @@ import pytest
 
 from favlab.geometry import Point2, Square
 from favlab.ifs import (DimensionError, IFSystem, ResourceBudgetError,
-                        Similitude, compose_word, four_corner,
-                        generate_generation, preset, resolve_ifs,
+                        Similitude, _generation_blocks, compose_word,
+                        four_corner, generate_generation, preset, resolve_ifs,
                         similarity_dimension, subword_census)
 
 UNIT = Square(Point2(0.0, 0.0), 1.0)
@@ -38,6 +38,28 @@ class TestSimilarityDimension:
                               for i in range(3)), UNIT)
         with pytest.raises(DimensionError):
             similarity_dimension(sys_)
+
+
+SKEW3 = IFSystem((Similitude(0.5, (0.0, 0.0)), Similitude(0.3, (0.6, 0.1)),
+                  Similitude(0.25, (0.2, 0.75))), Square(Point2(0.1, -0.3), 1.7))
+
+
+@pytest.mark.parametrize("sys_, top", [(four_corner(), 7), (SKEW3, 8)],
+                         ids=["fourcorner", "skew3"])
+def test_generation_blocks_concatenate_to_the_generation(sys_, top):
+    """Blocks of 1, s, s^3 and 2^14 squares (and 5, between powers of s)
+    concatenate to generate_generation's arrays bit for bit, each block
+    the largest power of s that fits."""
+    s = sys_.s
+    for n in range(top + 1):
+        gen = generate_generation(sys_, n)
+        for block in (1, s, s ** 3, 2 ** 14, 5):
+            size = s ** min(n, int(math.log(block + 0.5, s)))
+            blocks = list(_generation_blocks(sys_, n, block))
+            assert [len(b[0]) for b in blocks] == [size] * (s ** n // size)
+            for got, want in zip(zip(*blocks), (gen.corner_x, gen.corner_y,
+                                                gen.sides)):
+                assert np.concatenate(got).tobytes() == want.tobytes()
 
 
 class TestGenerateGeneration:

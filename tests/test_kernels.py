@@ -7,6 +7,7 @@ integer outputs must match bit for bit.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -160,6 +161,19 @@ def test_merge_matches_argsort_merge(family):
     lo, hi = family
     got_lo, got_hi = _kernels.merge_intervals(lo, hi)
     want_lo, want_hi = argsort_merge(lo, hi)
+    assert np.array_equal(got_lo, want_lo)
+    assert np.array_equal(got_hi, want_hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=interval_families(), block=st.sampled_from([1, 2, 3, 5]))
+def test_merge_passes_match_argsort_merge(family, block):
+    """Passes of a few entries each, written in place behind the pass,
+    merge as one pass does."""
+    lo, hi = family
+    want_lo, want_hi = argsort_merge(lo, hi)
+    with mock.patch.object(_kernels, "_MERGE_BLOCK", block):
+        got_lo, got_hi = _kernels.merge_intervals(lo, hi)
     assert np.array_equal(got_lo, want_lo)
     assert np.array_equal(got_hi, want_hi)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from favlab import _kernels
 from favlab.geometry import Point2, Square
-from favlab.ifs import IFSystem, Similitude, generate_generation
+from favlab.ifs import IFSystem, Similitude, generate_generation, preset
 from favlab.projections import (AngleGrid, DegenerateError, bad_angle_measure,
                                 favard_length, favard_lengths,
                                 fav_upper_pipeline, hl_maximal,
@@ -273,6 +273,67 @@ class TestFavPipeline:
     def test_vantage_too_close(self, fourcorner, grid256):
         with pytest.raises(ValueError, match="too close"):
             fav_upper_pipeline(fourcorner, Point2(0.5, 1.01), 3, grid256)
+
+    #: (vis, bound) per depth 0..6 at 256 angles, as float.hex, from the
+    #: pipeline when it built the stage-n generation and projected it whole
+    FROZEN = {
+        ("fourcorner", (-0.25, 0.5)): [
+            ("0x1.68dfd7131067cp-2", "0x1.20ddb069741aap+0"),
+            ("0x1.28888ea0eeecbp-2", "0x1.20ddb069741aap+0"),
+            ("0x1.f3fe508568cbep-3", "0x1.064fdd860b241p+0"),
+            ("0x1.cf1fa40420e55p-3", "0x1.064fdd860b241p+0"),
+            ("0x1.a1b96f5a9bdb2p-3", "0x1.064fdd860b241p+0"),
+            ("0x1.89d0e2ad1e285p-3", "0x1.ed3714130cf18p-1"),
+            ("0x1.6daa656c97bc1p-3", "0x1.ed3714130cf18p-1")],
+        ("fourcorner", (-1.0, -1.0)): [
+            ("0x1.a37f5c4c419eep-4", "0x1.20ddb069741aap+0"),
+            ("0x1.5c73a1e299a1ep-4", "0x1.20ddb069741aap+0"),
+            ("0x1.4bfd8040499d5p-4", "0x1.064fdd860b241p+0"),
+            ("0x1.2cb687c4b39c1p-4", "0x1.064fdd860b241p+0"),
+            ("0x1.1cd5ff6db17e5p-4", "0x1.064fdd860b241p+0"),
+            ("0x1.0887cfa00f747p-4", "0x1.ed3714130cf18p-1"),
+            ("0x1.f0f050855bb9cp-5", "0x1.ed3714130cf18p-1")],
+        ("fourcorner-annulus", (1.25, 2.0)): [
+            ("0x1.68dfd7131067cp-2", "0x1.20ddb069741aap+0"),
+            ("0x1.28888ea0eeecbp-2", "0x1.20ddb069741aap+0"),
+            ("0x1.f3fe508568cbep-3", "0x1.064fdd860b241p+0"),
+            ("0x1.cf1fa40420e55p-3", "0x1.064fdd860b241p+0"),
+            ("0x1.a1b96f5a9bdb2p-3", "0x1.064fdd860b241p+0"),
+            ("0x1.89d0e2ad1e285p-3", "0x1.ed3714130cf18p-1"),
+            ("0x1.6daa656c97bc1p-3", "0x1.ed3714130cf18p-1")],
+        ("fourcorner-annulus", (-1.0, -1.0)): [
+            ("0x1.aea40b4c08663p-5", "0x1.20ddb069741aap+0"),
+            ("0x1.51eb6bcd1a73ep-5", "0x1.20ddb069741aap+0"),
+            ("0x1.20784dc34741dp-5", "0x1.064fdd860b241p+0"),
+            ("0x1.e822b9b8e3a6dp-6", "0x1.064fdd860b241p+0"),
+            ("0x1.b9970c80d0afcp-6", "0x1.064fdd860b241p+0"),
+            ("0x1.8cad5d0a4eec0p-6", "0x1.ed3714130cf18p-1"),
+            ("0x1.696d9f98d9110p-6", "0x1.ed3714130cf18p-1")],
+        ("fourcorner-wide", (-3.75, 10.5)): [
+            ("0x1.68dfd7131067cp-2", "0x1.3ac8ce30deb7cp+2"),
+            ("0x1.28888ea0eeecbp-2", "0x1.3ac8ce30deb7cp+2"),
+            ("0x1.f3fe508568cbep-3", "0x1.1dd90c78137e8p+2"),
+            ("0x1.cf1fa40420e55p-3", "0x1.1dd90c78137e8p+2"),
+            ("0x1.a1b96f5a9bdb2p-3", "0x1.1dd90c78137e8p+2"),
+            ("0x1.89d0e2ad1e283p-3", "0x1.0cbbfff8bea1bp+2"),
+            ("0x1.6daa656c97bb8p-3", "0x1.0cbbfff8bea1bp+2")],
+        ("fourcorner-wide", (-1.0, -1.0)): [
+            ("0x1.c219e26aff6e5p-3", "0x1.3ac8ce30deb7cp+2"),
+            ("0x1.c219e26aff6e9p-3", "0x1.3ac8ce30deb7cp+2"),
+            ("0x1.7d7e0db2f45cbp-3", "0x1.1dd90c78137e8p+2"),
+            ("0x1.6f7126890a959p-3", "0x1.1dd90c78137e8p+2"),
+            ("0x1.59326d6a4c419p-3", "0x1.1dd90c78137e8p+2"),
+            ("0x1.463b953e2d1e2p-3", "0x1.0cbbfff8bea1bp+2"),
+            ("0x1.3443eadb018ebp-3", "0x1.0cbbfff8bea1bp+2")],
+    }
+
+    @pytest.mark.parametrize("name, vantage", sorted(FROZEN))
+    def test_frozen_values(self, grid256, name, vantage):
+        """The streamed visibility leaves (vis, bound) bit for bit."""
+        sys_ = preset(name)
+        got = [tuple(v.hex() for v in fav_upper_pipeline(
+            sys_, Point2(*vantage), n, grid256)) for n in range(7)]
+        assert got == self.FROZEN[name, vantage]
 
     def test_vis_decay_and_bounded_ratio(self, fourcorner, grid256):
         a = Point2(-1.0, -1.0)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from favlab import _kernels, visibility as vis_mod
-from favlab.geometry import Line, Point2, TWO_PI, dist_point_line
-from favlab.ifs import (WORK_BUDGET, ResourceBudgetError, generate_generation,
-                        preset)
+from favlab.geometry import (CircularIntervalSet, Line, Point2, Square,
+                             TWO_PI, dist_point_line, hull_arcs_of_squares)
+from favlab.ifs import (PRESETS, WORK_BUDGET, IFSystem, ResourceBudgetError,
+                        Similitude, generate_generation, preset)
 from favlab.transforms import radial_vs_projection_bridge
 from favlab.visibility import (DEFAULT_C, DiscreteLine, LineFamily,
                                PointCloud, build_line_family,
@@ -20,7 +22,7 @@ from favlab.visibility import (DEFAULT_C, DiscreteLine, LineFamily,
                                f_delta, l2_norm_f, mass, radial_projection,
                                radial_projection_balls, richness_histogram,
                                scan_line_low_visibility, select_intervals,
-                               vis_delta, visibility)
+                               streamed_visibility, vis_delta, visibility)
 from favlab.visibility import _direction_mask
 
 
@@ -745,3 +747,130 @@ def test_line_work_estimate_is_the_streamed_steps(gens, n):
     ]
     for query in queries:
         assert checked_work(query) == streamed_steps(query)
+
+
+# ---------------------------------------------------------------------------
+# the blocked arc union against one from_arcs union of every hull arc
+# ---------------------------------------------------------------------------
+
+def dense_projection(gen, a):
+    """The one from_arcs union of the hull arcs of all the squares."""
+    return CircularIntervalSet.from_arcs(np.column_stack(
+        hull_arcs_of_squares(gen.corner_x, gen.corner_y, gen.sides, a)))
+
+
+def arc_bits(arcs):
+    return np.array(arcs.arcs, dtype=float).tobytes()
+
+
+def preset_vantages(sys_, n):
+    """Vantages left of the hull, inside the first stage-n square, on a
+    square corner, on a square edge and far away.  0.2 = 0.0303... in base
+    4 lies in the four-corner Cantor set, so the ray at height 0.2 of the
+    hull meets a square at every depth (whose arc then crosses the seam)
+    and (0.2, 0) lies on a square's bottom edge; (1/4, 1/4) is the
+    upper-right corner of a square at every depth >= 1."""
+    x, y, side = sys_.hull.corner.x, sys_.hull.corner.y, sys_.hull.side
+    half = side * 0.25 ** n / 2
+    return {"left": Point2(x - 0.25 * side, y + 0.2 * side),
+            "inside": Point2(x + half, y + half),
+            "corner": Point2(x + 0.25 * side, y + 0.25 * side),
+            "edge": Point2(x + 0.2 * side, y),
+            "far": Point2(x + 40 * side, y - 25 * side)}
+
+
+@pytest.mark.parametrize("block", [1, 7, vis_mod._ARC_BLOCK])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_blocked_union_is_the_one_union(monkeypatch, name, block):
+    """radial_projection and streamed_visibility give the one union's arcs
+    and measure bit for bit at n <= 7 (n <= 5 for one square a block, which
+    costs about 2 s a vantage at n = 7)."""
+    sys_ = preset(name)
+    gens = [generate_generation(sys_, n) for n in range(6 if block == 1
+                                                        else 8)]
+    monkeypatch.setattr(vis_mod, "_ARC_BLOCK", block)
+    for n, gen in enumerate(gens):
+        vantages = preset_vantages(sys_, n)
+        starts, widths = hull_arcs_of_squares(
+            gen.corner_x, gen.corner_y, gen.sides, vantages["left"])
+        assert np.any(starts + widths > TWO_PI)     # arcs cross the seam
+        wants = {key: dense_projection(gen, a)
+                 for key, a in vantages.items()}
+        assert wants["inside"].is_full()
+        for key, a in vantages.items():
+            assert arc_bits(radial_projection(gen, a)) == arc_bits(
+                wants[key]), (n, key)
+        if n <= 5:
+            assert streamed_visibility(sys_, n, list(vantages.values())) == [
+                (want.measure() / TWO_PI, len(want))
+                for want in wants.values()]
+
+
+@st.composite
+def homothety_systems(draw):
+    """A homothety IFS of 2-5 maps with unequal ratios; its images may
+    overlap and leave the hull."""
+    s = draw(st.integers(2, 5))
+    maps = tuple(Similitude(draw(st.sampled_from([0.25, 0.5]) | st.floats(
+        0.2, 0.6)), (draw(st.floats(-0.2, 0.8)), draw(st.floats(-0.2, 0.8))))
+        for _ in range(s))
+    corner = Point2(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    return IFSystem(maps, Square(corner, draw(st.floats(0.5, 2.0))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sys_=homothety_systems(), n=st.integers(0, 6),
+       a=st.tuples(st.floats(-2.0, 3.0), st.floats(-2.0, 3.0)),
+       block=st.sampled_from([1, 7, 100]))
+def test_blocked_union_matches_on_random_systems(sys_, n, a, block):
+    """At most 4000 squares, blocks of `block` squares: the arcs, the
+    measure and the arc count are the one union's."""
+    n = min(n, int(math.log(4000) / math.log(sys_.s)))
+    gen = generate_generation(sys_, n)
+    a = Point2(*a)
+    want = dense_projection(gen, a)
+    with mock.patch.object(vis_mod, "_ARC_BLOCK", block):
+        assert arc_bits(radial_projection(gen, a)) == arc_bits(want)
+        assert streamed_visibility(sys_, n, [a]) == [
+            (want.measure() / TWO_PI, len(want))]
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_visibility_memory_is_blocked(fourcorner):
+    """At n = 8 (four blocks) the streamed path peaks below a third of the
+    dense path, which builds the generation and then every hull arc."""
+    a = Point2(-0.25, 0.5)
+
+    def dense():
+        gen = generate_generation(fourcorner, 8)
+        CircularIntervalSet.from_arcs(np.column_stack(hull_arcs_of_squares(
+            gen.corner_x, gen.corner_y, gen.sides, a)))
+
+    streamed = traced_peak(lambda: streamed_visibility(fourcorner, 8, [a]))
+    assert streamed < traced_peak(dense) / 3
+
+
+def test_streamed_visibility_checks_its_squares(fourcorner):
+    """The squares streamed for every vantage are checked once, before any
+    block is built, against WORK_BUDGET >> 5; the power is capped for a
+    huge n."""
+    cap = WORK_BUDGET >> 5
+    assert streamed_visibility(fourcorner, 0, [Point2(-1.0, 0.5)] * 3)
+    with mock.patch.object(vis_mod, "_generation_blocks") as blocks:
+        for n, m, need in [(12, 3, 3 * 4 ** 12), (13, 1, 4 ** 13),
+                           (10 ** 8, 1, 4 ** cap.bit_length())]:
+            with pytest.raises(ResourceBudgetError) as err:
+                streamed_visibility(fourcorner, n, [Point2(-1.0, 0.5)] * m)
+            assert str(err.value) == (f"visibility of generation {n} needs "
+                                      f"{need} squares; cap is {cap}")
+    blocks.assert_not_called()
+    with pytest.raises(ValueError, match="generation index"):
+        streamed_visibility(fourcorner, -1, [Point2(-1.0, 0.5)])
