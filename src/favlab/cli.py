@@ -14,6 +14,7 @@ allocation refused.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -27,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .geometry import Line, Point2
-from .ifs import (DEFAULT_NODE_BUDGET, IFSystem, ResourceBudgetError,
-                  generate_generation, resolve_ifs, subword_census)
+from .ifs import (IFSystem, ResourceBudgetError, generate_generation,
+                  resolve_ifs, subword_census)
 from .projections import (AngleGrid, bad_angle_measure, favard_lengths,
                           project_generation, stacked_census)
 from .set_analysis import (box_dimension_estimate, check_discrete_alpha_set,
@@ -80,7 +81,6 @@ class ExperimentConfig:
     samples: int = 100_000
     seed: int = 0
     out: str = "out.csv"
-    budget: int = DEFAULT_NODE_BUDGET
 
 
 def validate(cfg: ExperimentConfig) -> list[str]:
@@ -103,14 +103,6 @@ def _checked(cfg: ExperimentConfig) -> tuple[IFSystem | None, list[str]]:
         sys_ = None
     if cfg.n_lo < 0 or cfg.n_hi < cfg.n_lo:
         errs.append("n: need 0 <= lo <= hi")
-    # s^n > budget already at n = budget.bit_length() (s >= 2), so the
-    # power is capped there instead of growing with a huge n; the streamed
-    # visibility builds no generation and checks its own work
-    if (sys_ is not None and cfg.experiment != "visibility-point"
-            and sys_.s ** min(cfg.n_hi, cfg.budget.bit_length())
-            > cfg.budget):
-        errs.append(f"n: depth {cfg.n_hi} exceeds node budget "
-                    f"({sys_.s}^{cfg.n_hi} > {cfg.budget})")
     if cfg.delta is not None and not cfg.delta > 0:
         errs.append("delta: must be positive")
     if cfg.angles is not None and cfg.angles < 1:
@@ -198,7 +190,7 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
-    ns = list(range(cfg.n_lo, cfg.n_hi + 1))
+    ns = range(cfg.n_lo, cfg.n_hi + 1)
     if cfg.experiment == "favard-scaling":
         favs, merged = favard_lengths(sys_, cfg.n_hi, AngleGrid(cfg.angles))
         rows = [[n, cfg.angles, float(favs[n])] for n in ns]
@@ -216,7 +208,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
             "arcs": [arcs for _, arcs in found]}
 
     if cfg.experiment == "vis-delta-sweep":
-        gen = generate_generation(sys_, cfg.n_hi, budget=cfg.budget)
+        gen = generate_generation(sys_, cfg.n_hi)
         A = cloud_from_generation(gen)
         fam = build_line_family(cfg.delta,
                                 _enclosing_radius(sys_, cfg.vantages))
@@ -229,7 +221,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
         return rows, ["vantage_x", "vantage_y", "vis", "vis_delta"], {}
 
     if cfg.experiment == "line-scan":
-        gen = generate_generation(sys_, cfg.n_hi, budget=cfg.budget)
+        gen = generate_generation(sys_, cfg.n_hi)
         A = cloud_from_generation(gen)
         fam = build_line_family(cfg.delta, _enclosing_radius(sys_))
         ell0 = Line(0.0, sys_.hull.corner.y - 0.5 * sys_.hull.side)
@@ -239,7 +231,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
         return rows, ["lambda", "sublevel_length"], {}
 
     if cfg.experiment == "certify-set":
-        gen = generate_generation(sys_, cfg.n_hi, budget=cfg.budget)
+        gen = generate_generation(sys_, cfg.n_hi)
         A = cloud_from_generation(gen)
         if cfg.alpha == 1.0:
             cert = check_unrectifiable_one_set(A, cfg.C, seed=cfg.seed)
@@ -253,11 +245,11 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
             "passes": cert.passed}
 
     if cfg.experiment == "energy":
-        rows = []
-        for n in ns:
-            gen = generate_generation(sys_, n, budget=cfg.budget)
-            rows.append([n, generation_energy(gen, 1.0)])
-        energy = dict(rows)
+        # deepest first, so that a refused depth costs none of the others
+        found = {n: generation_energy(generate_generation(sys_, n), 1.0)
+                 for n in reversed(ns)}
+        energy = {n: found[n] for n in ns}
+        rows = [[n, e] for n, e in energy.items()]
         atoms = len(difference_measure(sys_)[0])
         return rows, ["n", "energy"], {
             "energy": {str(n): e for n, e in energy.items()},
@@ -267,7 +259,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
 
     if cfg.experiment == "box-dim-sweep":
         n = cfg.n_hi
-        gen = generate_generation(sys_, n, budget=cfg.budget)
+        gen = generate_generation(sys_, n)
         kmax = max(6, 2 * n)
         scales = [2.0 ** -k for k in range(2, kmax + 1)]
         thetas = AngleGrid(cfg.angles).thetas
@@ -279,7 +271,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
         return rows, ["theta", "box_dim"], {"min_box_dim": min(dims)}
 
     if cfg.experiment == "stacking":
-        gen = generate_generation(sys_, cfg.n_hi, budget=cfg.budget)
+        gen = generate_generation(sys_, cfg.n_hi)
         rows = []
         for th in AngleGrid(cfg.angles).thetas:
             rep = stacked_census(gen, float(th), cfg.k)
@@ -289,7 +281,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
 
     if cfg.experiment == "bad-angles":
         grid = AngleGrid(cfg.angles)
-        report = bad_angle_measure(sys_, cfg.n_hi, grid, budget=cfg.budget)
+        report = bad_angle_measure(sys_, cfg.n_hi, grid)
         rows = [[float(th), sup, int(sup <= report.K)]
                 for th, sup in zip(grid.thetas, report.sups)]
         return rows, ["theta", "sup_f", "bad"], {
@@ -304,7 +296,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
             "nongeneric_fraction": frac}
 
     if cfg.experiment == "bridge":
-        gen = generate_generation(sys_, cfg.n_hi, budget=cfg.budget)
+        gen = generate_generation(sys_, cfg.n_hi)
         A = cloud_from_generation(gen)
         xs = [x for x, _ in cfg.vantages]
         fam = build_line_family(cfg.delta,
@@ -325,7 +317,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
 _FIELD_TYPES = {"experiment": str, "ifs": str, "n_lo": int, "n_hi": int,
                 "delta": float, "angles": int, "c": float, "k": float,
                 "alpha": float, "C": float, "samples": int, "seed": int,
-                "out": str, "budget": int}
+                "out": str}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -383,9 +375,12 @@ def _parse_n(val) -> tuple[int, int]:
 
 def _parse_vantage(val) -> tuple[float, float]:
     """A vantage from a flag ('X,Y') or a config file ([x, y])."""
-    xy = ([float(t) for t in val.split(",")] if isinstance(val, str)
-          else [_typed("vantage", t, float) for t in val]
-          if isinstance(val, list) else [])
+    xy = []
+    if isinstance(val, list):
+        xy = [_typed("vantage", t, float) for t in val]
+    elif isinstance(val, str):
+        with contextlib.suppress(ValueError):   # reported below
+            xy = [float(t) for t in val.split(",")]
     if len(xy) != 2:
         raise ValueError(f"vantage: expected X,Y, got {val!r}")
     return xy[0], xy[1]

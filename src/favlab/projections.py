@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .geometry import IntervalSet, Point2
-from .ifs import (DEFAULT_NODE_BUDGET, Generation, IFSystem,
+from .ifs import (WORK_BUDGET, Generation, IFSystem, check_budget,
                   generate_generation)
 from .visibility import streamed_visibility
 
@@ -82,9 +82,19 @@ def favard_length(gen: Generation, grid: AngleGrid) -> float:
 def favard_lengths(sys: IFSystem, n: int, grid: AngleGrid):
     """Fav(K_0), ..., Fav(K_n) by the midpoint rule, and per depth the mean
     number of merged projection intervals per angle, from one pass that
-    carries each angle's merged projection from depth d - 1 to d."""
+    carries each angle's merged projection from depth d - 1 to d.
+
+    The angles times the stage-n squares are checked first against
+    WORK_BUDGET << 2 (one costs 8-15 ns on a 2-core host, counting every
+    depth, so the cap stops a run near 35-65 s: n = 10 at 4096 angles or
+    n = 11 at 1024 runs, n = 12 at 4096 does not); past the cap's bit
+    length the figure reported is s^bit_length, a lower bound of s^n."""
     if n < 0:
         raise ValueError("generation index must be >= 0")
+    cap = WORK_BUDGET << 2
+    check_budget(f"Favard lengths to generation {n}",
+                 grid.count * sys.s ** min(n, cap.bit_length()),
+                 "angle-squares", cap)
     hull = sys.hull
     measures, counts = _kernels._depth_measures(
         np.array([m.lam for m in sys.maps]),
@@ -176,11 +186,11 @@ class BadAngleReport:
     sups: tuple[int, ...]       # sup of the counting function per grid angle
 
 
-def bad_angle_measure(sys: IFSystem, L: int, grid: AngleGrid,
-                      budget: int = DEFAULT_NODE_BUDGET) -> BadAngleReport:
+def bad_angle_measure(sys: IFSystem, L: int,
+                      grid: AngleGrid) -> BadAngleReport:
     """Angle-measure of {theta : sup of the stage-L counting function at
     theta - pi/2 is at most 1/sqrt(Fav(J_L))}."""
-    gen = generate_generation(sys, L, budget=budget)
+    gen = generate_generation(sys, L)
     fav = float(favard_lengths(sys, L, grid)[0][L])
     if fav <= 0:
         raise DegenerateError("Favard estimate is zero; threshold undefined")

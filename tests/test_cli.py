@@ -5,7 +5,9 @@ import csv
 import io
 import json
 import math
+import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -30,10 +32,15 @@ class TestValidation:
         errs = validate(ExperimentConfig(experiment="no-such"))
         assert len(errs) == 1 and "unknown" in errs[0]
 
-    def test_depth_over_budget(self, tmp_path):
+    def test_depth_over_budget(self, tmp_path, capsys):
+        """4096 angles times 4^12 squares: refused by favard_lengths' own
+        cap before any depth is merged."""
         rc = main(["favard-scaling", "--n", "12",
                    "--out", str(tmp_path / "o.csv")])
-        assert rc == 2
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: Favard lengths to generation 12 needs {4096 * 4 ** 12} "
+            f"angle-squares; cap is {WORK_BUDGET << 2}\n")
 
     def test_nonpositive_delta(self, tmp_path):
         rc = main(["vis-delta-sweep", "--n", "2", "--delta", "-0.5",
@@ -125,8 +132,6 @@ def _unequal_ifs(tmp_path, experiment="vis-delta-sweep"):
     lambda tmp: ["favard-scaling", "--out", str(tmp / "o.csv"), "--n"],
     lambda tmp: ["vis-delta-sweep", "--n", "2", "--c", "inf",
                  "--out", str(tmp / "o.csv")],
-    lambda tmp: ["favard-scaling", "--n", "100000000",
-                 "--out", str(tmp / "o.csv")],
     lambda tmp: ["vis-delta-sweep", "--n", "2", "--delta", "1e-320",
                  "--out", str(tmp / "o.csv")],
     lambda tmp: ["line-scan", "--n", "2", "--delta", "1e-320",
@@ -135,15 +140,17 @@ def _unequal_ifs(tmp_path, experiment="vis-delta-sweep"):
                  "--out", str(tmp / "o.csv")],
     lambda tmp: ["vis-delta-sweep", "--n", "2", "--vantage=1e308,0",
                  "--out", str(tmp / "o.csv")],
+    lambda tmp: ["visibility-point", "--n", "2", "--vantage=a,b",
+                 "--out", str(tmp / "o.csv")],
 ], ids=["bridge-domain", "census-L-over-N", "config-type", "unwritable-out",
         "config-unknown-key", "census-fractional-k", "unequal-ratios",
         "config-not-object", "alpha-nan", "alpha-negative", "samples-zero",
         "samples-negative", "C-inf", "energy-unequal-ratios",
         "config-experiment-mismatch", "vantage-one-number", "n-malformed",
         "bridge-vantage-off-axis", "flag-type", "unknown-experiment",
-        "flag-without-value", "c-inf", "n-huge", "sweep-delta-subnormal",
+        "flag-without-value", "c-inf", "sweep-delta-subnormal",
         "scan-delta-subnormal", "bridge-delta-subnormal",
-        "sweep-vantage-huge"])
+        "sweep-vantage-huge", "vantage-not-numbers"])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     rc = main(argv(tmp_path))
     err = capsys.readouterr().err
@@ -161,6 +168,8 @@ def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     ("favard-scaling", {"n": 2.5}, "n: expected N or LO..HI, got 2.5"),
     ("favard-scaling", {"n": True}, "n: expected N or LO..HI, got True"),
     ("favard-scaling", {"n": "2.5"}, "n: expected N or LO..HI, got '2.5'"),
+    ("visibility-point", {"vantages": ["a,b"]},
+     "vantage: expected X,Y, got 'a,b'"),
 ])
 def test_config_list_errors_name_the_key(tmp_path, capsys, experiment, blob,
                                          message):
@@ -240,9 +249,9 @@ class TestResolvedDefaults:
                                               experiment):
         built = []
 
-        def counting(sys_, n, budget):
+        def counting(sys_, n):
             built.append(n)
-            return generate_generation(sys_, n, budget=budget)
+            return generate_generation(sys_, n)
 
         monkeypatch.setattr(favlab.cli, "generate_generation", counting)
         out = tmp_path / "o.csv"
@@ -393,7 +402,8 @@ class TestRuns:
         assert len(read_csv(out)) == 11
 
     def test_energy_capped_on_atoms(self, tmp_path, capsys):
-        # 4^10 squares are within the node budget; 9^10 atoms are not
+        # 4^10 squares are within the generation cap; 9^10 atoms are
+        # over the energy's
         assert main(["energy", "--n", "10",
                      "--out", str(tmp_path / "o.csv")]) == 3
         assert capsys.readouterr().err == (
@@ -401,17 +411,71 @@ class TestRuns:
             f"cap is {WORK_BUDGET}\n")
 
     def test_refused_allocation_exit_code(self, tmp_path, capsys):
-        # numpy refuses the (samples, N) word array before allocating it
-        assert main(["generic-census", "--n", "8",
-                     "--samples", "10000000000000",
+        # numpy refuses the angle grid before allocating it
+        assert main(["stacking", "--n", "1", "--angles", "10000000000000",
                      "--out", str(tmp_path / "o.csv")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_census_capped_on_letters(self, tmp_path, capsys):
+        """The census checks its letters before it draws a word."""
+        assert main(["generic-census", "--n", "8",
+                     "--samples", "10000000000000",
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: subword census of length 8 needs {8 * 10 ** 13} "
+            f"letters; cap is {WORK_BUDGET >> 5}\n")
+
+    def test_favard_and_census_past_depth_10(self, tmp_path):
+        """Neither builds the 4^11 squares, so neither is refused at n=11;
+        the rows up to n=10 are those of a run that stops there."""
+        deep, shallow = tmp_path / "deep.csv", tmp_path / "shallow.csv"
+        assert main(["favard-scaling", "--n", "1..11", "--angles", "4",
+                     "--out", str(deep)]) == 0
+        assert main(["favard-scaling", "--n", "1..10", "--angles", "4",
+                     "--out", str(shallow)]) == 0
+        assert read_csv(deep)[:-1] == read_csv(shallow)
+        assert read_csv(deep)[-1][:2] == ["11", "4"]
+        assert main(["favard-scaling", "--n", "11", "--angles", "4",
+                     "--out", str(deep)]) == 0
+        assert main(["generic-census", "--n", "11", "--samples", "1000",
+                     "--out", str(tmp_path / "cen.csv")]) == 0
+
+    @pytest.mark.parametrize("experiment", [
+        e for e in EXPERIMENTS
+        if e not in ("favard-scaling", "visibility-point", "generic-census")])
+    def test_generation_refused_past_4_to_10(self, tmp_path, capsys,
+                                             experiment):
+        """Every experiment that builds a generation is refused at n=11,
+        the first depth past 4^10 squares, by the generation's cap; energy
+        meets its deepest depth first, before it sums the others."""
+        assert main([experiment, "--n", "1..11",
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: generation 11 needs {4 ** 11} nodes; "
+            f"cap is {WORK_BUDGET >> 10}\n")
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_huge_depth_refused_in_constant_memory(self, tmp_path, capsys,
+                                                   experiment):
+        """At n = 10^8 each experiment meets its cap before anything grows
+        with n: no depth list, no power of n digits, no list of n ratios."""
+        tracemalloc.start()
+        try:
+            rc = main([experiment, "--n", "100000000",
+                       "--out", str(tmp_path / "o.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert re.fullmatch(r"error: .+ needs \d+ \S+; cap is \d+\n", err)
+        assert peak < 2 ** 20
+
     def test_visibility_point_streams_past_the_node_budget(self, tmp_path):
         """n = 10 equals the whole generation's visibility bit for bit, and
-        the sidecar's arcs are its arc counts; n = 11 builds no generation,
-        so the node budget does not refuse it."""
+        the sidecar's arcs are its arc counts; n = 11 builds no generation
+        and runs under the visibility's own cap on squares."""
         out = tmp_path / "vis.csv"
         vantages = [(-0.25, 0.5), (-0.3182, 0.1279)]
         assert main(["visibility-point", "--n", "10", "--out", str(out)]
@@ -569,7 +633,7 @@ ODD_NUMBERS = [0.0, -1.0, math.nan, 0.5, 2.7, 1.0, 3.0]
 
 @st.composite
 def small_argv(draw):
-    """A small random invocation of any experiment, no --budget."""
+    """A small random invocation of any experiment."""
     experiment = draw(st.sampled_from(EXPERIMENTS))
     lo = draw(st.integers(0, 3))
     hi = draw(st.integers(lo, 3))

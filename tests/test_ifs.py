@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from favlab.geometry import Point2, Square
-from favlab.ifs import (DimensionError, IFSystem, ResourceBudgetError,
-                        Similitude, _generation_blocks, compose_word,
+from favlab.ifs import (WORK_BUDGET, DimensionError, IFSystem,
+                        ResourceBudgetError, Similitude, _generation_blocks, compose_word,
                         four_corner, generate_generation, preset, resolve_ifs,
                         similarity_dimension, subword_census)
 
@@ -110,8 +110,19 @@ class TestGenerateGeneration:
 
     def test_budget_error_names_cap(self, fourcorner):
         with pytest.raises(ResourceBudgetError,
-                           match="^generation 3 needs 64 nodes; cap is 10$"):
-            generate_generation(fourcorner, 3, budget=10)
+                           match=f"^generation 11 needs {4 ** 11} nodes; "
+                                 f"cap is {4 ** 10}$"):
+            generate_generation(fourcorner, 11)
+
+    @pytest.mark.parametrize("n", [10 ** 8, 10 ** 18])
+    def test_huge_depth_refused_at_once(self, fourcorner, n):
+        """The power is capped at the cap's bit length, so a huge depth is
+        refused without computing s^n, by the generation and by the side
+        of its squares alike."""
+        for build in (generate_generation, IFSystem.stage_side):
+            with pytest.raises(ResourceBudgetError,
+                               match=f"^generation {n} needs {4 ** 21} "):
+                build(fourcorner, n)
 
     def test_word_roundtrip(self, gens):
         g = gens(3)
@@ -119,6 +130,18 @@ class TestGenerateGeneration:
         assert g.word_of(63) == (4, 4, 4)
         # word order is lexicographic
         assert g.word_of(1) == (1, 1, 2)
+
+    def test_word_of_range_is_the_index_range(self, gens):
+        """Negative indices count from the end as in gen[i]; an index
+        outside [-len, len) raises as gen[i] does, instead of wrapping."""
+        g = gens(2)
+        assert g.word_of(-1) == (4, 4) and g.word_of(-16) == (1, 1)
+        assert g[-1].word == (4, 4)
+        for i in (16, -17, 10 ** 6):
+            with pytest.raises(IndexError):
+                g.word_of(i)
+            with pytest.raises(IndexError):
+                g[i]
 
 
 class TestComposeWord:
@@ -179,6 +202,22 @@ class TestSubwordCensus:
     def test_rejects_samples_below_one(self, fourcorner, samples):
         with pytest.raises(ValueError, match="samples must be >= 1"):
             subword_census(fourcorner, 7, 2, samples=samples)
+
+    def test_capped_on_letters_before_drawing(self, fourcorner):
+        """Letters, not windows: one word of length N = L = 10^8 has a
+        single window but 10^8 letters."""
+        cap = WORK_BUDGET >> 5
+        for N, L, samples in ((10 ** 8, 10 ** 8, 1), (8, 2, 10 ** 13),
+                              (cap + 1, 1, 1)):
+            with pytest.raises(ResourceBudgetError,
+                               match=f"^subword census of length {N} needs "
+                                     f"{samples * N} letters; cap is {cap}$"):
+                subword_census(fourcorner, N, L, samples=samples)
+
+    def test_long_subwords_never_generic(self, fourcorner):
+        """Past the windows of a word the fraction is 1, with s^L capped."""
+        assert subword_census(fourcorner, 40, 30, samples=10) == 1.0
+        assert subword_census(fourcorner, 6, 5) == 1.0
 
 
 class TestPresets:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from favlab import _kernels
 from favlab.geometry import Point2, Square
-from favlab.ifs import IFSystem, Similitude, generate_generation, preset
+from favlab.ifs import (WORK_BUDGET, IFSystem, ResourceBudgetError,
+                        Similitude, generate_generation, preset)
 from favlab.projections import (AngleGrid, DegenerateError, bad_angle_measure,
                                 favard_length, favard_lengths,
                                 fav_upper_pipeline, hl_maximal,
@@ -564,3 +565,16 @@ def test_favard_lengths_are_the_flat_favard_lengths(fourcorner, gens,
     assert all(a < b for a, b in zip(merged, merged[1:]))
     with pytest.raises(ValueError):
         favard_lengths(fourcorner, -1, grid256)
+
+
+@pytest.mark.parametrize("n, angles", [(12, 4096), (13, 1024), (10 ** 8, 1)])
+def test_favard_lengths_capped_on_angle_squares(fourcorner, n, angles):
+    """Angles times stage-n squares, checked before any depth is merged
+    or any (depth, angle) table is allocated; the power is capped at the
+    cap's bit length."""
+    cap = WORK_BUDGET << 2
+    need = angles * 4 ** min(n, cap.bit_length())
+    with pytest.raises(ResourceBudgetError,
+                       match=f"^Favard lengths to generation {n} needs "
+                             f"{need} angle-squares; cap is {cap}$"):
+        favard_lengths(fourcorner, n, AngleGrid(angles))
