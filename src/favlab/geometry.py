@@ -261,18 +261,28 @@ def hull_arcs_of_squares(x0: np.ndarray, y0: np.ndarray, side: np.ndarray,
                          a: Point2) -> tuple[np.ndarray, np.ndarray]:
     """Angular hulls of the squares with lower-left corners (x0, y0) and
     per-square sides `side`, seen from a, as (starts, widths); a square
-    whose closed set holds a has width 2pi.
+    whose closed set holds a has width 2pi, and the start of such an arc
+    is unspecified.
 
     Exact for convex bodies: outside the square the hull is the minor arc
-    spanned by the extreme corner directions.
+    counter-clockwise from one corner's direction to another's, and where a
+    lies (below, above, left or right of the square) fixes the two, with
+    x1 = x0 + side and y1 = y0 + side:
+
+        below:        (x1, y1 if right else y0) to (x0, y1 if left else y0)
+        above:        (x0, y0 if left else y1) to (x1, y0 if right else y1)
+        level, right: (x1, y1) to (x1, y0)
+        level, left:  (x0, y0) to (x0, y1)
     """
-    inside = ((x0 <= a.x) & (a.x <= x0 + side)
-              & (y0 <= a.y) & (a.y <= y0 + side))
-    cx = np.stack([x0, x0 + side, x0 + side, x0], axis=1) - a.x
-    cy = np.stack([y0, y0, y0 + side, y0 + side], axis=1) - a.y
-    ang = np.sort(np.arctan2(cy, cx) % TWO_PI, axis=1)
-    gaps = np.diff(np.concatenate([ang, ang[:, :1] + TWO_PI], axis=1), axis=1)
-    k = np.argmax(gaps, axis=1)
-    widths = np.where(inside, TWO_PI, TWO_PI - gaps[np.arange(len(k)), k])
-    starts = ang[np.arange(len(k)), (k + 1) % 4]
-    return starts, widths
+    x1 = x0 + side
+    y1 = y0 + side
+    left, right = a.x < x0, a.x > x1
+    below, above = a.y < y0, a.y > y1
+    inside = ~(left | right | below | above)
+    s = np.arctan2(np.where((right & ~above) | (above & ~left), y1, y0) - a.y,
+                   np.where(below | (right & ~above), x1, x0) - a.x) % TWO_PI
+    e = np.arctan2(np.where((left & below) | ~(below | right), y1, y0) - a.y,
+                   np.where(above | (right & ~below), x1, x0) - a.x) % TWO_PI
+    # the largest gap between corner directions: from e on to s
+    gap = np.where(s < e, (s + TWO_PI) - e, s - e)
+    return s, np.where(inside, TWO_PI, TWO_PI - gap)

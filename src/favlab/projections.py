@@ -172,10 +172,10 @@ def sup_projection_count(gen: Generation, theta: float) -> int:
     """Exact sup of the projection-counting step function: the count of the
     closed intervals is largest at some left endpoint."""
     lo, hi = _projection_bounds(gen, theta)
-    lo = np.sort(lo)
-    hi = np.sort(hi)
-    return int(np.max(np.searchsorted(lo, lo, "right")
-                      - np.searchsorted(hi, lo, "left")))
+    # a stable sort of two sorted runs merges them, a lo before a tied hi
+    order = np.argsort(np.concatenate((np.sort(lo), np.sort(hi))),
+                       kind="stable")
+    return int(np.cumsum(np.where(order < lo.size, 1, -1)).max())
 
 
 @dataclass(frozen=True)

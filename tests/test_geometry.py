@@ -228,22 +228,71 @@ class TestAngularHull:
         y0 = rng.uniform(0, 4, 30)
         a = Point2(-2.0, -3.0)
         starts, widths = hull_arcs_of_squares(x0, y0, 0.25, a)
+        want_starts, want_widths = four_corner_hulls(x0, y0, 0.25, a)
         for i in range(30):
             sq = Square(Point2(x0[i], y0[i]), 0.25)
             assert square_hull(sq, a) == (starts[i], widths[i])
-            st_, w_ = corner_angle_hull(sq, a)
-            assert starts[i] == pytest.approx(st_, abs=1e-12)
-            assert widths[i] == pytest.approx(w_, abs=1e-12)
+            assert (starts[i], widths[i]) == (want_starts[i], want_widths[i])
 
 
-def corner_angle_hull(sq, a):
-    """One square's hull from its corner directions: the arc left when the
-    largest gap between consecutive corner angles is cut out."""
-    ang = np.sort(np.arctan2(sq.corners()[:, 1] - a.y,
-                             sq.corners()[:, 0] - a.x) % TWO_PI)
-    gaps = np.diff(np.append(ang, ang[0] + TWO_PI))
-    k = int(np.argmax(gaps))
-    return float(ang[(k + 1) % 4]), float(TWO_PI - gaps[k])
+def four_corner_hulls(x0, y0, side, a):
+    """Oracle: each square's hull from all four corner directions, the arc
+    left when the largest gap between consecutive corner angles is cut
+    out; width 2pi for a square whose closed set holds a."""
+    inside = ((x0 <= a.x) & (a.x <= x0 + side)
+              & (y0 <= a.y) & (a.y <= y0 + side))
+    cx = np.stack([x0, x0 + side, x0 + side, x0], axis=1) - a.x
+    cy = np.stack([y0, y0, y0 + side, y0 + side], axis=1) - a.y
+    ang = np.sort(np.arctan2(cy, cx) % TWO_PI, axis=1)
+    gaps = np.diff(np.concatenate([ang, ang[:, :1] + TWO_PI], axis=1), axis=1)
+    k = np.argmax(gaps, axis=1)
+    widths = np.where(inside, TWO_PI, TWO_PI - gaps[np.arange(len(k)), k])
+    starts = ang[np.arange(len(k)), (k + 1) % 4]
+    return starts, widths
+
+
+HULL_COORDS = st.one_of(st.sampled_from([-1.0, -0.25, 0.0, 0.25, 0.5, 1.0]),
+                        st.floats(-2.0, 2.0))
+HULL_SIDES = st.one_of(st.sampled_from([0.25, 0.5, 1.0]),
+                       st.floats(1e-6, 2.0))
+
+
+@st.composite
+def squares_and_vantage(draw):
+    """Squares of unequal sides and a vantage inside one of them, on one
+    of its corners or edges, on an edge's extended line, or anywhere."""
+    m = draw(st.integers(1, 8))
+    x0 = np.array(draw(st.lists(HULL_COORDS, min_size=m, max_size=m)))
+    y0 = np.array(draw(st.lists(HULL_COORDS, min_size=m, max_size=m)))
+    side = np.array(draw(st.lists(HULL_SIDES, min_size=m, max_size=m)))
+    i = draw(st.integers(0, m - 1))
+    xs = (x0[i], x0[i] + side[i])
+    ys = (y0[i], y0[i] + side[i])
+    t = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    along = (x0[i] + t * side[i], y0[i] + t * side[i])
+    far = draw(st.sampled_from([-3.0, 3.0]) | HULL_COORDS)
+    a = draw(st.sampled_from([
+        (along[0], along[1]),                                # inside
+        (draw(st.sampled_from(xs)), draw(st.sampled_from(ys))),  # corner
+        (along[0], draw(st.sampled_from(ys))),               # edge
+        (draw(st.sampled_from(xs)), along[1]),               # edge
+        (draw(st.sampled_from(xs)), far),                    # edge line
+        (far, draw(st.sampled_from(ys))),                    # edge line
+        (draw(HULL_COORDS), draw(HULL_COORDS))]))
+    return x0, y0, side, Point2(*a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(squares_and_vantage())
+def test_hull_arcs_match_four_corner_oracle(case):
+    """Widths, and starts of the arcs narrower than 2pi, are the oracle's
+    bits."""
+    x0, y0, side, a = case
+    starts, widths = hull_arcs_of_squares(x0, y0, side, a)
+    want_starts, want_widths = four_corner_hulls(x0, y0, side, a)
+    assert np.array_equal(widths, want_widths)
+    outside = want_widths < TWO_PI
+    assert np.array_equal(starts[outside], want_starts[outside])
 
 
 class TestLines:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from favlab import _kernels
@@ -446,9 +446,38 @@ def test_stacked_census_matches_per_square(gen, theta, K):
         assert got <= np.count_nonzero(minima >= k - 1e-9)
 
 
+def unit_generation(maps, n):
+    return generate_generation(
+        IFSystem(tuple(Similitude(r, t) for r, t in maps),
+                 Square(Point2(0.0, 0.0), 1.0)), n)
+
+
+# halves whose projections touch at theta = 0 and pi/2 (lo_j == hi_i)
+TOUCHING = unit_generation([(0.5, (0.0, 0.0)), (0.5, (0.5, 0.5))], 3)
+# repeated maps: coincident squares, equal lo and equal hi
+COINCIDENT = unit_generation([(0.5, (0.0, 0.0)), (0.5, (0.0, 0.0)),
+                              (0.5, (0.5, 0.0))], 3)
+# unequal ratios whose images touch and share edges
+UNEQUAL = unit_generation([(0.5, (0.0, 0.0)), (0.25, (0.5, 0.5)),
+                           (0.25, (0.75, 0.25)), (0.5, (0.5, 0.5))], 3)
+
+
 @settings(max_examples=100, deadline=None)
 @given(gen=homothety_generations(), theta=ANGLES)
+@example(gen=generate_generation(preset("fourcorner"), 3), theta=0.0)
+@example(gen=generate_generation(preset("fourcorner"), 3), theta=math.pi / 2)
+@example(gen=TOUCHING, theta=0.0)
+@example(gen=TOUCHING, theta=math.pi / 2)
+@example(gen=TOUCHING, theta=math.pi / 4)
+@example(gen=COINCIDENT, theta=0.0)
+@example(gen=COINCIDENT, theta=0.7)
+@example(gen=UNEQUAL, theta=0.0)
+@example(gen=UNEQUAL, theta=math.pi / 2)
+@example(gen=UNEQUAL, theta=1.1)
 def test_sup_count_matches_lexsort_sweep(gen, theta):
+    """The merge of the sorted lo and hi runs counts closed intervals: a
+    lo tied with a hi opens first (columns of the four-corner set coincide
+    at theta = 0, and the halves of TOUCHING share endpoints)."""
     assert sup_projection_count(gen, theta) == sup_by_lexsort_sweep(gen, theta)
 
 

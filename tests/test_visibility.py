@@ -24,6 +24,7 @@ from favlab.visibility import (DEFAULT_C, DiscreteLine, LineFamily,
                                scan_line_low_visibility, select_intervals,
                                streamed_visibility, vis_delta, visibility)
 from favlab.visibility import _direction_mask
+from test_geometry import four_corner_hulls
 
 
 @pytest.fixture(scope="module")
@@ -754,9 +755,10 @@ def test_line_work_estimate_is_the_streamed_steps(gens, n):
 # ---------------------------------------------------------------------------
 
 def dense_projection(gen, a):
-    """The one from_arcs union of the hull arcs of all the squares."""
+    """The one from_arcs union of the four-corner oracle's hull arcs of
+    all the squares."""
     return CircularIntervalSet.from_arcs(np.column_stack(
-        hull_arcs_of_squares(gen.corner_x, gen.corner_y, gen.sides, a)))
+        four_corner_hulls(gen.corner_x, gen.corner_y, gen.sides, a)))
 
 
 def arc_bits(arcs):
@@ -846,13 +848,13 @@ def traced_peak(run):
 
 def test_streamed_visibility_memory_is_blocked(fourcorner):
     """At n = 8 (four blocks) the streamed path peaks below a third of the
-    dense path, which builds the generation and then every hull arc."""
+    dense path that it replaced, which builds the generation and then every
+    hull arc from all four corners."""
     a = Point2(-0.25, 0.5)
 
     def dense():
         gen = generate_generation(fourcorner, 8)
-        CircularIntervalSet.from_arcs(np.column_stack(hull_arcs_of_squares(
-            gen.corner_x, gen.corner_y, gen.sides, a)))
+        dense_projection(gen, a)
 
     streamed = traced_peak(lambda: streamed_visibility(fourcorner, 8, [a]))
     assert streamed < traced_peak(dense) / 3
