@@ -230,12 +230,21 @@ def _seam_merged(arcs):
         raise GeometryError("non-finite arc start")
     if np.any(length >= TWO_PI - MERGE_TOL):
         return np.empty(0), np.empty(0), True
-    s = np.remainder(start, TWO_PI)
+    s = _mod_two_pi(start)
     e = s + length
     wrap = e > TWO_PI
     return (*_kernels.merge_intervals(
         np.concatenate([s, np.zeros(np.count_nonzero(wrap))]),
         np.concatenate([np.minimum(e, TWO_PI), e[wrap] - TWO_PI])), False)
+
+
+def _mod_two_pi(x: np.ndarray) -> np.ndarray:
+    """np.remainder(x, 2pi) bit for bit for finite x, without its division:
+    fmod is exact, a negative remainder gains 2pi as in np.remainder, and
+    adding 0.0 to the others turns a -0.0 into np.remainder's +0.0."""
+    r = np.fmod(x, TWO_PI)
+    r += TWO_PI * (r < 0)
+    return r
 
 
 def _seam_joined(mlo: np.ndarray, mhi: np.ndarray, full: bool):
@@ -280,9 +289,14 @@ def hull_arcs_of_squares(x0: np.ndarray, y0: np.ndarray, side: np.ndarray,
     below, above = a.y < y0, a.y > y1
     inside = ~(left | right | below | above)
     s = np.arctan2(np.where((right & ~above) | (above & ~left), y1, y0) - a.y,
-                   np.where(below | (right & ~above), x1, x0) - a.x) % TWO_PI
+                   np.where(below | (right & ~above), x1, x0) - a.x)
     e = np.arctan2(np.where((left & below) | ~(below | right), y1, y0) - a.y,
-                   np.where(above | (right & ~below), x1, x0) - a.x) % TWO_PI
-    # the largest gap between corner directions: from e on to s
-    gap = np.where(s < e, (s + TWO_PI) - e, s - e)
+                   np.where(above | (right & ~below), x1, x0) - a.x)
+    # _mod_two_pi without its fmod, the identity on atan2's range
+    s += TWO_PI * (s < 0)
+    e += TWO_PI * (e < 0)
+    # the largest gap between corner directions, from e on to s: where
+    # s <= e it is (s + 2pi) - e, and s + 0.0 is s; s == e when the square
+    # is too small to part its corners' directions, and its width is ~0
+    gap = (s + TWO_PI * (s <= e)) - e
     return s, np.where(inside, TWO_PI, TWO_PI - gap)

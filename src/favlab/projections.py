@@ -172,10 +172,12 @@ def sup_projection_count(gen: Generation, theta: float) -> int:
     """Exact sup of the projection-counting step function: the count of the
     closed intervals is largest at some left endpoint."""
     lo, hi = _projection_bounds(gen, theta)
-    # a stable sort of two sorted runs merges them, a lo before a tied hi
+    # a stable sort of two sorted runs merges them, a lo before a tied hi;
+    # the j-th lo, at merged position p_j, leaves j + 1 - (p_j - j) open
     order = np.argsort(np.concatenate((np.sort(lo), np.sort(hi))),
                        kind="stable")
-    return int(np.cumsum(np.where(order < lo.size, 1, -1)).max())
+    p = np.flatnonzero(order < lo.size)
+    return int((np.arange(1, 2 * lo.size, 2) - p).max())
 
 
 @dataclass(frozen=True)

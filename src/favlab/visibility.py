@@ -142,8 +142,8 @@ def streamed_visibility(sys: IFSystem, n: int,
     blocks of `_ARC_BLOCK`: no generation and no arc tuples are held.
 
     The squares streamed for all the vantages are checked first against
-    WORK_BUDGET >> 5 (one costs about 0.25 us on a 2-core host, so the cap
-    stops a run near 8 s); past the cap's bit length the figure reported
+    WORK_BUDGET >> 5 (one costs about 0.2 us on a 2-core host, so the cap
+    stops a run near 7 s); past the cap's bit length the figure reported
     is s^bit_length, a lower bound of the s^n squares."""
     if n < 0:
         raise ValueError("generation index must be >= 0")
