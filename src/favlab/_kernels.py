@@ -163,32 +163,100 @@ def _k2_windows(t, delta, reach, k2min, k2max):
     return a, b
 
 
-def _direction_windows(px, py, delta, reach, k1s, k2min, k2max):
-    """Yield, for each direction k1 in k1s, the clipped k2 windows [a, b] of
-    the points with |t_k1(p) - k2*delta| <= reach (_k2_windows)."""
+#: cells (windows or row entries) per block of directions in the line
+#: family's streams
+_LINE_BLOCK = 2 ** 14
+
+
+def _block_step(cells: int) -> int:
+    """Directions per block when each direction takes `cells` cells."""
+    return max(1, _LINE_BLOCK // max(cells, 1))
+
+
+def _window_blocks(px, py, delta, reach, k1s, k2min, k2max, step):
+    """Yield, per block of `step` directions k1 in k1s, the clipped k2
+    windows [a, b] of the points with |t_k1(p) - k2*delta| <= reach
+    (_k2_windows) as two (directions, points) arrays; reach may be one
+    per point."""
     k1s = np.asarray(k1s)
-    # blocks of directions hold about one row of cells: memory stays
-    # O(row + points), and a small point set costs few calls per direction
-    step = max(1, (k2max - k2min + 1) // max(px.size, 1))
     for s in range(0, k1s.size, step):
         th = k1s[s:s + step, None] * delta
         t = -np.sin(th) * px + np.cos(th) * py
-        yield from zip(*_k2_windows(t, delta, reach, k2min, k2max))
+        yield _k2_windows(t, delta, reach, k2min, k2max)
+
+
+def _check_c(c_mult):
+    """Reject a tube multiplier c that is not positive and finite."""
+    if not (math.isfinite(c_mult) and c_mult > 0):
+        raise ValueError(f"c must be positive and finite, got {c_mult}")
+
+
+def _row_width(px, py, delta, c_mult, k2min, k2max) -> int:
+    """Width of the count rows: the offsets one direction's point windows
+    can span.  Two points of a cloud of radius r (about its bounding-box
+    centre) differ in t_k1 by at most 2r, so their windows of reach
+    c_mult*delta lie within 2r/delta + 2*c_mult + 1 cells of each other,
+    and ceil(2r/delta + 2*c_mult + 2) leaves a cell for rounding.  Clipped
+    to the family's width; 0 for no points."""
+    _check_c(c_mult)
+    if px.size == 0:
+        return 0
+    cx = (px.min() + px.max()) / 2
+    cy = (py.min() + py.max()) / 2
+    span = 2 * float(np.hypot(px - cx, py - cy).max()) / delta + 2 * c_mult + 2
+    nk2 = k2max - k2min + 1
+    return nk2 if span >= nk2 else math.ceil(span)
 
 
 def _count_rows(px, py, delta, c_mult, k1s, k2min, k2max):
-    """Yield, for each direction k1 in k1s, the row whose entry k2 - k2min
-    counts the points within c_mult*delta of the line ell_{k1,k2}."""
-    if not (math.isfinite(c_mult) and c_mult > 0):
-        raise ValueError(f"c must be positive and finite, got {c_mult}")
-    nk2 = k2max - k2min + 1
-    for a, b in _direction_windows(px, py, delta, c_mult * delta, k1s, k2min,
-                                   k2max):
-        ok = a <= b
-        # +1 where a point's window opens, -1 just past where it closes
-        diff = (np.bincount(a[ok] - k2min, minlength=nk2 + 1)
-                - np.bincount(b[ok] - k2min + 1, minlength=nk2 + 1))
-        yield np.cumsum(diff[:-1])
+    """Yield, per block of the directions k1 in k1s, (bases, rows): rows[j, i]
+    counts the points within c_mult*delta of the line ell_{k1, bases[j] + i}
+    of the block's j-th direction, and no point lies that near a family
+    line off its row.  Rows have the width _row_width, and each span
+    [base, base + width) lies in [k2min, k2max]."""
+    width = _row_width(px, py, delta, c_mult, k2min, k2max)
+    top = k2max - width + 1
+    for a, b in _window_blocks(px, py, delta, c_mult * delta, k1s, k2min,
+                               k2max, _block_step(max(px.size, width + 1))):
+        # the least window start, empty windows' (b = a - 1) too: every
+        # window [a, b + 1) then lies in [base, base + width].  One that the
+        # family clips away below is [k2min, k2min - 1], and base = k2min;
+        # one clipped away above is [k2max + 1, k2max], and as the others
+        # start within 2r/delta of it, past top, base = top.
+        bases = a.min(axis=1, initial=top)
+        # row j's cells sit at j * (width + 1) + (k2 - base) in one array:
+        # +1 where a point's window opens, -1 just past where it closes; an
+        # empty window puts both on one cell, where they cancel
+        a += (np.arange(len(a)) * (width + 1) - bases)[:, None]
+        b += (np.arange(len(b)) * (width + 1) - bases + 1)[:, None]
+        cells = len(a) * (width + 1)
+        diff = (np.bincount(a.ravel(), minlength=cells)
+                - np.bincount(b.ravel(), minlength=cells))
+        yield bases, diff.reshape(len(a), width + 1)[:, :-1].cumsum(axis=1)
+
+
+def _vantage_sums(px, py, delta, c_mult, ax, ay, reach, k1s, k2min, k2max):
+    """Per direction k1 in k1s, the sum of its count row over the window
+    [lo, hi] of the offsets k2 with |t_k1(a) - k2*delta| <= reach of the
+    vantage a = (ax, ay).  That is sum_p |[a_p, b_p] & [lo, hi]| over the
+    points' windows, so no row is built: the vantage is windowed as one
+    more point, in the same blocks."""
+    _check_c(c_mult)
+    reaches = np.full(px.size + 1, c_mult * delta)
+    reaches[-1] = reach
+    out = np.empty(len(k1s), dtype=np.int64)
+    i = 0
+    for a, b in _window_blocks(np.append(px, ax), np.append(py, ay), delta,
+                               reaches, k1s, k2min, k2max,
+                               _block_step(px.size + 1)):
+        # an empty window has b = a - 1, so its overlap is at most 0
+        np.maximum(a, a[:, -1:], out=a)
+        np.minimum(b, b[:, -1:], out=b)
+        b -= a - 1
+        np.maximum(b, 0, out=b)
+        out[i:i + len(b)] = b[:, :-1].sum(axis=1)
+        i += len(b)
+    return out
 
 
 def f_delta_stats(px, py, delta, c_mult, dir_mask, k2min, k2max):
@@ -200,9 +268,9 @@ def f_delta_stats(px, py, delta, c_mult, dir_mask, k2min, k2max):
     # lines_with[f] = number of lines with count f; a line counts a point
     # at most once, so f <= px.size
     lines_with = np.zeros(px.size + 1, dtype=np.int64)
-    for cnt in _count_rows(px, py, delta, c_mult, np.flatnonzero(dir_mask),
-                           k2min, k2max):
-        lines_with += np.bincount(cnt, minlength=px.size + 1)
+    for _, rows in _count_rows(px, py, delta, c_mult,
+                               np.flatnonzero(dir_mask), k2min, k2max):
+        lines_with += np.bincount(rows.ravel(), minlength=px.size + 1)
     f = np.arange(px.size + 1, dtype=np.int64)
     sum_sq = float(np.sum(lines_with * f * f))
     nlevels = max(1, int(np.ceil(np.log2(max(px.size, 2)))) + 2)
@@ -214,8 +282,11 @@ def f_delta_stats(px, py, delta, c_mult, dir_mask, k2min, k2max):
 
 def line_counts_table(px, py, delta, c_mult, n_dir, k2min, k2max):
     """Dense table cnt[k1, k2-k2min] of point counts near each family line."""
-    out = np.empty((n_dir, k2max - k2min + 1), dtype=np.int32)
-    for k1, row in enumerate(_count_rows(px, py, delta, c_mult, range(n_dir),
-                                         k2min, k2max)):
-        out[k1] = row
+    out = np.zeros((n_dir, k2max - k2min + 1), dtype=np.int32)
+    k1 = 0
+    for bases, rows in _count_rows(px, py, delta, c_mult, range(n_dir),
+                                   k2min, k2max):
+        cols = bases[:, None] - k2min + np.arange(rows.shape[1])
+        np.put_along_axis(out[k1:k1 + len(rows)], cols, rows, axis=1)
+        k1 += len(rows)
     return out

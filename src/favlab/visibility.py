@@ -48,6 +48,8 @@ class PointCloud:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         object.__setattr__(self, "points", pts)
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be positive and finite")
         if self.weights is not None:
@@ -90,8 +92,12 @@ def _arc_union(blocks, a: Point2):
     union = filled = 0      # the union in [:union], pending arcs up to filled
     full = False
     for x0, y0, sides in blocks:
+        starts, widths = hull_arcs_of_squares(x0, y0, sides, a)
+        # a square too small to part its corners' directions has width 0
+        # and adds nothing to the union
+        keep = widths > 0
         blo, bhi, block_full = _seam_merged(np.column_stack(
-            hull_arcs_of_squares(x0, y0, sides, a)))
+            (starts[keep], widths[keep])))
         full |= block_full
         end = filled + blo.size
         if end > lo.size:
@@ -102,7 +108,7 @@ def _arc_union(blocks, a: Point2):
         hi[filled:end] = bhi
         filled = end
         # the next block is built while this one's names still hold it
-        del x0, y0, sides, blo, bhi
+        del x0, y0, sides, starts, widths, keep, blo, bhi
         if filled > 2 * union:
             union = filled = _fold(lo[:filled], hi[:filled])
     if filled > union:
@@ -255,12 +261,19 @@ def f_delta(ell: DiscreteLine, A: PointCloud, c: float = DEFAULT_C) -> int:
                                 <= c * ell.delta))
 
 
-def _check_line_work(A: PointCloud, fam: LineFamily, m: int) -> None:
-    """Raise ResourceBudgetError past WORK_BUDGET for one stream of the
-    count rows with m vantages: per direction, it windows the cloud points
-    and the vantages and sweeps the row of k2 offsets."""
-    steps = fam.k1_count * (len(A) + 2 * fam.k2_max + 1 + m)
+def _check_line_work(A: PointCloud, fam: LineFamily, more: float) -> None:
+    """Raise ResourceBudgetError past WORK_BUDGET for one stream over the
+    line family that takes, per direction, the cloud points' windows and
+    `more` steps: a count row's span and the vantages' windows, or the one
+    vantage window of a single-vantage sum."""
+    steps = fam.k1_count * (len(A) + more)
     check_budget("line family", steps, "steps", WORK_BUDGET)
+
+
+def _row_width(A: PointCloud, fam: LineFamily, c: float) -> int:
+    """Offsets spanned by each count row of the cloud (_kernels._row_width)."""
+    return _kernels._row_width(A.x, A.y, fam.delta, c, fam.k2_min,
+                               fam.k2_max)
 
 
 def counts_table(A: PointCloud, fam: LineFamily,
@@ -278,45 +291,49 @@ def _points(vantages) -> np.ndarray:
 
 
 def _window_sums(pts: np.ndarray, A: PointCloud, fam: LineFamily, c: float,
-                 reach: float, *, occupied: bool):
-    """Yield, per direction k1, the (m,) sums of the count row k1 (of row > 0
-    if occupied) over each vantage's window |t_k1(a) - k2*delta| <= reach,
-    read from one prefix sum of the streamed row; no table is kept."""
-    _check_line_work(A, fam, len(pts))
+                 reach: float):
+    """Yield, per direction k1, the (m,) counts of the lines of row k1 that
+    meet the cloud (count > 0) in each vantage's window |t_k1(a) - k2*delta|
+    <= reach, read from one prefix sum of the streamed span row; no table
+    is kept."""
+    width = _row_width(A, fam, c)
+    _check_line_work(A, fam, width + len(pts))
     rows = _kernels._count_rows(
         np.ascontiguousarray(A.x), np.ascontiguousarray(A.y), fam.delta, c,
         range(fam.k1_count), fam.k2_min, fam.k2_max)
-    prefix = np.zeros(2 * fam.k2_max + 2, dtype=np.int64)
-    for row, (lo, hi) in zip(rows, _vantage_windows(pts, fam, reach)):
-        np.cumsum(row > 0 if occupied else row, out=prefix[1:])
-        yield prefix[hi - fam.k2_min + 1] - prefix[lo - fam.k2_min]
-
-
-def _vantage_windows(pts: np.ndarray, fam: LineFamily, reach: float):
-    """Per direction k1, the k2 windows [lo, hi] within reach of the pts."""
-    return _kernels._direction_windows(pts[:, 0], pts[:, 1], fam.delta, reach,
-                                       range(fam.k1_count), fam.k2_min,
-                                       fam.k2_max)
+    blocks = _kernels._window_blocks(
+        pts[:, 0], pts[:, 1], fam.delta, reach, range(fam.k1_count),
+        fam.k2_min, fam.k2_max, _kernels._block_step(len(pts)))
+    windows = itertools.chain.from_iterable(zip(*w) for w in blocks)
+    for bases, block in rows:
+        prefix = np.zeros((len(block), width + 1), dtype=np.int64)
+        np.cumsum(block > 0, axis=1, out=prefix[:, 1:])
+        for base, pre, (lo, hi) in zip(bases.tolist(), prefix, windows):
+            # a window past an end of the span reads 0 or the row's total
+            yield (pre.take(hi - base + 1, mode="clip")
+                   - pre.take(lo - base, mode="clip"))
 
 
 def _direction_sums(a: Point2, A: PointCloud, fam: LineFamily, c: float,
                     reach: float) -> np.ndarray:
     """Per direction, the total richness of the lines within reach of a."""
-    return np.concatenate(list(_window_sums(_points([a]), A, fam, c, reach,
-                                            occupied=False)))
+    _check_line_work(A, fam, 1)
+    return _kernels._vantage_sums(
+        np.ascontiguousarray(A.x), np.ascontiguousarray(A.y), fam.delta, c,
+        a.x, a.y, reach, range(fam.k1_count), fam.k2_min, fam.k2_max)
 
 
 def vis_delta(vantages: Sequence[Point2], A: PointCloud, fam: LineFamily,
               c: float = DEFAULT_C) -> list[int]:
     """Per vantage, the count of family lines whose 2-delta tube contains it
     and whose c-delta tube meets the cloud."""
-    return sum(_window_sums(_points(vantages), A, fam, c, 2 * fam.delta,
-                            occupied=True)).tolist()
+    return sum(_window_sums(_points(vantages), A, fam, c,
+                            2 * fam.delta)).tolist()
 
 
 def _richness_stats(A: PointCloud, fam: LineFamily, c: float):
     """f_delta_stats over every direction of the family."""
-    _check_line_work(A, fam, 0)
+    _check_line_work(A, fam, _row_width(A, fam, c))
     return _kernels.f_delta_stats(
         np.ascontiguousarray(A.x), np.ascontiguousarray(A.y), fam.delta, c,
         np.ones(fam.k1_count, dtype=bool), fam.k2_min, fam.k2_max)
@@ -360,13 +377,14 @@ def cone_count(a: Point2, theta_set: Arc, A: PointCloud, fam: LineFamily,
     """Exact count of pairs (a', l): a' in the cloud, a' != a, both a and a'
     within c*delta of l, and the direction of l in the arc."""
     reach = c * fam.delta
-    dmask = _direction_mask(fam, theta_set, antipodal=False)
-    total = int(_direction_sums(a, A, fam, c, reach)[dmask].sum())
+    sums = _direction_sums(a, A, fam, c, reach)
     if np.any((A.x == a.x) & (A.y == a.y)):
-        # each qualifying line counts the vantage itself once
-        total -= sum(int(hi[0] - lo[0] + 1) for (lo, hi), keep in zip(
-            _vantage_windows(_points([a]), fam, reach), dmask) if keep)
-    return total
+        # each line within reach of the vantage counts it once
+        t = -np.sin(fam.thetas) * a.x + np.cos(fam.thetas) * a.y
+        lo, hi = _kernels._k2_windows(t, fam.delta, reach, fam.k2_min,
+                                      fam.k2_max)
+        sums -= hi - lo + 1
+    return int(sums[_direction_mask(fam, theta_set, antipodal=False)].sum())
 
 
 @dataclass(frozen=True)
@@ -454,12 +472,13 @@ def scan_line_low_visibility(ell0: Line, A: PointCloud, fam: LineFamily,
     half = math.sqrt(fam.d ** 2 - ell0.offset ** 2)
     ratio = 2 * half / step                # inf for a tiny step
     n = max(1, math.floor(ratio)) if math.isfinite(ratio) else ratio
-    _check_line_work(A, fam, n)    # before the chord samples are built
+    # before the chord samples are built
+    _check_line_work(A, fam, _row_width(A, fam, c) + n)
     ts = (np.arange(n) + 0.5) * step - half
     nx, ny = -math.sin(ell0.theta), math.cos(ell0.theta)
     dx, dy = math.cos(ell0.theta), math.sin(ell0.theta)
     pts = np.stack([ell0.offset * nx + ts * dx,
                     ell0.offset * ny + ts * dy], axis=1)
-    vis = sum(_window_sums(pts, A, fam, c, 2 * fam.delta, occupied=True))
+    vis = sum(_window_sums(pts, A, fam, c, 2 * fam.delta))
     return [float(np.count_nonzero(vis < lam / fam.delta) * step)
             for lam in lams]

@@ -332,6 +332,20 @@ class TestRuns:
         assert blob["csv"] == str(out)
         assert "wall_time_s" in blob
 
+    def test_visibility_point_sub_ulp_squares(self, tmp_path):
+        """Squares of side 1e-18 seen from (-0.25, 0.5) have corner
+        directions that round together; their hull widths are 0, not an
+        ulp below it, and the run exits 0 with a visibility of 0."""
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({
+            "maps": [{"lambda": 1e-9, "z": [0.0, 0.0]},
+                     {"lambda": 1e-9, "z": [0.5, 0.5]}],
+            "hull": {"corner": [0.0, 0.0], "side": 1.0}}))
+        out = tmp_path / "vis.csv"
+        assert main(["visibility-point", "--ifs", str(path), "--n", "2",
+                     "--vantage=-0.25,0.5", "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "vis.json").read_text())["vis"] == [0.0]
+
     def test_certify_set_passes(self, tmp_path):
         out = tmp_path / "cert.csv"
         rc = main(["certify-set", "--n", "3", "--C", "256",
@@ -387,8 +401,10 @@ class TestRuns:
         assert 0.0 <= float(frac) <= 1.0
 
     def test_budget_exit_code(self, tmp_path, capsys):
-        # line-scan checks the cap before it builds its chord samples
-        for argv in (["vis-delta-sweep", "--n", "2", "--delta", "1e-4"],
+        # line-scan checks the cap before it builds its chord samples; the
+        # sweep's 104720 directions x (16 points + 44205-offset span + 1
+        # vantage) are 4.6e9 steps
+        for argv in (["vis-delta-sweep", "--n", "2", "--delta", "3e-5"],
                      ["line-scan", "--n", "2", "--delta", "1e-300"]):
             assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 3
             err = capsys.readouterr().err
@@ -396,9 +412,17 @@ class TestRuns:
             assert err.endswith(f"cap is {WORK_BUDGET}\n")
 
     def test_bridge_reaches_n5(self, tmp_path):
-        # its family reaches the vantage at x = -9.5: 6.9e7 steps
+        # its family reaches the vantage at x = -9.5: 8.0e6 steps
         out = tmp_path / "bridge.csv"
         assert main(["bridge", "--n", "5", "--out", str(out)]) == 0
+        assert len(read_csv(out)) == 11
+
+    def test_bridge_reaches_n6(self, tmp_path):
+        # the family reaches x = -9.5, but each count row spans only the
+        # cloud: 12868 directions x (4096 points + 5802-offset span + 10
+        # vantages) are 1.3e8 steps
+        out = tmp_path / "bridge.csv"
+        assert main(["bridge", "--n", "6", "--out", str(out)]) == 0
         assert len(read_csv(out)) == 11
 
     def test_energy_capped_on_atoms(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from favlab import _kernels
@@ -241,16 +241,43 @@ def per_direction_rows(px, py, delta, c_mult, k1s, k2min, k2max):
         yield np.cumsum(diff[:-1])
 
 
+def embedded_rows(px, py, delta, c_mult, k1s, k2min, k2max):
+    """The span rows of _count_rows' blocks, each written into a row of the
+    family width at its base; the spans all have the width _row_width and
+    stay inside the family."""
+    width = _kernels._row_width(px, py, delta, c_mult, k2min, k2max)
+    for bases, rows in _kernels._count_rows(px, py, delta, c_mult, k1s,
+                                            k2min, k2max):
+        assert rows.shape == (len(bases), width)
+        for base, row in zip(bases.tolist(), rows):
+            assert k2min <= base and base + width <= k2max + 1
+            full = np.zeros(k2max - k2min + 1, dtype=np.int64)
+            full[base - k2min:base - k2min + width] = row
+            yield full
+
+
+def assert_rows_match(px, py, delta, c_mult, k1s, k2max, block):
+    with mock.patch.object(_kernels, "_LINE_BLOCK", block):
+        got = list(embedded_rows(px, py, delta, c_mult, k1s, -k2max, k2max))
+    want = list(per_direction_rows(px, py, delta, c_mult, k1s, -k2max,
+                                   k2max))
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(0, 80), seed=st.integers(0, 2 ** 32 - 1),
        delta=st.floats(0.01, 0.4), c_mult=st.floats(0.5, 6.0),
-       d=st.floats(0.5, 2.0), data=st.data())
+       d=st.floats(0.5, 2.0), block=st.sampled_from([1, 500, 2 ** 14]),
+       data=st.data())
 def test_blocked_rows_match_per_direction_rows(m, seed, delta, c_mult, d,
-                                                data):
-    """Rows from direction blocks (from one block up to one direction per
-    block) equal the rows built one direction at a time, exactly; half the
-    points sit on a window edge |t_k1 - k2*delta| = c_mult*delta of some
-    line, where a rounding change would move them."""
+                                                block, data):
+    """Span rows from direction blocks (one direction per block at the
+    least block size), embedded in the family width, equal the full rows
+    built one direction at a time, exactly; half the points sit on a window
+    edge
+    |t_k1 - k2*delta| = c_mult*delta of some line, where a rounding change
+    would move them."""
     rng = np.random.default_rng(seed)
     n_dir, k2max = family_shape(delta, max(d, delta))
     th = rng.integers(0, n_dir, m) * delta
@@ -265,12 +292,30 @@ def test_blocked_rows_match_per_direction_rows(m, seed, delta, c_mult, d,
     k1s = np.flatnonzero(np.array(data.draw(st.lists(
         st.booleans(), min_size=n_dir, max_size=n_dir)), dtype=bool))
     for ks in (k1s, range(n_dir)):
-        got = list(_kernels._count_rows(px, py, delta, c_mult, ks, -k2max,
-                                        k2max))
-        want = list(per_direction_rows(px, py, delta, c_mult, ks, -k2max,
-                                       k2max))
-        assert len(got) == len(want)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert_rows_match(px, py, delta, c_mult, ks, k2max, block)
+
+
+@settings(max_examples=80, deadline=None)
+@example(delta=0.1, c_mult=1.0, d=2.0, pts=[(2.3, 0.0), (1.9, 0.0)],
+         copies=1, block=1)
+@example(delta=0.1, c_mult=1.0, d=2.0, pts=[(-2.3, 0.5), (-1.9, 0.5)],
+         copies=0, block=1)
+@given(delta=st.floats(0.02, 0.4), c_mult=st.floats(0.3, 6.0),
+       d=st.floats(0.1, 2.0),
+       pts=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+                    max_size=12),
+       copies=st.integers(0, 3), block=st.sampled_from([1, 2 ** 14]))
+def test_span_rows_match_full_rows(delta, c_mult, d, pts, copies, block):
+    """Empty clouds, points far past +-d (whose windows the family clips
+    away, or a cloud wider than the family, whose span is the family
+    width) and coincident points give the full rows too.  In the examples
+    a point's window is clipped away below (direction pi/2) or above the
+    family next to a point whose window it keeps."""
+    pts = pts + pts[:copies]
+    px = np.array([p[0] for p in pts], dtype=float)
+    py = np.array([p[1] for p in pts], dtype=float)
+    n_dir, k2max = family_shape(delta, max(d, delta))
+    assert_rows_match(px, py, delta, c_mult, range(n_dir), k2max, block)
 
 
 @settings(max_examples=40, deadline=None)

@@ -95,6 +95,14 @@ def test_point_cloud_rejects_bad_delta(delta):
         PointCloud(np.array([[0.0, 0.0]]), delta)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_point_cloud_rejects_nonfinite_points(bad):
+    """A non-finite point has no line-family window; the count rows would
+    size their span from it."""
+    with pytest.raises(ValueError, match="points must be finite"):
+        PointCloud(np.array([[bad, 0.0], [0.1, 0.2]]), 0.1)
+
+
 class TestLineFamily:
     def test_spec_count(self):
         fam = build_line_family(0.1, 2.0)
@@ -590,12 +598,18 @@ def table_cone_count(a, arc, A, fam, c):
     return total
 
 
-def table_window_stream(pts, A, fam, c, reach, *, occupied):
+def table_window_stream(pts, A, fam, c, reach):
     """Stand-in for the streamed visibility._window_sums that reads the
     dense table instead."""
-    table = counts_table(A, fam, c)
-    return iter(table_window_sums(pts, table > 0 if occupied else table, fam,
+    return iter(table_window_sums(pts, counts_table(A, fam, c) > 0, fam,
                                   reach).T)
+
+
+def table_direction_sums(a, A, fam, c, reach):
+    """Stand-in for the direct visibility._direction_sums that reads the
+    dense table instead."""
+    return table_window_sums(np.array([[a.x, a.y]]), counts_table(A, fam, c),
+                             fam, reach)[0]
 
 
 @st.composite
@@ -627,61 +641,74 @@ def line_family_cases(draw):
 
 
 class TestStreamedMatchesTable:
-    """The vantage queries stream the count rows; pin them to the dense
-    table gather they replaced, exactly."""
+    """The vantage queries stream the count rows or sum the points' windows
+    directly; pin them to the dense table gather they replaced, exactly."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=line_family_cases(), k=st.sampled_from([12, 14, 20]),
            ell0=st.tuples(st.floats(0.0, math.pi), st.floats(-2.0, 2.0)),
-           lams=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4))
-    def test_queries_match_table_gather(self, case, k, ell0, lams):
-        fam, A, vantages, c, arc = case
-        pts = np.array([(a.x, a.y) for a in vantages])
-        table = counts_table(A, fam, c)
-        near = 2 * fam.delta
-        assert vis_delta(vantages, A, fam, c) == table_window_sums(
-            pts, table > 0, fam, near).sum(axis=1).tolist()
-        for i, a in enumerate(vantages):
-            sums = table_window_sums(pts[i:i + 1], table, fam, near)[0]
-            assert np.array_equal(vis_mod._direction_sums(a, A, fam, c, near),
-                                  sums)
-            assert mass(a, arc, A, fam, c) == int(
-                sums[_direction_mask(fam, arc)].sum())
-            assert cone_count(a, arc, A, fam, c) == table_cone_count(
-                a, arc, A, fam, c)
-        line = Line(*ell0)
-        streamed = ([select_intervals(a, A, fam, k, c) for a in vantages],
+           lams=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+           block=st.sampled_from([1, 3, 2 ** 14]))
+    def test_queries_match_table_gather(self, case, k, ell0, lams, block):
+        """Every block size, down to one direction per block, gives the
+        table's answers."""
+        with mock.patch.object(_kernels, "_LINE_BLOCK", block):
+            fam, A, vantages, c, arc = case
+            pts = np.array([(a.x, a.y) for a in vantages])
+            table = counts_table(A, fam, c)
+            near = 2 * fam.delta
+            assert vis_delta(vantages, A, fam, c) == table_window_sums(
+                pts, table > 0, fam, near).sum(axis=1).tolist()
+            for i, a in enumerate(vantages):
+                sums = table_window_sums(pts[i:i + 1], table, fam, near)[0]
+                assert np.array_equal(
+                    vis_mod._direction_sums(a, A, fam, c, near), sums)
+                assert mass(a, arc, A, fam, c) == int(
+                    sums[_direction_mask(fam, arc)].sum())
+                assert cone_count(a, arc, A, fam, c) == table_cone_count(
+                    a, arc, A, fam, c)
+            line = Line(*ell0)
+            streamed = ([select_intervals(a, A, fam, k, c) for a in vantages],
+                        scan_line_low_visibility(line, A, fam, lams, c=c))
+            with mock.patch.object(vis_mod, "_window_sums",
+                                   table_window_stream), \
+                    mock.patch.object(vis_mod, "_direction_sums",
+                                      table_direction_sums):
+                from_table = (
+                    [select_intervals(a, A, fam, k, c) for a in vantages],
                     scan_line_low_visibility(line, A, fam, lams, c=c))
-        with mock.patch.object(vis_mod, "_window_sums", table_window_stream):
-            from_table = (
-                [select_intervals(a, A, fam, k, c) for a in vantages],
-                scan_line_low_visibility(line, A, fam, lams, c=c))
-        assert streamed == from_table
+            assert streamed == from_table
 
 
 def test_line_queries_keep_work_budget():
-    """Each query over the line family refuses a stream past the work cap,
-    directions x (points + offsets + vantages), before it counts a row."""
-    fam = build_line_family(1e-4, 2.0)
-    A = PointCloud(np.array([[0.0, 0.0]]), 1e-4)
+    """Each query over the line family refuses a stream past the work cap
+    before it windows a point: directions x (points + row span + vantages)
+    for the queries that stream count rows, and directions x (points + 1)
+    for the single-vantage sums."""
+    fam = build_line_family(1e-9, 2.0)
+    A = PointCloud(np.array([[-1.5, 0.0], [1.5, 0.0], [0.0, 0.5]]), 1e-9)
     a = Point2(-1.0, 0.0)
+    # the span: twice the cloud's radius about its box centre (0, 0.25),
+    # in cells, and 2 * DEFAULT_C + 2 cells more
+    width = math.ceil(2 * math.hypot(1.5, 0.25) / fam.delta + 10)
+    assert width == 3041381276 < 2 * fam.k2_max + 1
     chord = int(math.floor(2 * math.sqrt(2.0 ** 2 - 0.5 ** 2)
                            / (fam.delta / 2)))
     queries = [
-        (lambda: vis_delta([a], A, fam), 1),
+        (lambda: vis_delta([a], A, fam), width + 1),
         (lambda: mass(a, (0.0, TWO_PI), A, fam), 1),
         (lambda: cone_count(a, (0.0, TWO_PI), A, fam), 1),
         (lambda: select_intervals(a, A, fam, 12), 1),
         (lambda: scan_line_low_visibility(Line(0.0, 0.5), A, fam, [0.5]),
-         chord),
-        (lambda: radial_vs_projection_bridge(A, [-1.0], fam), 1),
-        (lambda: l2_norm_f(A, fam), 0),
-        (lambda: richness_histogram(A, fam), 0),
+         width + chord),
+        (lambda: radial_vs_projection_bridge(A, [-1.0], fam), width + 1),
+        (lambda: l2_norm_f(A, fam), width),
+        (lambda: richness_histogram(A, fam), width),
     ]
-    for query, m in queries:
-        work = fam.k1_count * (len(A) + 2 * fam.k2_max + 1 + m)
+    for query, more in queries:
+        work = fam.k1_count * (len(A) + more)
         assert work > WORK_BUDGET
-        with mock.patch.object(_kernels, "_count_rows",
+        with mock.patch.object(_kernels, "_window_blocks",
                                side_effect=AssertionError("streamed")), \
                 pytest.raises(ResourceBudgetError,
                               match=f"^line family needs {work} steps; "
@@ -700,24 +727,24 @@ def test_line_scan_tiny_step_hits_the_work_cap():
 
 
 def streamed_steps(query):
-    """Run query, counting the steps its streams take: per direction
-    windowed, the points or vantages windowed, and per row, its length."""
+    """Run query, counting the steps its streams take: the windows of the
+    points and vantages, and per count row, its length."""
     steps = 0
-    windows, rows = _kernels._direction_windows, _kernels._count_rows
+    windows, rows = _kernels._window_blocks, _kernels._count_rows
 
-    def counting_windows(px, *args):
+    def counting_windows(*args):
         nonlocal steps
-        for window in windows(px, *args):
-            steps += px.size
-            yield window
+        for a, b in windows(*args):
+            steps += a.size
+            yield a, b
 
     def counting_rows(*args):
         nonlocal steps
-        for row in rows(*args):
-            steps += row.size
-            yield row
+        for bases, block in rows(*args):
+            steps += block.size
+            yield bases, block
 
-    with mock.patch.object(_kernels, "_direction_windows", counting_windows), \
+    with mock.patch.object(_kernels, "_window_blocks", counting_windows), \
             mock.patch.object(_kernels, "_count_rows", counting_rows):
         query()
     return steps
@@ -745,6 +772,10 @@ def test_line_work_estimate_is_the_streamed_steps(gens, n):
         lambda: scan_line_low_visibility(Line(1.0, 0.2), A, fam, [0.5],
                                          sample_step=fam.delta / 3),
         lambda: l2_norm_f(A, fam),
+        lambda: richness_histogram(A, fam),
+        lambda: mass(vantages[1], (0.3, 1.0), A, fam),
+        lambda: cone_count(vantages[0], (0.3, 1.0), A, fam),
+        lambda: select_intervals(vantages[2], A, fam, 12),
     ]
     for query in queries:
         assert checked_work(query) == streamed_steps(query)
