@@ -648,11 +648,15 @@ class TestStreamedMatchesTable:
     @given(case=line_family_cases(), k=st.sampled_from([12, 14, 20]),
            ell0=st.tuples(st.floats(0.0, math.pi), st.floats(-2.0, 2.0)),
            lams=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
-           block=st.sampled_from([1, 3, 2 ** 14]))
-    def test_queries_match_table_gather(self, case, k, ell0, lams, block):
-        """Every block size, down to one direction per block, gives the
+           block=st.sampled_from([1, 3, 2 ** 14]),
+           min_row=st.sampled_from([0, _kernels._MIN_ROW]))
+    def test_queries_match_table_gather(self, case, k, ell0, lams, block,
+                                        min_row):
+        """Every block size, down to one direction per block, and rows as
+        narrow as the cloud allows or as wide as the family give the
         table's answers."""
-        with mock.patch.object(_kernels, "_LINE_BLOCK", block):
+        with mock.patch.object(_kernels, "_LINE_BLOCK", block), \
+                mock.patch.object(_kernels, "_MIN_ROW", min_row):
             fam, A, vantages, c, arc = case
             pts = np.array([(a.x, a.y) for a in vantages])
             table = counts_table(A, fam, c)
@@ -714,6 +718,22 @@ def test_line_queries_keep_work_budget():
                               match=f"^line family needs {work} steps; "
                                     f"cap is {WORK_BUDGET}$"):
             query()
+
+
+def test_narrow_cloud_rows_keep_their_least_width():
+    """Rows of a cloud far narrower than the family still span _MIN_ROW
+    offsets, which pay for each direction's interpreter work: one point at
+    delta = 1e-6 is refused, where 12 steps a direction would let it run
+    for about 20 s."""
+    fam = build_line_family(1e-6, 2.0)
+    A = PointCloud(np.array([[0.0, 0.0]]), 1e-6)
+    work = fam.k1_count * (1 + _kernels._MIN_ROW + 1)
+    assert work > WORK_BUDGET > fam.k1_count * 12
+    with mock.patch.object(_kernels, "_window_blocks",
+                           side_effect=AssertionError("streamed")), \
+            pytest.raises(ResourceBudgetError,
+                          match=f"^line family needs {work} steps"):
+        vis_delta([Point2(-1.0, 0.0)], A, fam)
 
 
 def test_line_scan_tiny_step_hits_the_work_cap():
