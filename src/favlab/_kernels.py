@@ -181,8 +181,9 @@ def _window_blocks(px, py, delta, reach, k1s, k2min, k2max, step):
     k1s = np.asarray(k1s)
     for s in range(0, k1s.size, step):
         th = k1s[s:s + step, None] * delta
-        t = -np.sin(th) * px + np.cos(th) * py
-        yield _k2_windows(t, delta, reach, k2min, k2max)
+        # t is not kept while the caller holds the windows
+        yield _k2_windows(-np.sin(th) * px + np.cos(th) * py, delta, reach,
+                          k2min, k2max)
 
 
 def _check_c(c_mult):
@@ -240,7 +241,10 @@ def _count_rows(px, py, delta, c_mult, k1s, k2min, k2max):
         cells = len(a) * (width + 1)
         diff = (np.bincount(a.ravel(), minlength=cells)
                 - np.bincount(b.ravel(), minlength=cells))
-        yield bases, diff.reshape(len(a), width + 1)[:, :-1].cumsum(axis=1)
+        rows = diff.reshape(len(a), width + 1)[:, :-1].cumsum(axis=1)
+        # nothing of the block but its rows is kept while the caller reads
+        del a, b, diff
+        yield bases, rows
 
 
 def _vantage_sums(px, py, delta, c_mult, ax, ay, reach, k1s, k2min, k2max):
