@@ -192,27 +192,19 @@ def _check_c(c_mult):
         raise ValueError(f"c must be positive and finite, got {c_mult}")
 
 
-#: least width of a count row.  Reading the vantage windows off the rows
-#: costs about 6 us of interpreter work per direction and 10 ns a cell
-#: (2-core host), so with rows this wide a run that the work cap admits
-#: takes at most about 20 s however narrow the cloud
-_MIN_ROW = 1024
-
-
 def _row_width(px, py, delta, c_mult, k2min, k2max) -> int:
     """Width of the count rows: the offsets one direction's point windows
     can span.  Two points of a cloud of radius r (about its bounding-box
     centre) differ in t_k1 by at most 2r, so their windows of reach
     c_mult*delta lie within 2r/delta + 2*c_mult + 1 cells of each other,
-    and ceil(2r/delta + 2*c_mult + 2) leaves a cell for rounding.  At
-    least _MIN_ROW, and clipped to the family's width."""
+    and ceil(2r/delta + 2*c_mult + 2) leaves a cell for rounding.  Clipped
+    to the family's width; 0 for no points."""
     _check_c(c_mult)
-    span = _MIN_ROW
-    if px.size:
-        cx = (px.min() + px.max()) / 2
-        cy = (py.min() + py.max()) / 2
-        r = float(np.hypot(px - cx, py - cy).max())
-        span = max(span, 2 * r / delta + 2 * c_mult + 2)
+    if px.size == 0:
+        return 0
+    cx = (px.min() + px.max()) / 2
+    cy = (py.min() + py.max()) / 2
+    span = 2 * float(np.hypot(px - cx, py - cy).max()) / delta + 2 * c_mult + 2
     nk2 = k2max - k2min + 1
     return nk2 if span >= nk2 else math.ceil(span)
 

@@ -271,8 +271,7 @@ def hull_arcs_of_squares(x0: np.ndarray, y0: np.ndarray, side: np.ndarray,
     """Angular hulls of the squares with lower-left corners (x0, y0) and
     per-square sides `side`, seen from a, as (starts, widths); a square
     whose closed set holds a has width 2pi, and the start of such an arc
-    is unspecified.  Widths are never negative; one too small to tell from
-    0 may be 0.
+    is unspecified.
 
     Exact for convex bodies: outside the square the hull is the minor arc
     counter-clockwise from one corner's direction to another's, and where a
@@ -298,7 +297,6 @@ def hull_arcs_of_squares(x0: np.ndarray, y0: np.ndarray, side: np.ndarray,
     e += TWO_PI * (e < 0)
     # the largest gap between corner directions, from e on to s: where
     # s <= e it is (s + 2pi) - e, and s + 0.0 is s; s == e when the square
-    # is too small to part its corners' directions, and (s + 2pi) - s may
-    # then round an ulp above 2pi: such a width is 0, never negative
+    # is too small to part its corners' directions, and its width is ~0
     gap = (s + TWO_PI * (s <= e)) - e
-    return s, np.where(inside, TWO_PI, np.maximum(TWO_PI - gap, 0.0))
+    return s, np.where(inside, TWO_PI, TWO_PI - gap)

@@ -93,8 +93,8 @@ def _arc_union(blocks, a: Point2):
     full = False
     for x0, y0, sides in blocks:
         starts, widths = hull_arcs_of_squares(x0, y0, sides, a)
-        # a square too small to part its corners' directions has width 0
-        # and adds nothing to the union
+        # a square too small to part its corners' directions has a width
+        # within an ulp of 0, on either side, and adds nothing to the union
         keep = widths > 0
         blo, bhi, block_full = _seam_merged(np.column_stack(
             (starts[keep], widths[keep])))
@@ -261,12 +261,21 @@ def f_delta(ell: DiscreteLine, A: PointCloud, c: float = DEFAULT_C) -> int:
                                 <= c * ell.delta))
 
 
+#: steps a direction besides its windows and row cells: reading one
+#: direction's vantage windows off its row costs about 5 us of interpreter
+#: work, against about 10 ns a cell (2-core host), and the single-vantage
+#: queries hold about 60 bytes a direction
+_DIRECTION_STEPS = 500
+#: steps a direction for one arc's direction mask (about 30 ns)
+_MASK_STEPS = 3
+
+
 def _check_line_work(A: PointCloud, fam: LineFamily, more: float) -> None:
     """Raise ResourceBudgetError past WORK_BUDGET for one stream over the
-    line family that takes, per direction, the cloud points' windows and
-    `more` steps: a count row's span and the vantages' windows, or the one
-    vantage window of a single-vantage sum."""
-    steps = fam.k1_count * (len(A) + more)
+    line family that takes, per direction, the cloud points' windows,
+    _DIRECTION_STEPS and `more` steps: a count row's span and the vantages'
+    windows, or a single-vantage sum's one window and its arc masks."""
+    steps = fam.k1_count * (len(A) + _DIRECTION_STEPS + more)
     check_budget("line family", steps, "steps", WORK_BUDGET)
 
 
@@ -315,9 +324,10 @@ def _window_sums(pts: np.ndarray, A: PointCloud, fam: LineFamily, c: float,
 
 
 def _direction_sums(a: Point2, A: PointCloud, fam: LineFamily, c: float,
-                    reach: float) -> np.ndarray:
-    """Per direction, the total richness of the lines within reach of a."""
-    _check_line_work(A, fam, 1)
+                    reach: float, masks: int) -> np.ndarray:
+    """Per direction, the total richness of the lines within reach of a,
+    for a caller that then takes `masks` arc masks of the directions."""
+    _check_line_work(A, fam, 1 + _MASK_STEPS * masks)
     return _kernels._vantage_sums(
         np.ascontiguousarray(A.x), np.ascontiguousarray(A.y), fam.delta, c,
         a.x, a.y, reach, range(fam.k1_count), fam.k2_min, fam.k2_max)
@@ -368,7 +378,7 @@ def mass(a: Point2, theta_set: Arc, A: PointCloud, fam: LineFamily,
          c: float = DEFAULT_C) -> int:
     """Total richness of the lines through the vantage's 2-delta ball whose
     direction lies in the arc or its antipode."""
-    sums = _direction_sums(a, A, fam, c, 2 * fam.delta)
+    sums = _direction_sums(a, A, fam, c, 2 * fam.delta, 1)
     return int(sums[_direction_mask(fam, theta_set)].sum())
 
 
@@ -377,7 +387,7 @@ def cone_count(a: Point2, theta_set: Arc, A: PointCloud, fam: LineFamily,
     """Exact count of pairs (a', l): a' in the cloud, a' != a, both a and a'
     within c*delta of l, and the direction of l in the arc."""
     reach = c * fam.delta
-    sums = _direction_sums(a, A, fam, c, reach)
+    sums = _direction_sums(a, A, fam, c, reach, 1)
     if np.any((A.x == a.x) & (A.y == a.y)):
         # each line within reach of the vantage counts it once
         t = -np.sin(fam.thetas) * a.x + np.cos(fam.thetas) * a.y
@@ -417,7 +427,7 @@ def select_intervals(a: Point2, A: PointCloud, fam: LineFamily, k: int,
     """
     if k <= 10 or k % 2:
         raise ValueError("k must be even and > 10")
-    sums = _direction_sums(a, A, fam, c, 2 * fam.delta)
+    sums = _direction_sums(a, A, fam, c, 2 * fam.delta, k)
     width = TWO_PI / k
     arcs = [((i - 1) * width, width) for i in range(1, k + 1)]
     masses = [int(sums[_direction_mask(fam, arc)].sum()) for arc in arcs]

@@ -334,8 +334,8 @@ class TestRuns:
 
     def test_visibility_point_sub_ulp_squares(self, tmp_path):
         """Squares of side 1e-18 seen from (-0.25, 0.5) have corner
-        directions that round together; their hull widths are 0, not an
-        ulp below it, and the run exits 0 with a visibility of 0."""
+        directions that round together, and hull widths an ulp below 0;
+        the union drops them, and the run exits 0 with a visibility of 0."""
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({
             "maps": [{"lambda": 1e-9, "z": [0.0, 0.0]},
@@ -402,8 +402,8 @@ class TestRuns:
 
     def test_budget_exit_code(self, tmp_path, capsys):
         # line-scan checks the cap before it builds its chord samples; the
-        # sweep's 104720 directions x (16 points + 44205-offset span + 1
-        # vantage) are 4.6e9 steps
+        # sweep's 104720 directions x (16 points + 500 + 44205-offset span
+        # + 1 vantage) are 4.7e9 steps
         for argv in (["vis-delta-sweep", "--n", "2", "--delta", "3e-5"],
                      ["line-scan", "--n", "2", "--delta", "1e-300"]):
             assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 3
@@ -412,15 +412,15 @@ class TestRuns:
             assert err.endswith(f"cap is {WORK_BUDGET}\n")
 
     def test_bridge_reaches_n5(self, tmp_path):
-        # its family reaches the vantage at x = -9.5: 8.0e6 steps
+        # its family reaches the vantage at x = -9.5: 9.6e6 steps
         out = tmp_path / "bridge.csv"
         assert main(["bridge", "--n", "5", "--out", str(out)]) == 0
         assert len(read_csv(out)) == 11
 
     def test_bridge_reaches_n6(self, tmp_path):
         # the family reaches x = -9.5, but each count row spans only the
-        # cloud: 12868 directions x (4096 points + 5802-offset span + 10
-        # vantages) are 1.3e8 steps
+        # cloud: 12868 directions x (4096 points + 500 + 5802-offset span
+        # + 10 vantages) are 1.3e8 steps
         out = tmp_path / "bridge.csv"
         assert main(["bridge", "--n", "6", "--out", str(out)]) == 0
         assert len(read_csv(out)) == 11

@@ -300,12 +300,11 @@ def squares_and_vantage(draw):
 @given(squares_and_vantage())
 def test_hull_arcs_match_four_corner_oracle(case):
     """Widths, and starts of the arcs narrower than 2pi, are the oracle's
-    bits, except that a width the oracle rounds below 0 (a square too small
-    to part its corners' directions) is 0."""
+    bits."""
     x0, y0, side, a = case
     starts, widths = hull_arcs_of_squares(x0, y0, side, a)
     want_starts, want_widths = four_corner_hulls(x0, y0, side, a)
-    assert widths.tobytes() == np.maximum(want_widths, 0.0).tobytes()
+    assert widths.tobytes() == want_widths.tobytes()
     outside = want_widths < TWO_PI
     assert starts[outside].tobytes() == want_starts[outside].tobytes()
 

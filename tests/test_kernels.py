@@ -257,10 +257,9 @@ def embedded_rows(px, py, delta, c_mult, k1s, k2min, k2max):
 
 
 def assert_rows_match(px, py, delta, c_mult, k1s, k2max, block):
-    """Rows at the least width the cloud allows (_MIN_ROW 0), in blocks of
-    about `block` cells, against the rows built one direction at a time."""
-    with mock.patch.object(_kernels, "_LINE_BLOCK", block), \
-            mock.patch.object(_kernels, "_MIN_ROW", 0):
+    """Span rows in blocks of about `block` cells against the rows built
+    one direction at a time."""
+    with mock.patch.object(_kernels, "_LINE_BLOCK", block):
         got = list(embedded_rows(px, py, delta, c_mult, k1s, -k2max, k2max))
     want = list(per_direction_rows(px, py, delta, c_mult, k1s, -k2max,
                                    k2max))

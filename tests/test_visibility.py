@@ -605,7 +605,7 @@ def table_window_stream(pts, A, fam, c, reach):
                                   reach).T)
 
 
-def table_direction_sums(a, A, fam, c, reach):
+def table_direction_sums(a, A, fam, c, reach, masks):
     """Stand-in for the direct visibility._direction_sums that reads the
     dense table instead."""
     return table_window_sums(np.array([[a.x, a.y]]), counts_table(A, fam, c),
@@ -648,15 +648,11 @@ class TestStreamedMatchesTable:
     @given(case=line_family_cases(), k=st.sampled_from([12, 14, 20]),
            ell0=st.tuples(st.floats(0.0, math.pi), st.floats(-2.0, 2.0)),
            lams=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
-           block=st.sampled_from([1, 3, 2 ** 14]),
-           min_row=st.sampled_from([0, _kernels._MIN_ROW]))
-    def test_queries_match_table_gather(self, case, k, ell0, lams, block,
-                                        min_row):
-        """Every block size, down to one direction per block, and rows as
-        narrow as the cloud allows or as wide as the family give the
+           block=st.sampled_from([1, 3, 2 ** 14]))
+    def test_queries_match_table_gather(self, case, k, ell0, lams, block):
+        """Every block size, down to one direction per block, gives the
         table's answers."""
-        with mock.patch.object(_kernels, "_LINE_BLOCK", block), \
-                mock.patch.object(_kernels, "_MIN_ROW", min_row):
+        with mock.patch.object(_kernels, "_LINE_BLOCK", block):
             fam, A, vantages, c, arc = case
             pts = np.array([(a.x, a.y) for a in vantages])
             table = counts_table(A, fam, c)
@@ -666,7 +662,7 @@ class TestStreamedMatchesTable:
             for i, a in enumerate(vantages):
                 sums = table_window_sums(pts[i:i + 1], table, fam, near)[0]
                 assert np.array_equal(
-                    vis_mod._direction_sums(a, A, fam, c, near), sums)
+                    vis_mod._direction_sums(a, A, fam, c, near, 1), sums)
                 assert mass(a, arc, A, fam, c) == int(
                     sums[_direction_mask(fam, arc)].sum())
                 assert cone_count(a, arc, A, fam, c) == table_cone_count(
@@ -686,54 +682,49 @@ class TestStreamedMatchesTable:
 
 def test_line_queries_keep_work_budget():
     """Each query over the line family refuses a stream past the work cap
-    before it windows a point: directions x (points + row span + vantages)
-    for the queries that stream count rows, and directions x (points + 1)
-    for the single-vantage sums."""
-    fam = build_line_family(1e-9, 2.0)
-    A = PointCloud(np.array([[-1.5, 0.0], [1.5, 0.0], [0.0, 0.5]]), 1e-9)
+    before it windows a point: directions x (points + _DIRECTION_STEPS +
+    row span + vantages) for the queries that stream count rows, and
+    directions x (points + _DIRECTION_STEPS + 1 + _MASK_STEPS per arc mask)
+    for the single-vantage sums.  A one-point cloud at delta = 1e-6 is
+    refused as well: its points, spans and windows alone would pass, but
+    its 3.1e6 directions each cost interpreter work and array entries."""
     a = Point2(-1.0, 0.0)
-    # the span: twice the cloud's radius about its box centre (0, 0.25),
-    # in cells, and 2 * DEFAULT_C + 2 cells more
-    width = math.ceil(2 * math.hypot(1.5, 0.25) / fam.delta + 10)
-    assert width == 3041381276 < 2 * fam.k2_max + 1
-    chord = int(math.floor(2 * math.sqrt(2.0 ** 2 - 0.5 ** 2)
-                           / (fam.delta / 2)))
-    queries = [
-        (lambda: vis_delta([a], A, fam), width + 1),
-        (lambda: mass(a, (0.0, TWO_PI), A, fam), 1),
-        (lambda: cone_count(a, (0.0, TWO_PI), A, fam), 1),
-        (lambda: select_intervals(a, A, fam, 12), 1),
-        (lambda: scan_line_low_visibility(Line(0.0, 0.5), A, fam, [0.5]),
-         width + chord),
-        (lambda: radial_vs_projection_bridge(A, [-1.0], fam), width + 1),
-        (lambda: l2_norm_f(A, fam), width),
-        (lambda: richness_histogram(A, fam), width),
-    ]
-    for query, more in queries:
-        work = fam.k1_count * (len(A) + more)
-        assert work > WORK_BUDGET
-        with mock.patch.object(_kernels, "_window_blocks",
-                               side_effect=AssertionError("streamed")), \
-                pytest.raises(ResourceBudgetError,
-                              match=f"^line family needs {work} steps; "
-                                    f"cap is {WORK_BUDGET}$"):
-            query()
-
-
-def test_narrow_cloud_rows_keep_their_least_width():
-    """Rows of a cloud far narrower than the family still span _MIN_ROW
-    offsets, which pay for each direction's interpreter work: one point at
-    delta = 1e-6 is refused, where 12 steps a direction would let it run
-    for about 20 s."""
-    fam = build_line_family(1e-6, 2.0)
-    A = PointCloud(np.array([[0.0, 0.0]]), 1e-6)
-    work = fam.k1_count * (1 + _kernels._MIN_ROW + 1)
-    assert work > WORK_BUDGET > fam.k1_count * 12
-    with mock.patch.object(_kernels, "_window_blocks",
-                           side_effect=AssertionError("streamed")), \
-            pytest.raises(ResourceBudgetError,
-                          match=f"^line family needs {work} steps"):
-        vis_delta([Point2(-1.0, 0.0)], A, fam)
+    per_dir, per_mask = vis_mod._DIRECTION_STEPS, vis_mod._MASK_STEPS
+    # the span: twice the cloud's radius about its box centre, in cells,
+    # and 2 * DEFAULT_C + 2 cells more
+    for delta, pts, r, want_width in (
+            (1e-9, [[-1.5, 0.0], [1.5, 0.0], [0.0, 0.5]],
+             math.hypot(1.5, 0.25), 3041381276),
+            (1e-6, [[0.0, 0.0]], 0.0, 10)):
+        fam = build_line_family(delta, 2.0)
+        A = PointCloud(np.array(pts), delta)
+        width = math.ceil(2 * r / fam.delta + 10)
+        assert width == want_width < 2 * fam.k2_max + 1
+        chord = int(math.floor(2 * math.sqrt(2.0 ** 2 - 0.5 ** 2)
+                               / (fam.delta / 2)))
+        queries = [
+            (lambda: vis_delta([a], A, fam), width + 1),
+            (lambda: mass(a, (0.0, TWO_PI), A, fam), 1 + per_mask),
+            (lambda: cone_count(a, (0.0, TWO_PI), A, fam), 1 + per_mask),
+            (lambda: select_intervals(a, A, fam, 12), 1 + 12 * per_mask),
+            (lambda: scan_line_low_visibility(Line(0.0, 0.5), A, fam,
+                                              [0.5]), width + chord),
+            (lambda: radial_vs_projection_bridge(A, [-1.0], fam),
+             width + 1),
+            (lambda: l2_norm_f(A, fam), width),
+            (lambda: richness_histogram(A, fam), width),
+        ]
+        for query, more in queries:
+            work = fam.k1_count * (len(A) + per_dir + more)
+            assert work > WORK_BUDGET
+            with mock.patch.object(_kernels, "_window_blocks",
+                                   side_effect=AssertionError("streamed")), \
+                    pytest.raises(ResourceBudgetError,
+                                  match=f"^line family needs {work} steps; "
+                                        f"cap is {WORK_BUDGET}$"):
+                query()
+    # the last cloud's mass query without the per-direction term
+    assert fam.k1_count * (1 + 1 + per_mask) < WORK_BUDGET
 
 
 def test_line_scan_tiny_step_hits_the_work_cap():
@@ -748,9 +739,12 @@ def test_line_scan_tiny_step_hits_the_work_cap():
 
 def streamed_steps(query):
     """Run query, counting the steps its streams take: the windows of the
-    points and vantages, and per count row, its length."""
+    points and vantages, per count row its length and _DIRECTION_STEPS,
+    per single-vantage sum _DIRECTION_STEPS, and per arc mask _MASK_STEPS,
+    each for every direction."""
     steps = 0
     windows, rows = _kernels._window_blocks, _kernels._count_rows
+    sums, masks = _kernels._vantage_sums, vis_mod._direction_mask
 
     def counting_windows(*args):
         nonlocal steps
@@ -761,11 +755,24 @@ def streamed_steps(query):
     def counting_rows(*args):
         nonlocal steps
         for bases, block in rows(*args):
-            steps += block.size
+            steps += block.size + len(bases) * vis_mod._DIRECTION_STEPS
             yield bases, block
 
+    def counting_sums(*args):
+        nonlocal steps
+        out = sums(*args)
+        steps += out.size * vis_mod._DIRECTION_STEPS
+        return out
+
+    def counting_masks(fam, *args, **kwargs):
+        nonlocal steps
+        steps += fam.k1_count * vis_mod._MASK_STEPS
+        return masks(fam, *args, **kwargs)
+
     with mock.patch.object(_kernels, "_window_blocks", counting_windows), \
-            mock.patch.object(_kernels, "_count_rows", counting_rows):
+            mock.patch.object(_kernels, "_count_rows", counting_rows), \
+            mock.patch.object(_kernels, "_vantage_sums", counting_sums), \
+            mock.patch.object(vis_mod, "_direction_mask", counting_masks):
         query()
     return steps
 
