@@ -155,12 +155,13 @@ def riesz_energy_sum(px, py, w, s, floor) -> float:
 
 
 def _k2_windows(t, delta, reach, k2min, k2max):
-    """Integer k2 ranges [a, b] with |t - k2*delta| <= reach, clipped."""
-    a = np.ceil((t - reach) / delta).astype(np.int64)
-    b = np.floor((t + reach) / delta).astype(np.int64)
+    """Integer k2 ranges [a, b] with |t - k2*delta| <= reach, clipped as
+    floats before the int64 cast, which a reach past 2^63 cells overflows."""
+    a = np.ceil((t - reach) / delta)
+    b = np.floor((t + reach) / delta)
     np.clip(a, k2min, k2max + 1, out=a)
     np.clip(b, k2min - 1, k2max, out=b)
-    return a, b
+    return a.astype(np.int64), b.astype(np.int64)
 
 
 #: cells (windows or row entries) per block of directions in the line

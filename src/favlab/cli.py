@@ -28,8 +28,9 @@ import numpy as np
 
 from . import __version__
 from .geometry import Line, Point2
-from .ifs import (IFSystem, ResourceBudgetError, generate_generation,
-                  resolve_ifs, subword_census)
+from .ifs import (WORK_BUDGET, Generation, IFSystem, ResourceBudgetError,
+                  check_budget, generate_generation, resolve_ifs,
+                  subword_census)
 from .projections import (AngleGrid, bad_angle_measure, favard_lengths,
                           project_generation, stacked_census)
 from .set_analysis import (box_dimension_estimate, check_discrete_alpha_set,
@@ -189,6 +190,26 @@ def run(cfg: ExperimentConfig) -> int:
     return 0
 
 
+#: steps of about 0.1 us (2-core host) that one angle's pass over one
+#: square takes in the angle loops of `_dispatch`: a projection and its box
+#: counts take 60-100 ns a square, a stacking census 10-25 us, as its
+#: maximal function probes each square 9 times on each of log2(squares)
+#: rungs
+_ANGLE_SQUARE_STEPS = {"box-dim-sweep": 1, "stacking": 256}
+#: steps an angle takes besides its squares: 0.12-0.23 ms of interpreter
+#: work at n <= 1
+_ANGLE_STEPS = 2048
+
+
+def _check_angles(cfg: ExperimentConfig, gen: Generation) -> None:
+    """Raise ResourceBudgetError, before the angle grid is allocated, past
+    WORK_BUDGET >> 3 steps for the angle loop of box-dim-sweep or stacking
+    over the generation's squares; the cap stops a run near 8-12 s."""
+    per_angle = len(gen) * _ANGLE_SQUARE_STEPS[cfg.experiment] + _ANGLE_STEPS
+    check_budget(f"{cfg.experiment} over {cfg.angles} angles",
+                 cfg.angles * per_angle, "steps", WORK_BUDGET >> 3)
+
+
 def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
     ns = range(cfg.n_lo, cfg.n_hi + 1)
     if cfg.experiment == "favard-scaling":
@@ -260,6 +281,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
     if cfg.experiment == "box-dim-sweep":
         n = cfg.n_hi
         gen = generate_generation(sys_, n)
+        _check_angles(cfg, gen)
         kmax = max(6, 2 * n)
         scales = [2.0 ** -k for k in range(2, kmax + 1)]
         thetas = AngleGrid(cfg.angles).thetas
@@ -272,6 +294,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
 
     if cfg.experiment == "stacking":
         gen = generate_generation(sys_, cfg.n_hi)
+        _check_angles(cfg, gen)
         rows = []
         for th in AngleGrid(cfg.angles).thetas:
             rep = stacked_census(gen, float(th), cfg.k)

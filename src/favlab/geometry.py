@@ -52,10 +52,6 @@ class Square:
         x0, y0, a = self.corner.x, self.corner.y, self.side
         return np.array([[x0, y0], [x0 + a, y0], [x0 + a, y0 + a], [x0, y0 + a]])
 
-    @property
-    def center(self) -> Point2:
-        return Point2(self.corner.x + self.side / 2, self.corner.y + self.side / 2)
-
 
 @dataclass(frozen=True)
 class Line:
@@ -161,49 +157,49 @@ class IntervalSet:
 # ---------------------------------------------------------------------------
 
 class CircularIntervalSet:
-    """Disjoint arcs on R/2piZ; a set covering the whole circle reports 2pi."""
+    """Disjoint arcs on R/2piZ, held as one (k, 2) array of (start, length)
+    rows; a set covering the whole circle reports 2pi."""
 
     __slots__ = ("_arcs",)
 
-    def __init__(self, arcs: tuple[tuple[float, float], ...] = ()):
-        self._arcs = arcs
+    def __init__(self, arcs=()):
+        self._arcs = np.asarray(arcs, dtype=float).reshape(-1, 2)
 
     @classmethod
     def full(cls) -> "CircularIntervalSet":
-        return cls(((0.0, TWO_PI),))
+        return cls([(0.0, TWO_PI)])
 
     @classmethod
     def from_arcs(cls, arcs) -> "CircularIntervalSet":
         """Union of (start, length) arcs, given as any (k, 2) array-like;
         start anywhere, length in (0, 2pi]."""
-        starts, lengths = _seam_joined(*_seam_merged(arcs))
-        return cls(tuple(zip(starts.tolist(), lengths.tolist())))
+        return cls(np.column_stack(_seam_joined(*_seam_merged(arcs))))
 
     @property
     def arcs(self) -> tuple[tuple[float, float], ...]:
-        return self._arcs
+        return tuple(map(tuple, self._arcs.tolist()))
 
     def is_full(self) -> bool:
-        return len(self._arcs) == 1 and self._arcs[0][1] >= TWO_PI
+        return len(self._arcs) == 1 and self.measure() >= TWO_PI
 
     def measure(self) -> float:
-        return float(sum(length for _, length in self._arcs))
+        return float(np.sum(self._arcs[:, 1]))
 
     def insert(self, lo: float, length: float) -> "CircularIntervalSet":
         if not (0 < length <= TWO_PI):
             raise GeometryError(f"arc length {length} outside (0, 2pi]")
         return CircularIntervalSet.from_arcs(
-            list(self._arcs) + [(lo, length)])
+            np.vstack((self._arcs, (lo, length))))
 
     def contains(self, angle: float) -> bool:
-        starts, lengths = np.array(self._arcs).reshape(-1, 2).T
+        starts, lengths = self._arcs.T
         return bool(np.any((angle % TWO_PI - starts) % TWO_PI <= lengths))
 
     def __len__(self) -> int:
         return len(self._arcs)
 
     def __repr__(self) -> str:
-        return f"CircularIntervalSet({self._arcs!r})"
+        return f"CircularIntervalSet({self.arcs!r})"
 
 
 def _seam_merged(arcs):

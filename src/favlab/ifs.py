@@ -317,11 +317,42 @@ def preset(name: str) -> IFSystem:
             f"unknown preset {name!r}; known: {sorted(PRESETS)}") from None
 
 
-def ifs_from_dict(d: dict) -> IFSystem:
-    maps = tuple(Similitude(m["lambda"], tuple(m["z"])) for m in d["maps"])
-    h = d["hull"]
-    hull = Square(Point2(*h["corner"]), h["side"])
-    return IFSystem(maps, hull)
+def _finite(val, field: str) -> float:
+    """val as a float if it is a finite JSON number; else a ValueError
+    naming the field."""
+    try:
+        if not isinstance(val, bool) and math.isfinite(val):
+            return float(val)
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{field}: expected a finite number, got {val!r}")
+
+
+def _pair(val, field: str) -> tuple[float, float]:
+    """val as (x, y) if it is a list of two finite JSON numbers."""
+    if not (isinstance(val, list) and len(val) == 2):
+        raise ValueError(f"{field}: expected [x, y], got {val!r}")
+    return _finite(val[0], field), _finite(val[1], field)
+
+
+def ifs_from_dict(d) -> IFSystem:
+    """The IFS of a JSON description {"maps": [{"lambda": r, "z": [x, y]},
+    ...], "hull": {"corner": [x, y], "side": a}}; a malformed field raises
+    a ValueError that names it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+    maps, hull = d.get("maps"), d.get("hull")
+    if not (isinstance(maps, list) and all(isinstance(m, dict)
+                                           for m in maps)):
+        raise ValueError("maps: expected a list of objects")
+    if not isinstance(hull, dict):
+        raise ValueError("hull: expected an object")
+    return IFSystem(
+        tuple(Similitude(_finite(m.get("lambda"), f"maps[{i}].lambda"),
+                         _pair(m.get("z"), f"maps[{i}].z"))
+              for i, m in enumerate(maps)),
+        Square(Point2(*_pair(hull.get("corner"), "hull.corner")),
+               _finite(hull.get("side"), "hull.side")))
 
 
 def load_ifs(path: str) -> IFSystem:

@@ -21,8 +21,9 @@ from .ifs import (WORK_BUDGET, Generation, IFSystem, check_budget,
 from .visibility import streamed_visibility
 
 
-class DegenerateError(ArithmeticError):
-    """A quantity needed for a derived threshold vanished."""
+class DegenerateError(ArithmeticError, ValueError):
+    """A quantity needed for a derived threshold vanished; a ValueError
+    too, so that the CLI reports it as bad input (exit 2)."""
 
 
 @dataclass(frozen=True)

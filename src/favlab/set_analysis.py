@@ -38,8 +38,9 @@ _BLOCK = 2 ** 13
 _ENERGY_BLOCK = 2 ** 15
 
 
-class UndefinedDimensionError(ArithmeticError):
-    """Box counting degenerated to a single occupied cell at all scales."""
+class UndefinedDimensionError(ArithmeticError, ValueError):
+    """Box counting degenerated to a single occupied cell at all scales;
+    a ValueError too, so that the CLI reports it as bad input (exit 2)."""
 
 
 @dataclass

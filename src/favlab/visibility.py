@@ -137,15 +137,14 @@ def radial_projection(gen: Generation, a: Point2) -> CircularIntervalSet:
     blocks = ((gen.corner_x[i:i + _ARC_BLOCK], gen.corner_y[i:i + _ARC_BLOCK],
                gen.sides[i:i + _ARC_BLOCK])
               for i in range(0, len(gen), _ARC_BLOCK))
-    starts, lengths = _arc_union(blocks, a)
-    return CircularIntervalSet(tuple(zip(starts.tolist(), lengths.tolist())))
+    return CircularIntervalSet(np.column_stack(_arc_union(blocks, a)))
 
 
 def streamed_visibility(sys: IFSystem, n: int,
                         vantages: Sequence[Point2]) -> list[tuple[float, int]]:
     """Per vantage, `visibility` of the stage-n squares and the number of
     arcs of their radial projection, bit for bit, from squares streamed in
-    blocks of `_ARC_BLOCK`: no generation and no arc tuples are held.
+    blocks of `_ARC_BLOCK`: no generation is held.
 
     The squares streamed for all the vantages are checked first against
     WORK_BUDGET >> 5 (one costs about 0.2 us on a 2-core host, so the cap
@@ -160,11 +159,8 @@ def streamed_visibility(sys: IFSystem, n: int,
     found = []
     for a in vantages:
         _, lengths = _arc_union(_generation_blocks(sys, n, _ARC_BLOCK), a)
-        # CircularIntervalSet.measure's sum, one block of floats at a time
-        measure = sum(itertools.chain.from_iterable(
-            lengths[i:i + _ARC_BLOCK].tolist()
-            for i in range(0, lengths.size, _ARC_BLOCK)))
-        found.append((measure / TWO_PI, lengths.size))
+        # the sum that CircularIntervalSet.measure takes
+        found.append((float(np.sum(lengths)) / TWO_PI, lengths.size))
     return found
 
 

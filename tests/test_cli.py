@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import favlab.cli
-from favlab.cli import (EXPERIMENTS, ExperimentConfig, _FIELD_TYPES,
-                        build_parser, config_from_args, main, validate)
+import favlab.projections
+from favlab.cli import (_ANGLE_SQUARE_STEPS, _ANGLE_STEPS, EXPERIMENTS,
+                        ExperimentConfig, _FIELD_TYPES, build_parser,
+                        config_from_args, main, validate)
 from favlab.geometry import Point2
 from favlab.ifs import (WORK_BUDGET, generate_generation, preset,
                         resolve_ifs)
@@ -95,6 +97,34 @@ def _unequal_ifs(tmp_path, experiment="vis-delta-sweep"):
             "--out", str(tmp_path / "o.csv")]
 
 
+#: malformed IFS descriptions, each a change of UNEQUAL_IFS
+BAD_IFS = {
+    "map-without-z": {**UNEQUAL_IFS, "maps": [{"lambda": 0.5},
+                                              UNEQUAL_IFS["maps"][1]]},
+    "maps-not-list": {**UNEQUAL_IFS, "maps": 3},
+    "top-level-list": [UNEQUAL_IFS],
+    "z-not-number": {**UNEQUAL_IFS, "maps": [
+        {"lambda": 0.5, "z": [0.5, "a"]}, UNEQUAL_IFS["maps"][1]]},
+    "z-three-numbers": {**UNEQUAL_IFS, "maps": [
+        {"lambda": 0.5, "z": [0.5, 0.5, 3]}, UNEQUAL_IFS["maps"][1]]},
+    "z-nan": {**UNEQUAL_IFS, "maps": [{"lambda": 0.5, "z": [math.nan, 0.5]},
+                                      UNEQUAL_IFS["maps"][1]]},
+}
+
+#: two half-size copies in a hull of side 1e-9: every square falls in one
+#: box-counting cell at every scale
+TINY_HULL_IFS = {"maps": [{"lambda": 0.5, "z": [0.0, 0.0]},
+                          {"lambda": 0.5, "z": [5e-10, 5e-10]}],
+                 "hull": {"corner": [0.0, 0.0], "side": 1e-9}}
+
+
+def _ifs_argv(tmp_path, blob, experiment="favard-scaling", *extra):
+    path = tmp_path / "ifs.json"
+    path.write_text(json.dumps(blob))
+    return [experiment, "--ifs", str(path), "--n", "2", *extra,
+            "--out", str(tmp_path / "o.csv")]
+
+
 @pytest.mark.parametrize("argv", [
     lambda tmp: ["bridge", "--n", "2", "--vantage=5,0",
                  "--out", str(tmp / "o.csv")],
@@ -142,6 +172,10 @@ def _unequal_ifs(tmp_path, experiment="vis-delta-sweep"):
                  "--out", str(tmp / "o.csv")],
     lambda tmp: ["visibility-point", "--n", "2", "--vantage=a,b",
                  "--out", str(tmp / "o.csv")],
+    *[lambda tmp, blob=blob: _ifs_argv(tmp, blob)
+      for blob in BAD_IFS.values()],
+    lambda tmp: _ifs_argv(tmp, TINY_HULL_IFS, "box-dim-sweep", "--angles",
+                          "4"),
 ], ids=["bridge-domain", "census-L-over-N", "config-type", "unwritable-out",
         "config-unknown-key", "census-fractional-k", "unequal-ratios",
         "config-not-object", "alpha-nan", "alpha-negative", "samples-zero",
@@ -150,7 +184,8 @@ def _unequal_ifs(tmp_path, experiment="vis-delta-sweep"):
         "bridge-vantage-off-axis", "flag-type", "unknown-experiment",
         "flag-without-value", "c-inf", "sweep-delta-subnormal",
         "scan-delta-subnormal", "bridge-delta-subnormal",
-        "sweep-vantage-huge", "vantage-not-numbers"])
+        "sweep-vantage-huge", "vantage-not-numbers",
+        *[f"ifs-{key}" for key in BAD_IFS], "box-dim-tiny-hull"])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     rc = main(argv(tmp_path))
     err = capsys.readouterr().err
@@ -175,6 +210,17 @@ def test_config_list_errors_name_the_key(tmp_path, capsys, experiment, blob,
                                          message):
     assert main(_config_argv(tmp_path, blob, experiment)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_degenerate_threshold_exits_2(tmp_path, capsys, monkeypatch):
+    """A vanished Favard estimate leaves bad-angles no threshold: one error
+    line and exit 2, not a traceback."""
+    monkeypatch.setattr(favlab.projections, "favard_lengths",
+                        lambda sys_, n, grid: ([0.0] * (n + 1), None))
+    assert main(["bad-angles", "--n", "1", "--angles", "8",
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: Favard estimate is zero; threshold undefined\n")
 
 
 def test_ifs_resolved_once_per_run(tmp_path, monkeypatch):
@@ -434,12 +480,47 @@ class TestRuns:
             f"error: energy of generation 10 needs {9 ** 10} atoms; "
             f"cap is {WORK_BUDGET}\n")
 
-    def test_refused_allocation_exit_code(self, tmp_path, capsys):
-        # numpy refuses the angle grid before allocating it
+    def test_refused_allocation_exit_code(self, tmp_path, capsys,
+                                          monkeypatch):
+        # the angle cap refuses this run first; without the cap, numpy
+        # refuses the 80 TB angle grid before allocating it, and the
+        # MemoryError exits 3 like a cap
+        monkeypatch.setattr(favlab.cli, "_check_angles", lambda cfg, gen: None)
         assert main(["stacking", "--n", "1", "--angles", "10000000000000",
                      "--out", str(tmp_path / "o.csv")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: Unable to allocate")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("experiment", ["box-dim-sweep", "stacking"])
+    def test_angle_loops_capped_before_the_grid(self, tmp_path, capsys,
+                                                experiment):
+        """2 * 10^5 angles at n = 1 (25-50 s) are refused by the angle cap
+        before their 1.6 MB grid is allocated."""
+        angles = 2 * 10 ** 5
+        tracemalloc.start()
+        try:
+            rc = main([experiment, "--n", "1", "--angles", str(angles),
+                       "--out", str(tmp_path / "o.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        steps = 4 * _ANGLE_SQUARE_STEPS[experiment] + _ANGLE_STEPS
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {experiment} over {angles} angles needs "
+            f"{angles * steps} steps; cap is {WORK_BUDGET >> 3}\n")
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("experiment, n, angles", [
+        ("box-dim-sweep", 6, 360), ("stacking", 4, 16)])
+    def test_angle_cap_leaves_the_benchmark_runs(self, experiment, n,
+                                                 angles):
+        """The benchmark's box-dim-sweep and stacking runs take under a
+        tenth of the angle cap."""
+        steps = angles * (4 ** n * _ANGLE_SQUARE_STEPS[experiment]
+                          + _ANGLE_STEPS)
+        assert steps < (WORK_BUDGET >> 3) / 10
 
     def test_census_capped_on_letters(self, tmp_path, capsys):
         """The census checks its letters before it draws a word."""

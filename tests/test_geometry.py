@@ -194,6 +194,22 @@ def test_from_arcs_array_matches_loop(arcs):
         np.array(arcs, dtype=float).reshape(-1, 2)).arcs == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(ARC_STARTS, ARC_LENGTHS), max_size=12))
+def test_arc_set_from_array_or_tuples(arcs):
+    """A set built from the (k, 2) array of a union's arcs and one built
+    from their tuples hold the same arcs, and each measure is the np.sum
+    of the lengths."""
+    union = CircularIntervalSet.from_arcs(arcs).arcs
+    from_tuples = CircularIntervalSet(union)
+    from_array = CircularIntervalSet(np.array(union).reshape(-1, 2))
+    assert from_array.arcs == from_tuples.arcs == union
+    assert len(from_array) == len(from_tuples) == len(union)
+    lengths = np.array([length for _, length in union])
+    assert (from_array.measure() == from_tuples.measure()
+            == float(np.sum(lengths)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from([0.0, -0.0, TWO_PI, -TWO_PI, 3 * TWO_PI,
                                  -1e-300, 1e-300, -1e-17, math.pi])

@@ -186,6 +186,19 @@ class TestFDelta:
         with pytest.raises(ValueError, match="c must be positive and finite"):
             vis_delta([Point2(-1.0, 0.0)], A, fam, c)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e19, 1e300])
+    def test_reach_past_int64_keeps_every_window(self, gens, c):
+        """A reach of more than 2^63 cells is clipped to the family before
+        its int64 cast, so every window spans the family, as at c = 100."""
+        A = cloud_from_generation(gens(2))
+        fam = build_line_family(A.delta, 1.91)
+        a = Point2(-0.25, 0.5)
+        for cc in (100.0, c):
+            assert vis_delta([a], A, fam, cc) == [205]
+            assert l2_norm_f(A, fam, cc) == 256.0
+            assert mass(a, (0.0, TWO_PI), A, fam, cc) == 3280
+
     def test_counts_table_matches_f_delta(self, k4_setup):
         A, fam, table = k4_setup
         rng = np.random.default_rng(11)
@@ -916,6 +929,23 @@ def test_streamed_visibility_memory_is_blocked(fourcorner):
 
     streamed = traced_peak(lambda: streamed_visibility(fourcorner, 8, [a]))
     assert streamed < traced_peak(dense) / 3
+
+
+def test_radial_projection_peaks_as_the_streamed_path(fourcorner):
+    """At n = 9 the arc set holds the union's arrays as they come, so over
+    the generation it peaks within 1.1 times the streamed visibility, whose
+    measure and arc count are the set's bit for bit; a measure is the
+    np.sum of the arc lengths."""
+    a = Point2(-0.25, 0.5)
+    gen = generate_generation(fourcorner, 9)
+    found = []
+    direct = traced_peak(lambda: found.append(radial_projection(gen, a)))
+    streamed = traced_peak(
+        lambda: found.append(streamed_visibility(fourcorner, 9, [a])))
+    arcs, [(vis, count)] = found
+    assert direct <= 1.1 * streamed
+    assert vis == arcs.measure() / TWO_PI and count == len(arcs)
+    assert arcs.measure() == float(np.sum(np.array(arcs.arcs)[:, 1]))
 
 
 def test_streamed_visibility_checks_its_squares(fourcorner):
