@@ -118,10 +118,11 @@ TINY_HULL_IFS = {"maps": [{"lambda": 0.5, "z": [0.0, 0.0]},
                  "hull": {"corner": [0.0, 0.0], "side": 1e-9}}
 
 
-def _ifs_argv(tmp_path, blob, experiment="favard-scaling", *extra):
+def _ifs_argv(tmp_path, blob, *argv):
+    """argv at n = 2 on the IFS that the JSON blob describes."""
     path = tmp_path / "ifs.json"
     path.write_text(json.dumps(blob))
-    return [experiment, "--ifs", str(path), "--n", "2", *extra,
+    return [*argv, "--ifs", str(path), "--n", "2",
             "--out", str(tmp_path / "o.csv")]
 
 
@@ -172,7 +173,7 @@ def _ifs_argv(tmp_path, blob, experiment="favard-scaling", *extra):
                  "--out", str(tmp / "o.csv")],
     lambda tmp: ["visibility-point", "--n", "2", "--vantage=a,b",
                  "--out", str(tmp / "o.csv")],
-    *[lambda tmp, blob=blob: _ifs_argv(tmp, blob)
+    *[lambda tmp, blob=blob: _ifs_argv(tmp, blob, "favard-scaling")
       for blob in BAD_IFS.values()],
     lambda tmp: _ifs_argv(tmp, TINY_HULL_IFS, "box-dim-sweep", "--angles",
                           "4"),
