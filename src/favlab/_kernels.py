@@ -106,12 +106,10 @@ def _depth_measures(lam, zx, zy, corner_x, corner_y, side, thetas, n):
     counts[0] = 1
     lam = lam[None, :, None]
     # (first angle, past-the-last angle, depth, lo, hi): angles a:b merged
-    # at `depth`, one padded row each
-    work = [(0, thetas.size, 0, lo[:, None], hi[:, None])]
+    # at `depth` < n, one padded row each
+    work = [(0, thetas.size, 0, lo[:, None], hi[:, None])] if n else []
     while work:
         a, b, depth, lo, hi = work.pop()
-        if depth == n:
-            continue
         rows = b - a
         if rows > 1 and rows * lam.size * lo.shape[1] > _DEPTH_BLOCK:
             h = rows // 2
@@ -132,8 +130,10 @@ def _depth_measures(lam, zx, zy, corner_x, corner_y, side, thetas, n):
         first = np.concatenate(([0], np.cumsum(m[:-1])))
         measures[depth + 1, a:b] = np.add.reduceat(seg_hi - seg_lo, first)
         counts[depth + 1, a:b] = m
-        take = first[:, None] + np.minimum(np.arange(m.max()), m[:, None] - 1)
-        work.append((a, b, depth + 1, seg_lo[take], seg_hi[take]))
+        if depth + 1 < n:
+            take = (first[:, None]
+                    + np.minimum(np.arange(m.max()), m[:, None] - 1))
+            work.append((a, b, depth + 1, seg_lo[take], seg_hi[take]))
     return measures, counts
 
 

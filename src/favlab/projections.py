@@ -80,6 +80,15 @@ def favard_length(gen: Generation, grid: AngleGrid) -> float:
     return float(np.mean(projection_measures(gen, grid.thetas)))
 
 
+#: the least angle-squares an angle counts as in favard_lengths' cap, which
+#: bad_angle_measure meets too: an angle holds about 104 bytes there and
+#: costs bad_angle_measure 16-26 us of interpreter work at n <= 1, so at
+#: n <= 6 the cap admits 2^20 angles (109 MB and 0.17 s of Favard lengths,
+#: 17-27 s of bad angles on a 2-core host), not the 2^32 that angles times
+#: squares alone admitted at n = 0
+_ANGLE_SQUARES = 4096
+
+
 def favard_lengths(sys: IFSystem, n: int, grid: AngleGrid):
     """Fav(K_0), ..., Fav(K_n) by the midpoint rule, and per depth the mean
     number of merged projection intervals per angle, from one pass that
@@ -89,12 +98,14 @@ def favard_lengths(sys: IFSystem, n: int, grid: AngleGrid):
     WORK_BUDGET << 2 (one costs 8-15 ns on a 2-core host, counting every
     depth, so the cap stops a run near 35-65 s: n = 10 at 4096 angles or
     n = 11 at 1024 runs, n = 12 at 4096 does not); past the cap's bit
-    length the figure reported is s^bit_length, a lower bound of s^n."""
+    length the figure reported is s^bit_length, a lower bound of s^n.
+    An angle counts as at least _ANGLE_SQUARES squares."""
     if n < 0:
         raise ValueError("generation index must be >= 0")
     cap = WORK_BUDGET << 2
+    squares = sys.s ** min(n, cap.bit_length())
     check_budget(f"Favard lengths to generation {n}",
-                 grid.count * sys.s ** min(n, cap.bit_length()),
+                 grid.count * max(squares, _ANGLE_SQUARES),
                  "angle-squares", cap)
     hull = sys.hull
     measures, counts = _kernels._depth_measures(

@@ -29,10 +29,12 @@ RECT_ORIENTATIONS = 64
 #: cap on the (start, length) intervals of one well-distribution sweep
 INTERVAL_BUDGET = 20_000_000
 # elements per pass of the line check (strip masses summed, and the window
-# points evaluated) and of the rectangle census (centre distances): 64 KiB
-# temporaries stay under glibc's 128 KiB mmap threshold and in cache (2^14
-# and more ran the dense n=6 line check at half speed)
+# points evaluated): 64 KiB temporaries stay under glibc's 128 KiB mmap
+# threshold and in cache (2^14 and more ran the dense n=6 line check at half
+# speed)
 _BLOCK = 2 ** 13
+# centre-point pairs per bincount of the rectangle census
+_CENSUS_BLOCK = 2 ** 16
 # difference atoms per kernel pass of generation_energy: four-corner n=9
 # ran in 3.4 s at 2^15 on a 2-core host, 3.7-4.4 s at 2^13, 2^14 and 2^16
 _ENERGY_BLOCK = 2 ** 15
@@ -265,25 +267,115 @@ def check_discrete_alpha_set(A: PointCloud, alpha: float, C: float,
                           n_random=n_random)
 
 
-def _dyadic_level(x: np.ndarray, xc: np.ndarray, delta: float, levels: int,
-                  out: np.ndarray) -> np.ndarray:
-    """ceil(log2(max(2|x - xc|/delta, 1))) clipped to [0, levels], in out."""
-    np.subtract(x, xc[:, None], out=out)
-    np.abs(out, out=out)
-    np.multiply(out, 2, out=out)
-    np.divide(out, delta, out=out)
-    np.maximum(out, 1.0, out=out)
-    np.log2(out, out=out)
-    np.ceil(out, out=out)
-    return np.minimum(out, levels, out=out)
+def _dyadic_level(d: np.ndarray, delta: float, levels: int) -> np.ndarray:
+    """ceil(log2(max(2|d|/delta, 1))) clipped to [0, levels]: the rectangle
+    level of a coordinate difference d."""
+    with np.errstate(over="ignore"):
+        x = np.abs(d) * 2 / delta
+    return np.minimum(np.ceil(np.log2(np.maximum(x, 1.0))), levels)
+
+
+def _level_breakpoints(delta: float, levels: int) -> np.ndarray:
+    """b[I] for I < levels: the largest float d >= 0 with
+    _dyadic_level(d) <= I.
+
+    Bisected on the bit patterns of d, which order as the floats do for
+    d >= 0, against _dyadic_level itself, so log2's rounding near 2^k is
+    kept: as the level is non-decreasing in |d|, it is <= I exactly where
+    |d| <= b[I].
+    """
+    want = np.arange(levels)
+    lo = np.zeros(levels, dtype=np.int64)                # 0.0, at level 0
+    hi = np.full(levels, np.float64(np.inf).view(np.int64))  # at `levels`
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        ok = _dyadic_level(mid.view(np.float64), delta, levels) <= want
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    return lo.view(np.float64)
+
+
+def _slab_ends(s: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """e[i, q]: how many of the sorted s have fl(s - c[i]) <= t[q].
+
+    Every s <= c + t has and every s >= c + nextafter(t) has not, so keys
+    one ulp outside these two bounds bracket the count.  The upper key is
+    searched only where an s lies between the two (ties, or an s within
+    ulps of a bound), and a bisection on the predicate itself settles those.
+    """
+    cc = c[:, None]
+    lo = np.searchsorted(s, np.nextafter(cc + t, -np.inf), "right")
+    hi = lo.copy()
+    top = np.nextafter(cc + np.nextafter(t, np.inf), np.inf)
+    i, q = np.nonzero(s[np.minimum(lo, s.size - 1)] < top)
+    hi[i, q] = np.searchsorted(s, top[i, q])
+    while i.size:
+        open_ = lo[i, q] < hi[i, q]
+        i, q = i[open_], q[open_]
+        a, b = lo[i, q], hi[i, q]
+        mid = (a + b) // 2
+        above = s[mid] - c[i] > t[q]
+        lo[i, q] = np.where(above, a, mid + 1)
+        hi[i, q] = np.where(above, mid, b)
+    return lo
+
+
+def _census_counts(pts: np.ndarray, centers: np.ndarray, delta: float,
+                   levels: int):
+    """Per orientation, the cumulative counts[center, iu, iv] of
+    _rectangle_census.
+
+    Along each axis a point is at level <= I where its difference d to
+    the centre lies in [-b[I], b[I]] (_level_breakpoints).  d = fl(u - uc)
+    is monotone in u, so along the sorted u the levels L..1, 0, 1..L fill
+    2L+1 runs whose ends _slab_ends finds per centre; the same holds for v.
+    The levels are repeated over the runs, the v levels gathered into u
+    order, and one bincount per block of centres counts the (iu, iv) cells;
+    the cells at the clipped level L are sliced away.
+    """
+    m, k, side = len(pts), len(centers), levels + 1
+    b = _level_breakpoints(delta, levels)
+    # fl(d) >= -b exactly when fl(d) > nextafter(-b, -inf): outermost first
+    t = np.concatenate([np.nextafter(-b[::-1], -np.inf), b])
+    run_level = np.abs(np.arange(-levels, levels + 1))
+    rows = max(1, _CENSUS_BLOCK // m)    # centres per bincount
+    ucell = (np.arange(rows)[:, None] * side + run_level) * side
+    vlevel = np.tile(run_level.astype(np.int8), rows)
+    ends = np.zeros((k, t.size + 2), dtype=np.intp)
+    ends[:, -1] = m
+    rank = np.empty(m, dtype=np.intp)
+    for j in range(RECT_ORIENTATIONS):
+        phi = j * math.pi / RECT_ORIENTATIONS
+        c, s = math.cos(phi), math.sin(phi)
+        u = pts[:, 0] * c + pts[:, 1] * s        # along long axis
+        v = -pts[:, 0] * s + pts[:, 1] * c
+        uc = centers[:, 0] * c + centers[:, 1] * s
+        vc = -centers[:, 0] * s + centers[:, 1] * c
+        ou, ov = np.argsort(u), np.argsort(v)
+        ends[:, 1:-1] = _slab_ends(u[ou], uc, t)
+        ulen = np.diff(ends, axis=1)
+        ends[:, 1:-1] = _slab_ends(v[ov], vc, t)
+        vlen = np.diff(ends, axis=1)
+        rank[ov] = np.arange(m)
+        v_to_u = rank[ou]                # v rank of each u-sorted point
+        counts = np.empty((k, side, side), dtype=np.int64)
+        for a in range(0, k, rows):
+            r = min(rows, k - a)
+            iv = np.repeat(vlevel[:r * run_level.size], vlen[a:a + r].ravel())
+            cell = np.repeat(ucell[:r].ravel(), ulen[a:a + r].ravel())
+            cell += iv.reshape(r, m).take(v_to_u, axis=1).ravel()
+            counts[a:a + r] = np.bincount(
+                cell, minlength=r * side * side).reshape(r, side, side)
+        yield counts[:, :levels, :levels].cumsum(axis=1).cumsum(axis=2)
 
 
 def _rectangle_census(A: PointCloud, rng: np.random.Generator):
     """Counts |A n R| over dyadic-dimension rotated rectangles.
 
-    Returns (counts[orient, center, i2, i1], radii) where the rectangle at
-    (i1, i2) has short side delta*2^i1 and long side delta*2^i2 and counts
-    are cumulative over both indices.
+    Returns (stream, radii): stream yields, per orientation, the int64
+    counts[center, i2, i1] where the rectangle at (i1, i2) has short side
+    delta*2^i1 and long side delta*2^i2, cumulative over both indices.
+    The centres are drawn from rng before it returns.
     """
     pts = A.points
     m = len(pts)
@@ -295,31 +387,8 @@ def _rectangle_census(A: PointCloud, rng: np.random.Generator):
     centers = np.concatenate([
         pts[idx],
         rng.uniform(lo, hi, size=(RECT_CENTERS - len(idx), 2))])
-    k, side = len(centers), levels + 1
-    counts = np.empty((RECT_ORIENTATIONS, k, side, side), dtype=np.int64)
-    rows = max(1, _BLOCK // m)           # centres per pass
-    du, dv = np.empty((rows, m)), np.empty((rows, m))
-    base = np.arange(rows)[:, None] * side
-    for j in range(RECT_ORIENTATIONS):
-        phi = j * math.pi / RECT_ORIENTATIONS
-        c, s = math.cos(phi), math.sin(phi)
-        u = pts[:, 0] * c + pts[:, 1] * s        # along long axis
-        v = -pts[:, 0] * s + pts[:, 1] * c
-        uc = centers[:, 0] * c + centers[:, 1] * s
-        vc = -centers[:, 0] * s + centers[:, 1] * c
-        for a in range(0, k, rows):
-            r = min(rows, k - a)
-            iu = _dyadic_level(u, uc[a:a + r], A.delta, levels, du[:r])
-            iv = _dyadic_level(v, vc[a:a + r], A.delta, levels, dv[:r])
-            iu += base[:r]
-            iu *= side
-            iu += iv                             # (centre, iu, iv) cell
-            counts[j, a:a + r] = np.bincount(
-                iu.astype(np.intp).ravel(), minlength=r * side * side
-            ).reshape(r, side, side)
-    counts = counts.cumsum(axis=2).cumsum(axis=3)
     radii = A.delta * 2.0 ** np.arange(levels)
-    return counts[:, :, :levels, :levels], radii
+    return _census_counts(pts, centers, A.delta, levels), radii
 
 
 def check_unrectifiable_one_set(A: PointCloud, C: float, seed: int = 0,
@@ -328,25 +397,33 @@ def check_unrectifiable_one_set(A: PointCloud, C: float, seed: int = 0,
     kappa (0.01 grid) at which it holds over the sampled rectangles."""
     cert = check_discrete_alpha_set(A, 1.0, C, seed=seed, n_random=n_random)
     rng = np.random.default_rng(seed + 1)
-    counts, radii = _rectangle_census(A, rng)
+    stream, radii = _rectangle_census(A, rng)
     r1, r2 = radii, radii[:, None]   # short side on axis i1, long on i2
-    frac = counts / (C * len(A))     # need frac <= r1^kappa * r2^(1-kappa)
-    # kappa = 0 bound: frac <= r2; the witness is the first worst
-    # (orientation, center, i2, i1) in C order
-    marg = np.where(r1 <= r2, frac / r2, 0.0)
-    j, ci, i2, i1 = np.unravel_index(int(np.argmax(marg)), marg.shape)
-    worst_margin = float(marg[j, ci, i2, i1])
-    witness = {"kind": "rectangle",
-               "orientation": int(j) * math.pi / counts.shape[0],
-               "center_index": int(ci), "r1": float(radii[i1]),
-               "r2": float(radii[i2]), "count": int(counts[j, ci, i2, i1])}
-    # largest kappa with frac <= r1^k r2^(1-k), a bound decreasing in k;
-    # squares do not constrain it. Passing means frac <= r2, so k_r >= 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_r = np.log(frac / r2) / np.log(r1 / r2)
-    kappa_min = float(k_r.min(where=r1 < r2, initial=0.5))
+    log_ratio = np.log(r1 / r2)
+    worst_margin, witness, kappa_min = -1.0, {}, np.float64(0.5)
+    for j, counts in enumerate(stream):
+        frac = counts / (C * len(A))  # need frac <= r1^kappa * r2^(1-kappa)
+        # kappa = 0 bound: frac <= r2; the witness is the first worst
+        # (orientation, center, i2, i1) in C order
+        marg = np.where(r1 <= r2, frac / r2, 0.0)
+        ci, i2, i1 = np.unravel_index(int(np.argmax(marg)), marg.shape)
+        if marg[ci, i2, i1] > worst_margin:
+            worst_margin = float(marg[ci, i2, i1])
+            witness = {"kind": "rectangle",
+                       "orientation": j * math.pi / RECT_ORIENTATIONS,
+                       "center_index": int(ci), "r1": float(radii[i1]),
+                       "r2": float(radii[i2]),
+                       "count": int(counts[ci, i2, i1])}
+        # largest kappa with frac <= r1^k r2^(1-k), a bound decreasing in
+        # k; squares do not constrain it. Passing means frac <= r2, so
+        # k_r >= 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k_r = np.log(frac / r2) / log_ratio
+        kappa_min = np.minimum(kappa_min,
+                               k_r.min(where=r1 < r2, initial=0.5))
     passed = worst_margin <= 1.0
-    kappa = math.floor(kappa_min / KAPPA_GRID) * KAPPA_GRID if passed else 0.0
+    kappa = (math.floor(float(kappa_min) / KAPPA_GRID) * KAPPA_GRID
+             if passed else 0.0)
     cert.checks["rectangle"] = CheckResult(
         passed, worst_margin, witness if worst_margin > 0 else {})
     cert.kappa_estimate = kappa

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from favlab import _kernels
+from favlab import _kernels, projections
 from favlab.geometry import Point2, Square
 from favlab.ifs import (WORK_BUDGET, IFSystem, ResourceBudgetError,
                         Similitude, generate_generation, preset)
@@ -607,3 +607,24 @@ def test_favard_lengths_capped_on_angle_squares(fourcorner, n, angles):
                        match=f"^Favard lengths to generation {n} needs "
                              f"{need} angle-squares; cap is {cap}$"):
         favard_lengths(fourcorner, n, AngleGrid(angles))
+
+
+@pytest.mark.parametrize("run", [favard_lengths, bad_angle_measure])
+@pytest.mark.parametrize("n", [0, 2, 5])
+def test_angles_count_at_least_their_floor(monkeypatch, fourcorner, run, n):
+    """Below 4^6 squares an angle counts as _ANGLE_SQUARES angle-squares,
+    so a grid that angles times squares would admit is refused on its
+    angles alone, before its thetas are built; the cap is lowered so that
+    the sizes stay small."""
+    monkeypatch.setattr(projections, "WORK_BUDGET", 1 << 12)   # cap 2^14
+    angles = 5
+    assert angles * 4 ** n <= 1 << 14 < angles * projections._ANGLE_SQUARES
+    monkeypatch.setattr(AngleGrid, "thetas", property(
+        lambda grid: pytest.fail("thetas built before the cap")))
+    with pytest.raises(ResourceBudgetError,
+                       match=f"^Favard lengths to generation {n} needs "
+                             f"{angles * 4096} angle-squares; "
+                             f"cap is {1 << 14}$"):
+        run(fourcorner, n, AngleGrid(angles))
+    monkeypatch.undo()
+    assert favard_lengths(fourcorner, n, AngleGrid(angles))[0].size == n + 1

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from favlab.set_analysis import (KAPPA_GRID, RECT_CENTERS, RECT_ORIENTATIONS,
                                  CheckResult, SetCertificate,
                                  UndefinedDimensionError, _ball_check,
                                  _bbox, _covering_count_intervals, _diameter,
+                                 _dyadic_level, _level_breakpoints,
                                  _line_check, _rectangle_census,
                                  _strip_masses, _strip_windows,
                                  box_dimension_estimate,
@@ -273,7 +275,8 @@ def rectangle_census_dense(A, rng):
 
 
 def assert_census_matches_dense(A, seed):
-    counts, radii = _rectangle_census(A, np.random.default_rng(seed))
+    stream, radii = _rectangle_census(A, np.random.default_rng(seed))
+    counts = np.stack(list(stream))
     want, want_radii = rectangle_census_dense(A, np.random.default_rng(seed))
     assert counts.dtype == want.dtype
     assert np.array_equal(counts, want)
@@ -283,7 +286,8 @@ def assert_census_matches_dense(A, seed):
 def rectangle_loop(A, C, seed):
     """The (orientation, centre) loop the whole-array rectangle and kappa
     reductions replaced: (rectangle check, kappa estimate)."""
-    counts, radii = _rectangle_census(A, np.random.default_rng(seed + 1))
+    stream, radii = _rectangle_census(A, np.random.default_rng(seed + 1))
+    counts = np.stack(list(stream))
     m = len(A)
     levels = len(radii)
     i2g, i1g = np.meshgrid(np.arange(levels), np.arange(levels),
@@ -400,6 +404,33 @@ def test_census_matches_dense_on_level_ties():
     assert len(pts) <= RECT_CENTERS // 2     # every point is a centre
     for seed in range(3):
         assert_census_matches_dense(PointCloud(np.array(pts), delta), seed)
+
+
+@pytest.mark.parametrize("delta", [1 / 64, 1 / 32, 0.01, 0.1]
+                         + [4.0 ** -n for n in range(10)])
+def test_level_breakpoints_are_the_last_float_of_each_level(delta):
+    """b[I] is at level <= I and the next float up is past it, with the
+    level computed by the census's own formula."""
+    levels = 40
+    b = _level_breakpoints(delta, levels)
+    above = np.nextafter(b, np.inf)
+    assert np.all(_dyadic_level(b, delta, levels) <= np.arange(levels))
+    assert np.all(_dyadic_level(above, delta, levels) > np.arange(levels))
+    assert np.all(_dyadic_level(-b, delta, levels) <= np.arange(levels))
+
+
+def test_certifier_memory_holds_no_count_table(gens):
+    """At four-corner n=6 the census folds each orientation as it comes:
+    one (64, 200, 14, 14) int64 table alone would be 20 MB, and the full
+    table with its cumsums and float copies peaked at 98.6 MB."""
+    A = cloud_from_generation(gens(6))
+    tracemalloc.start()
+    try:
+        check_unrectifiable_one_set(A, 256.0, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 @st.composite
