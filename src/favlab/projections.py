@@ -82,10 +82,10 @@ def favard_length(gen: Generation, grid: AngleGrid) -> float:
 
 #: the least angle-squares an angle counts as in favard_lengths' cap, which
 #: bad_angle_measure meets too: an angle holds about 104 bytes there and
-#: costs bad_angle_measure 16-26 us of interpreter work at n <= 1, so at
-#: n <= 6 the cap admits 2^20 angles (109 MB and 0.17 s of Favard lengths,
-#: 17-27 s of bad angles on a 2-core host), not the 2^32 that angles times
-#: squares alone admitted at n = 0
+#: costs bad_angle_measure 16-26 us of interpreter work at n <= 1, so up to
+#: 4096 squares the cap admits 2^20 angles (at n = 0: 109 MB and 0.17 s of
+#: Favard lengths, 17-27 s of bad angles on a 2-core host), not the 2^32
+#: that angles times squares alone admitted at n = 0
 _ANGLE_SQUARES = 4096
 
 
