@@ -1,5 +1,6 @@
 """Numeric inner loops in plain numpy: interval merges, projection unions,
-Riesz sums and the per-direction count rows of the delta-line family."""
+Riesz sums, and the per-direction count rows and per-vantage candidate
+windows of the delta-line family."""
 
 from __future__ import annotations
 
@@ -240,28 +241,57 @@ def _count_rows(px, py, delta, c_mult, k1s, k2min, k2max):
         yield bases, rows
 
 
-def _vantage_sums(px, py, delta, c_mult, ax, ay, reach, k1s, k2min, k2max):
-    """Per direction k1 in k1s, the sum of its count row over the window
-    [lo, hi] of the offsets k2 with |t_k1(a) - k2*delta| <= reach of the
-    vantage a = (ax, ay).  That is sum_p |[a_p, b_p] & [lo, hi]| over the
-    points' windows, so no row is built: the vantage is windowed as one
-    more point, in the same blocks."""
-    _check_c(c_mult)
-    reaches = np.full(px.size + 1, c_mult * delta)
-    reaches[-1] = reach
-    out = np.empty(len(k1s), dtype=np.int64)
-    i = 0
-    for a, b in _window_blocks(np.append(px, ax), np.append(py, ay), delta,
-                               reaches, k1s, k2min, k2max,
-                               _block_step(px.size + 1)):
-        # an empty window has b = a - 1, so its overlap is at most 0
-        np.maximum(a, a[:, -1:], out=a)
-        np.minimum(b, b[:, -1:], out=b)
-        b -= a - 1
-        np.maximum(b, 0, out=b)
-        out[i:i + len(b)] = b[:, :-1].sum(axis=1)
-        i += len(b)
-    return out
+def _direction_ranges(px, py, ax, ay, delta, rho, n_dir):
+    """Per point p, the family directions k*delta (0 <= k < n_dir) within
+    asin(min(1, rho/|p - a|)) of the direction phi_p of p seen from the
+    vantage a = (ax, ay), mod pi: the directions theta with |t_theta(p) -
+    t_theta(a)| = |p - a| |sin(phi_p - theta)| <= rho.  Returns (starts,
+    counts) of 3m index ranges: the m ranges about phi_p, then the m parts
+    that wrap past 0 and the m that wrap past pi, each cut to leave the
+    first range's directions to it.  A point within rho of a gets every
+    direction once."""
+    dx, dy = px - ax, py - ay
+    r = np.hypot(dx, dy)
+    phi = np.remainder(np.arctan2(dy, dx), math.pi)
+    near = r <= rho
+    half = np.arcsin(rho / np.where(near, 1.0, r), where=~near,
+                     out=np.full(r.size, math.pi / 2))
+    top = n_dir - 1
+    lo = np.where(near, 0, np.clip(np.ceil((phi - half) / delta), 0, top + 1))
+    hi = np.where(near, top,
+                  np.clip(np.floor((phi + half) / delta), -1, top))
+    # theta in [phi - half, phi + half] - pi, and + pi
+    below = np.minimum(np.floor((phi + half - math.pi) / delta), lo - 1)
+    above = np.maximum(np.ceil((phi - half + math.pi) / delta), hi + 1)
+    starts = np.concatenate((lo, np.zeros(r.size), above))
+    ends = np.concatenate((hi, below, np.full(r.size, top)))
+    return (starts.astype(np.int64),
+            np.maximum(ends - starts + 1, 0).astype(np.int64))
+
+
+def _candidate_windows(px, py, ns, cs, delta, c_mult, lo, hi, starts, counts,
+                       k2min, k2max, step):
+    """Yield, per block of about `step` candidates of the ranges (starts,
+    counts) of _direction_ranges, (k, a, b): each candidate's direction k
+    and its point's k2 window of reach c_mult*delta (_k2_windows, with t =
+    ns[k]*px + cs[k]*py) cut to the vantage's window [lo[k], hi[k]]; b < a
+    where they miss.  A block holds whole ranges."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    cuts = np.unique(np.searchsorted(ends, np.arange(step, total, step),
+                                     "right"))
+    for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, counts.size]):
+        n = counts[r0:r1]
+        size = int(n.sum())
+        if size == 0:
+            continue
+        k = np.arange(size) + np.repeat(starts[r0:r1] - (np.cumsum(n) - n), n)
+        j = np.repeat(np.arange(r0, r1) % px.size, n)
+        a, b = _k2_windows(ns[k] * px[j] + cs[k] * py[j], delta,
+                           c_mult * delta, k2min, k2max)
+        np.maximum(a, lo[k], out=a)
+        np.minimum(b, hi[k], out=b)
+        yield k, a, b
 
 
 def f_delta_stats(px, py, delta, c_mult, dir_mask, k2min, k2max):

@@ -302,22 +302,28 @@ def _slab_ends(s: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
     one ulp outside these two bounds bracket the count.  The upper key is
     searched only where an s lies between the two (ties, or an s within
     ulps of a bound), and a bisection on the predicate itself settles those.
+    The keys are searched level by level over the sorted centres, so each
+    run of them ascends, and the ends are scattered back to centre order.
     """
-    cc = c[:, None]
-    lo = np.searchsorted(s, np.nextafter(cc + t, -np.inf), "right")
+    order = np.argsort(c, kind="stable")
+    cc = c[order]
+    tt = t[:, None]
+    lo = np.searchsorted(s, np.nextafter(cc + tt, -np.inf), "right")
     hi = lo.copy()
-    top = np.nextafter(cc + np.nextafter(t, np.inf), np.inf)
-    i, q = np.nonzero(s[np.minimum(lo, s.size - 1)] < top)
-    hi[i, q] = np.searchsorted(s, top[i, q])
+    top = np.nextafter(cc + np.nextafter(tt, np.inf), np.inf)
+    q, i = np.nonzero(s[np.minimum(lo, s.size - 1)] < top)
+    hi[q, i] = np.searchsorted(s, top[q, i])
     while i.size:
-        open_ = lo[i, q] < hi[i, q]
-        i, q = i[open_], q[open_]
-        a, b = lo[i, q], hi[i, q]
+        open_ = lo[q, i] < hi[q, i]
+        q, i = q[open_], i[open_]
+        a, b = lo[q, i], hi[q, i]
         mid = (a + b) // 2
-        above = s[mid] - c[i] > t[q]
-        lo[i, q] = np.where(above, a, mid + 1)
-        hi[i, q] = np.where(above, mid, b)
-    return lo
+        above = s[mid] - cc[i] > t[q]
+        lo[q, i] = np.where(above, a, mid + 1)
+        hi[q, i] = np.where(above, mid, b)
+    ends = np.empty_like(lo.T)
+    ends[order] = lo.T
+    return ends
 
 
 def _census_counts(pts: np.ndarray, centers: np.ndarray, delta: float,

@@ -257,20 +257,25 @@ def f_delta(ell: DiscreteLine, A: PointCloud, c: float = DEFAULT_C) -> int:
                                 <= c * ell.delta))
 
 
-#: steps a direction besides its windows and row cells: reading one
-#: direction's vantage windows off its row costs about 5 us of interpreter
-#: work, against about 10 ns a cell (2-core host), and the single-vantage
-#: queries hold about 60 bytes a direction
+#: steps a direction besides its windows and row cells, and a direction
+#: for each vantage of the candidate engine.  Reading one direction's
+#: vantage windows off its row costs about 5 us of interpreter work, against
+#: about 10 ns a cell; a candidate engine's direction costs 60-75 ns, about
+#: 1.3 candidates, but holds 56 bytes while its vantage is queried, and the
+#: term keeps those arrays near 120 MB under the cap (2-core host)
 _DIRECTION_STEPS = 500
 #: steps a direction for one arc's direction mask (about 30 ns)
 _MASK_STEPS = 3
+#: cells of slack, past c*delta + reach, in the candidates' reach: it
+#: covers the rounding of t and of the direction bounds many times over
+_SLACK = 0.25
 
 
 def _check_line_work(A: PointCloud, fam: LineFamily, more: float) -> None:
-    """Raise ResourceBudgetError past WORK_BUDGET for one stream over the
-    line family that takes, per direction, the cloud points' windows,
-    _DIRECTION_STEPS and `more` steps: a count row's span and the vantages'
-    windows, or a single-vantage sum's one window and its arc masks."""
+    """Raise ResourceBudgetError past WORK_BUDGET for one stream of count
+    rows over the line family that takes, per direction, the cloud points'
+    windows, _DIRECTION_STEPS and `more` steps: a row's span and the
+    vantages' windows."""
     steps = fam.k1_count * (len(A) + _DIRECTION_STEPS + more)
     check_budget("line family", steps, "steps", WORK_BUDGET)
 
@@ -319,22 +324,73 @@ def _window_sums(pts: np.ndarray, A: PointCloud, fam: LineFamily, c: float,
                    - pre.take(lo - base, mode="clip"))
 
 
+def _vantage_windows(pts: np.ndarray, A: PointCloud, fam: LineFamily,
+                     c: float, reach: float, more: int):
+    """Yield, per vantage a, (lo, hi, windows): the clipped k2 window
+    [lo, hi] of the offsets with |t_k1(a) - k2*delta| <= reach of each
+    direction k1, and the blocks (k1, a, b) of _kernels._candidate_windows:
+    the windows of reach c*delta of the cloud points cut to a's.
+
+    A point p is a candidate of the directions within asin(rho/|p - a|) of
+    its direction from a, mod pi (_kernels._direction_ranges), with rho =
+    (c + _SLACK)*delta + reach: only there can its window meet a's, so every
+    overlap is found and the windows keep the row engine's bits.  The work,
+    per vantage the points, the candidates and _DIRECTION_STEPS a
+    direction, plus `more`, is checked before any window is taken; the
+    candidates are counted only when the rest fits the cap."""
+    _kernels._check_c(c)
+    px, py = np.ascontiguousarray(A.x), np.ascontiguousarray(A.y)
+    rho = (c + _SLACK) * fam.delta + reach
+
+    def ranges(ax, ay):
+        return _kernels._direction_ranges(px, py, ax, ay, fam.delta, rho,
+                                          fam.k1_count)
+
+    steps = len(pts) * (len(A) + _DIRECTION_STEPS * fam.k1_count) + more
+    if steps <= WORK_BUDGET:
+        steps += sum(int(ranges(ax, ay)[1].sum()) for ax, ay in pts)
+    check_budget("line family", steps, "steps", WORK_BUDGET)
+    ns, cs = -np.sin(fam.thetas), np.cos(fam.thetas)
+    for ax, ay in pts:
+        lo, hi = _kernels._k2_windows(ns * ax + cs * ay, fam.delta, reach,
+                                      fam.k2_min, fam.k2_max)
+        yield lo, hi, _kernels._candidate_windows(
+            px, py, ns, cs, fam.delta, c, lo, hi, *ranges(ax, ay),
+            fam.k2_min, fam.k2_max, _kernels._LINE_BLOCK)
+
+
 def _direction_sums(a: Point2, A: PointCloud, fam: LineFamily, c: float,
                     reach: float, masks: int) -> np.ndarray:
     """Per direction, the total richness of the lines within reach of a,
-    for a caller that then takes `masks` arc masks of the directions."""
-    _check_line_work(A, fam, 1 + _MASK_STEPS * masks)
-    return _kernels._vantage_sums(
-        np.ascontiguousarray(A.x), np.ascontiguousarray(A.y), fam.delta, c,
-        a.x, a.y, reach, range(fam.k1_count), fam.k2_min, fam.k2_max)
+    for a caller that then takes `masks` arc masks of the directions: the
+    sum of the candidates' window overlaps."""
+    [(_, _, windows)] = _vantage_windows(
+        np.array([[a.x, a.y]]), A, fam, c, reach,
+        masks * _MASK_STEPS * fam.k1_count)
+    sums = np.zeros(fam.k1_count)
+    for k, lo, hi in windows:
+        # an empty overlap has hi < lo and adds nothing
+        sums += np.bincount(k, np.maximum(hi - lo + 1, 0), fam.k1_count)
+    return sums.astype(np.int64)
 
 
 def vis_delta(vantages: Sequence[Point2], A: PointCloud, fam: LineFamily,
               c: float = DEFAULT_C) -> list[int]:
     """Per vantage, the count of family lines whose 2-delta tube contains it
-    and whose c-delta tube meets the cloud."""
-    return sum(_window_sums(_points(vantages), A, fam, c,
-                            2 * fam.delta)).tolist()
+    and whose c-delta tube meets the cloud: the cells of each direction's
+    vantage window (at most 5) that some candidate's window covers."""
+    found = []
+    for lo, hi, windows in _vantage_windows(_points(vantages), A, fam, c,
+                                            2 * fam.delta, 0):
+        cells = int((hi - lo).max(initial=-1)) + 1
+        covered = np.zeros((fam.k1_count, max(cells, 0)), dtype=bool)
+        for k, a, b in windows:
+            a -= lo[k]
+            b -= lo[k]
+            for cell in range(cells):
+                covered[k[(a <= cell) & (cell <= b)], cell] = True
+        found.append(int(np.count_nonzero(covered)))
+    return found
 
 
 def _richness_stats(A: PointCloud, fam: LineFamily, c: float):

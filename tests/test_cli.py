@@ -449,9 +449,8 @@ class TestRuns:
 
     def test_budget_exit_code(self, tmp_path, capsys):
         # line-scan checks the cap before it builds its chord samples; the
-        # sweep's 104720 directions x (16 points + 500 + 44205-offset span
-        # + 1 vantage) are 4.7e9 steps
-        for argv in (["vis-delta-sweep", "--n", "2", "--delta", "3e-5"],
+        # sweep's one vantage charges 3141593 directions x 500 steps, 1.6e9
+        for argv in (["vis-delta-sweep", "--n", "2", "--delta", "1e-6"],
                      ["line-scan", "--n", "2", "--delta", "1e-300"]):
             assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 3
             err = capsys.readouterr().err
@@ -459,18 +458,39 @@ class TestRuns:
             assert err.endswith(f"cap is {WORK_BUDGET}\n")
 
     def test_bridge_reaches_n5(self, tmp_path):
-        # its family reaches the vantage at x = -9.5: 9.6e6 steps
+        # its family reaches the vantage at x = -9.5: 1.6e7 steps
         out = tmp_path / "bridge.csv"
         assert main(["bridge", "--n", "5", "--out", str(out)]) == 0
         assert len(read_csv(out)) == 11
 
     def test_bridge_reaches_n6(self, tmp_path):
-        # the family reaches x = -9.5, but each count row spans only the
-        # cloud: 12868 directions x (4096 points + 500 + 5802-offset span
-        # + 10 vantages) are 1.3e8 steps
+        # the family reaches x = -9.5, but each vantage windows only its
+        # candidates: 10 vantages x (4096 points + 12868 directions x 500)
+        # and 147651 candidates are 6.5e7 steps
         out = tmp_path / "bridge.csv"
         assert main(["bridge", "--n", "6", "--out", str(out)]) == 0
         assert len(read_csv(out)) == 11
+
+    def test_vantage_queries_reach_n7(self, tmp_path):
+        """vis_delta at n = 7 equals the row engine's counts, taken with
+        its cap lifted (it needed 2.06e9 steps for the sweep)."""
+        out = tmp_path / "o.csv"
+        assert main(["vis-delta-sweep", "--n", "7", "--out", str(out)]) == 0
+        assert [r[3] for r in read_csv(out)] == ["vis_delta", "29454"]
+        assert main(["bridge", "--n", "7", "--out", str(out)]) == 0
+        assert [r[:2] for r in read_csv(out)[1:]] == [
+            [repr(-9.5 + i), vd] for i, vd in enumerate(
+                ["2177", "2761", "3556", "4451", "5133", "5645", "6532",
+                 "10347", "23773", "49706"])]
+
+    def test_bridge_refused_past_n8(self, tmp_path, capsys):
+        # 10 vantages x (262144 points + 823550 directions x 500), before
+        # any candidate is counted
+        assert main(["bridge", "--n", "9",
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: line family needs {10 * (4 ** 9 + 823550 * 500)} steps; "
+            f"cap is {WORK_BUDGET}\n")
 
     def test_energy_capped_on_atoms(self, tmp_path, capsys):
         # 4^10 squares are within the generation cap; 9^10 atoms are

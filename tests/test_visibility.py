@@ -1,7 +1,6 @@
 """Radial projections and the discretized line-incidence machinery."""
 
 import math
-import re
 import tracemalloc
 from unittest import mock
 
@@ -693,14 +692,138 @@ class TestStreamedMatchesTable:
             assert streamed == from_table
 
 
+# ---------------------------------------------------------------------------
+# the candidate engine against the row engine it replaced
+# ---------------------------------------------------------------------------
+
+def row_vis_delta(vantages, A, fam, c):
+    """vis_delta as the count rows gave it: the windows' sums of the
+    streamed rows' occupancy."""
+    return sum(vis_mod._window_sums(np.array([(a.x, a.y) for a in vantages]),
+                                    A, fam, c, 2 * fam.delta)).tolist()
+
+
+def windowed_vantage_sums(px, py, delta, c_mult, ax, ay, reach, k1s, k2min,
+                          k2max):
+    """Per direction k1 in k1s, the sum of its count row over the window
+    [lo, hi] of the offsets k2 with |t_k1(a) - k2*delta| <= reach of the
+    vantage a = (ax, ay).  That is sum_p |[a_p, b_p] & [lo, hi]| over every
+    point's window, the vantage windowed as one more point, in the same
+    blocks: the direct sums that the candidate engine replaced."""
+    _kernels._check_c(c_mult)
+    reaches = np.full(px.size + 1, c_mult * delta)
+    reaches[-1] = reach
+    out = np.empty(len(k1s), dtype=np.int64)
+    i = 0
+    for a, b in _kernels._window_blocks(np.append(px, ax), np.append(py, ay),
+                                        delta, reaches, k1s, k2min, k2max,
+                                        _kernels._block_step(px.size + 1)):
+        # an empty window has b = a - 1, so its overlap is at most 0
+        np.maximum(a, a[:, -1:], out=a)
+        np.minimum(b, b[:, -1:], out=b)
+        b -= a - 1
+        np.maximum(b, 0, out=b)
+        out[i:i + len(b)] = b[:, :-1].sum(axis=1)
+        i += len(b)
+    return out
+
+
+def row_direction_sums(a, A, fam, c, reach):
+    return windowed_vantage_sums(A.x, A.y, fam.delta, c, a.x, a.y, reach,
+                                 range(fam.k1_count), fam.k2_min, fam.k2_max)
+
+
+@st.composite
+def candidate_cases(draw):
+    """A random cloud, delta and c, and a reach of 2*delta or c*delta, with
+    vantages inside the cloud, on one or more coincident cloud points, far
+    away (as the bridge's x = -9.5 is from the unit square), and at and
+    past the family's edge (where windows are clipped away).  Each boundary
+    pair adds a vantage a and a point p with t(a) = k2*delta -+ reach and
+    t(p) = k2*delta +- c*delta along one family direction: their windows
+    meet at cell k2 up to rounding, at |t(p) - t(a)| = c*delta + reach, the
+    candidates' half-width, so only the slack keeps p a candidate of a."""
+    delta = draw(st.floats(0.02, 0.3))
+    c = draw(st.floats(0.3, 6.0))
+    far = draw(st.booleans())
+    d = draw(st.floats(delta, 12.0 if far else 1.5))
+    fam = build_line_family(delta, d)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(0, 40))
+    pts = rng.uniform(-0.5, 0.5, (m, 2)) * draw(st.floats(0.1, 2.0))
+    if m and draw(st.booleans()):
+        pts = np.concatenate([pts, pts[:draw(st.integers(1, m))]])
+    vantages = [rng.uniform(-0.5, 0.5, 2), rng.uniform(-d, d, 2)]
+    if m:
+        vantages.append(pts[draw(st.integers(0, len(pts) - 1))])
+    if far:
+        vantages.append(np.array([0.5 - d, 0.0]))
+    phi = draw(st.floats(0.0, TWO_PI))
+    vantages += [edge * np.array([math.cos(phi), math.sin(phi)])
+                 for edge in (d, d + 2 * delta, d + (c + 3) * delta)]
+    reach = draw(st.sampled_from([2.0, c])) * delta
+    pairs = []
+    for _ in range(draw(st.integers(0, 3))):
+        th = draw(st.integers(0, fam.k1_count - 1)) * delta
+        along = np.array([math.cos(th), math.sin(th)])
+        normal = np.array([-math.sin(th), math.cos(th)])
+        k2 = draw(st.integers(fam.k2_min, fam.k2_max))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        a = (draw(st.floats(-d, d)) * along
+             + (k2 * delta - sign * reach) * normal)
+        vantages.append(a)
+        pairs.append(a + draw(st.floats(-3.0, 3.0)) * along
+                     + sign * (c * delta + reach) * normal)
+    pts = np.concatenate([pts, np.reshape(pairs, (-1, 2))])
+    A = PointCloud(pts, delta)
+    return fam, A, [Point2(*map(float, a)) for a in vantages], c, reach
+
+
+class TestCandidateEngine:
+    """vis_delta and the direction sums behind mass, cone_count and
+    select_intervals come from each point's candidate directions; pin them
+    to the row engine's counts and to the direct sums, exactly."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=candidate_cases(), block=st.sampled_from([1, 7, 2 ** 14]))
+    def test_candidates_match_rows(self, case, block):
+        fam, A, vantages, c, reach = case
+        with mock.patch.object(_kernels, "_LINE_BLOCK", block):
+            assert vis_delta(vantages, A, fam, c) == row_vis_delta(
+                vantages, A, fam, c)
+            for a in vantages:
+                for r in (2 * fam.delta, c * fam.delta):
+                    assert np.array_equal(
+                        vis_mod._direction_sums(a, A, fam, c, r, 1),
+                        row_direction_sums(a, A, fam, c, r))
+
+    def test_benchmark_and_bridge_vantages(self, gens):
+        """The four-corner cloud at n = 4 from the benchmark's vantage box,
+        the roadmap's four vantages and the bridge's abscissae."""
+        A = cloud_from_generation(gens(4))
+        fam = build_line_family(A.delta, 10.0)
+        vantages = ([Point2(-0.25, 0.5), Point2(-0.4, 0.9), Point2(0.5, 0.5),
+                     Point2(0.125, 0.125), Point2(-0.1, 0.1),
+                     Point2(-0.4, 0.9)]
+                    + [Point2(-9.5 + i, 0.0) for i in range(10)])
+        assert vis_delta(vantages, A, fam) == row_vis_delta(vantages, A, fam,
+                                                            DEFAULT_C)
+        for a in vantages[::3]:
+            assert np.array_equal(
+                vis_mod._direction_sums(a, A, fam, DEFAULT_C, 2 * A.delta, 1),
+                row_direction_sums(a, A, fam, DEFAULT_C, 2 * A.delta))
+
+
 def test_line_queries_keep_work_budget():
     """Each query over the line family refuses a stream past the work cap
     before it windows a point: directions x (points + _DIRECTION_STEPS +
-    row span + vantages) for the queries that stream count rows, and
-    directions x (points + _DIRECTION_STEPS + 1 + _MASK_STEPS per arc mask)
-    for the single-vantage sums.  A one-point cloud at delta = 1e-6 is
-    refused as well: its points, spans and windows alone would pass, but
-    its 3.1e6 directions each cost interpreter work and array entries."""
+    row span + vantages) for the queries that stream count rows, and, per
+    vantage, the points and _DIRECTION_STEPS a direction, plus _MASK_STEPS
+    a direction per arc mask, for the candidate engine, whose candidates are
+    not counted once the rest is past the cap.  A one-point cloud at
+    delta = 1e-6 is refused as well: its points, spans, windows and
+    candidates alone would pass, but its 3.1e6 directions each hold array
+    entries (and, on the rows, cost interpreter work)."""
     a = Point2(-1.0, 0.0)
     per_dir, per_mask = vis_mod._DIRECTION_STEPS, vis_mod._MASK_STEPS
     # the span: twice the cloud's radius about its box centre, in cells,
@@ -715,29 +838,37 @@ def test_line_queries_keep_work_budget():
         assert width == want_width < 2 * fam.k2_max + 1
         chord = int(math.floor(2 * math.sqrt(2.0 ** 2 - 0.5 ** 2)
                                / (fam.delta / 2)))
+        dirs = fam.k1_count
+        vantage = len(A) + per_dir * dirs
         queries = [
-            (lambda: vis_delta([a], A, fam), width + 1),
-            (lambda: mass(a, (0.0, TWO_PI), A, fam), 1 + per_mask),
-            (lambda: cone_count(a, (0.0, TWO_PI), A, fam), 1 + per_mask),
-            (lambda: select_intervals(a, A, fam, 12), 1 + 12 * per_mask),
+            (lambda: vis_delta([a], A, fam), vantage),
+            (lambda: mass(a, (0.0, TWO_PI), A, fam),
+             vantage + per_mask * dirs),
+            (lambda: cone_count(a, (0.0, TWO_PI), A, fam),
+             vantage + per_mask * dirs),
+            (lambda: select_intervals(a, A, fam, 12),
+             vantage + 12 * per_mask * dirs),
             (lambda: scan_line_low_visibility(Line(0.0, 0.5), A, fam,
-                                              [0.5]), width + chord),
-            (lambda: radial_vs_projection_bridge(A, [-1.0], fam),
-             width + 1),
-            (lambda: l2_norm_f(A, fam), width),
-            (lambda: richness_histogram(A, fam), width),
+                                              [0.5]),
+             dirs * (len(A) + per_dir + width + chord)),
+            (lambda: radial_vs_projection_bridge(A, [-1.0], fam), vantage),
+            (lambda: l2_norm_f(A, fam), dirs * (len(A) + per_dir + width)),
+            (lambda: richness_histogram(A, fam),
+             dirs * (len(A) + per_dir + width)),
         ]
-        for query, more in queries:
-            work = fam.k1_count * (len(A) + per_dir + more)
+        for query, work in queries:
             assert work > WORK_BUDGET
-            with mock.patch.object(_kernels, "_window_blocks",
-                                   side_effect=AssertionError("streamed")), \
+            with mock.patch.object(_kernels, "_k2_windows",
+                                   side_effect=AssertionError("windowed")), \
+                    mock.patch.object(_kernels, "_direction_ranges",
+                                      side_effect=AssertionError("ranged")), \
                     pytest.raises(ResourceBudgetError,
                                   match=f"^line family needs {work} steps; "
                                         f"cap is {WORK_BUDGET}$"):
                 query()
-    # the last cloud's mass query without the per-direction term
-    assert fam.k1_count * (1 + 1 + per_mask) < WORK_BUDGET
+    # the last cloud's mass query without the per-direction term: its one
+    # point is a candidate of at most every direction
+    assert len(A) + dirs + per_mask * dirs < WORK_BUDGET
 
 
 def test_line_scan_tiny_step_hits_the_work_cap():
@@ -753,11 +884,12 @@ def test_line_scan_tiny_step_hits_the_work_cap():
 def streamed_steps(query):
     """Run query, counting the steps its streams take: the windows of the
     points and vantages, per count row its length and _DIRECTION_STEPS,
-    per single-vantage sum _DIRECTION_STEPS, and per arc mask _MASK_STEPS,
-    each for every direction."""
+    per vantage of the candidate engine its points, its candidates and
+    _DIRECTION_STEPS a direction, and per arc mask _MASK_STEPS, each for
+    every direction."""
     steps = 0
     windows, rows = _kernels._window_blocks, _kernels._count_rows
-    sums, masks = _kernels._vantage_sums, vis_mod._direction_mask
+    candidates, masks = _kernels._candidate_windows, vis_mod._direction_mask
 
     def counting_windows(*args):
         nonlocal steps
@@ -771,11 +903,12 @@ def streamed_steps(query):
             steps += block.size + len(bases) * vis_mod._DIRECTION_STEPS
             yield bases, block
 
-    def counting_sums(*args):
+    def counting_candidates(px, py, ns, *args):
         nonlocal steps
-        out = sums(*args)
-        steps += out.size * vis_mod._DIRECTION_STEPS
-        return out
+        steps += px.size + ns.size * vis_mod._DIRECTION_STEPS
+        for k, a, b in candidates(px, py, ns, *args):
+            steps += k.size
+            yield k, a, b
 
     def counting_masks(fam, *args, **kwargs):
         nonlocal steps
@@ -784,24 +917,32 @@ def streamed_steps(query):
 
     with mock.patch.object(_kernels, "_window_blocks", counting_windows), \
             mock.patch.object(_kernels, "_count_rows", counting_rows), \
-            mock.patch.object(_kernels, "_vantage_sums", counting_sums), \
+            mock.patch.object(_kernels, "_candidate_windows",
+                              counting_candidates), \
             mock.patch.object(vis_mod, "_direction_mask", counting_masks):
         query()
     return steps
 
 
-def checked_work(query):
-    """The line work that query checks, read from its refusal at cap 0."""
-    with mock.patch.object(vis_mod, "WORK_BUDGET", 0), \
-            pytest.raises(ResourceBudgetError) as err:
+def assert_checked_work(query, steps):
+    """query checks `steps` of line work: at a cap one step lower it is
+    refused with that figure before it takes a window, and at a cap of
+    `steps` it runs."""
+    with mock.patch.object(vis_mod, "WORK_BUDGET", steps - 1), \
+            mock.patch.object(_kernels, "_k2_windows",
+                              side_effect=AssertionError("windowed")), \
+            pytest.raises(ResourceBudgetError,
+                          match=f"^line family needs {steps} steps; "
+                                f"cap is {steps - 1}$"):
         query()
-    return int(re.fullmatch(r"line family needs (\d+) steps; cap is 0",
-                            str(err.value)).group(1))
+    with mock.patch.object(vis_mod, "WORK_BUDGET", steps):
+        query()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_line_work_estimate_is_the_streamed_steps(gens, n):
-    """The checked estimate is exactly what the streams then process."""
+    """The checked estimate is exactly what the streams then process, and
+    the cap admits it exactly."""
     gen = gens(n)
     A = cloud_from_generation(gen)
     fam = build_line_family(float(gen.side), 2.5)
@@ -818,7 +959,7 @@ def test_line_work_estimate_is_the_streamed_steps(gens, n):
         lambda: select_intervals(vantages[2], A, fam, 12),
     ]
     for query in queries:
-        assert checked_work(query) == streamed_steps(query)
+        assert_checked_work(query, streamed_steps(query))
 
 
 # ---------------------------------------------------------------------------
