@@ -247,9 +247,9 @@ def _direction_ranges(px, py, ax, ay, delta, rho, n_dir):
     vantage a = (ax, ay), mod pi: the directions theta with |t_theta(p) -
     t_theta(a)| = |p - a| |sin(phi_p - theta)| <= rho.  Returns (starts,
     counts) of 3m index ranges: the m ranges about phi_p, then the m parts
-    that wrap past 0 and the m that wrap past pi, each cut to leave the
-    first range's directions to it.  A point within rho of a gets every
-    direction once."""
+    past pi, which wrap to the directions from 0 up, and the m parts below
+    0, which wrap to those up to pi, each cut to leave the first range's
+    directions to it.  A point within rho of a gets every direction once."""
     dx, dy = px - ax, py - ay
     r = np.hypot(dx, dy)
     phi = np.remainder(np.arctan2(dy, dx), math.pi)

@@ -798,13 +798,14 @@ class TestCandidateEngine:
                         row_direction_sums(a, A, fam, c, r))
 
     def test_benchmark_and_bridge_vantages(self, gens):
-        """The four-corner cloud at n = 4 from the benchmark's vantage box,
-        the roadmap's four vantages and the bridge's abscissae."""
+        """The four-corner cloud at n = 4 from vantages beside, inside and
+        on a corner of the unit square, the benchmark's vantage box and the
+        bridge's abscissae."""
         A = cloud_from_generation(gens(4))
         fam = build_line_family(A.delta, 10.0)
         vantages = ([Point2(-0.25, 0.5), Point2(-0.4, 0.9), Point2(0.5, 0.5),
                      Point2(0.125, 0.125), Point2(-0.1, 0.1),
-                     Point2(-0.4, 0.9)]
+                     Point2(-0.1, 0.9)]
                     + [Point2(-9.5 + i, 0.0) for i in range(10)])
         assert vis_delta(vantages, A, fam) == row_vis_delta(vantages, A, fam,
                                                             DEFAULT_C)
