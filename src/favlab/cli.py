@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kernels
 from .geometry import Line, Point2
 from .ifs import (WORK_BUDGET, Generation, IFSystem, ResourceBudgetError,
                   check_budget, generate_generation, resolve_ifs,
@@ -217,7 +217,8 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
         rows = [[n, cfg.angles, float(favs[n])] for n in ns]
         return rows, ["n", "theta_count", "favard"], {
             "favard": {str(n): float(favs[n]) for n in ns},
-            "merged": {str(n): float(merged[n]) for n in ns}}
+            "merged": {str(n): float(merged[n]) for n in ns},
+            "workers": _kernels._workers()}
 
     if cfg.experiment == "visibility-point":
         found = streamed_visibility(
@@ -308,7 +309,8 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
         rows = [[float(th), sup, int(sup <= report.K)]
                 for th, sup in zip(grid.thetas, report.sups)]
         return rows, ["theta", "sup_f", "bad"], {
-            "K": report.K, "bad_measure": report.measure_estimate}
+            "K": report.K, "bad_measure": report.measure_estimate,
+            "workers": _kernels._workers()}
 
     if cfg.experiment == "generic-census":
         N = cfg.n_hi

@@ -95,11 +95,13 @@ def favard_lengths(sys: IFSystem, n: int, grid: AngleGrid):
     carries each angle's merged projection from depth d - 1 to d.
 
     The angles times the stage-n squares are checked first against
-    WORK_BUDGET << 2 (one costs 8-15 ns on a 2-core host, counting every
-    depth, so the cap stops a run near 35-65 s: n = 10 at 4096 angles or
-    n = 11 at 1024 runs, n = 12 at 4096 does not); past the cap's bit
-    length the figure reported is s^bit_length, a lower bound of s^n.
-    An angle counts as at least _ANGLE_SQUARES squares."""
+    WORK_BUDGET << 2, before any depth worker starts (one costs 2.9-3.1 ns
+    at n = 10-11 and about 6 ns at n = 7 on a 2-core host with two
+    workers, counting every depth, so the cap stops a run near 13-15 s:
+    n = 10 at 4096 angles or n = 11 at 1024 runs, n = 12 at 4096 does
+    not); past the cap's bit length the figure reported is s^bit_length,
+    a lower bound of s^n.  An angle counts as at least _ANGLE_SQUARES
+    squares."""
     if n < 0:
         raise ValueError("generation index must be >= 0")
     cap = WORK_BUDGET << 2

@@ -533,15 +533,18 @@ def _covering_count_points(pts: np.ndarray, eps: float) -> int:
     return len(np.unique(cells, axis=0))
 
 
-def _covering_count_intervals(iv: IntervalSet, eps: float) -> int:
+def _covering_count_intervals(iv: IntervalSet, scales) -> np.ndarray:
+    """Per scale eps, the eps-cells meeting the interior of the union."""
     # cells are half-open [j*eps, (j+1)*eps); count those meeting the
     # interior of the union, each once: an interval's cells start past the
-    # last cell of every interval before it
+    # last cell of every interval before it.  One row per scale.
+    eps = np.asarray(scales, dtype=float)[:, None]
     jmin = np.floor(iv.lo / eps).astype(np.int64)
     jmax = (np.ceil(iv.hi / eps) - 1).astype(np.int64)
     first = jmin.copy()
-    first[1:] = np.maximum(jmin[1:], np.maximum.accumulate(jmax)[:-1] + 1)
-    return int(np.sum(np.maximum(jmax - first + 1, 0)))
+    first[:, 1:] = np.maximum(
+        jmin[:, 1:], np.maximum.accumulate(jmax, axis=1)[:, :-1] + 1)
+    return np.maximum(jmax - first + 1, 0).sum(axis=1)
 
 
 def box_dimension_estimate(obj, scales) -> float:
@@ -561,7 +564,7 @@ def box_dimension_estimate(obj, scales) -> float:
     if isinstance(obj, PointCloud):
         ns = [_covering_count_points(obj.points, e) for e in scales]
     elif isinstance(obj, IntervalSet):
-        ns = [_covering_count_intervals(obj, e) for e in scales]
+        ns = _covering_count_intervals(obj, scales)
     else:
         raise TypeError("expected a PointCloud or an IntervalSet")
     if all(n <= 1 for n in ns):

@@ -257,13 +257,17 @@ def f_delta(ell: DiscreteLine, A: PointCloud, c: float = DEFAULT_C) -> int:
                                 <= c * ell.delta))
 
 
-#: steps a direction besides its windows and row cells, and a direction
-#: for each vantage of the candidate engine.  Reading one direction's
-#: vantage windows off its row costs about 5 us of interpreter work, against
-#: about 10 ns a cell; a candidate engine's direction costs 60-75 ns, about
-#: 1.3 candidates, but holds 56 bytes while its vantage is queried, and the
-#: term keeps those arrays near 120 MB under the cap (2-core host)
+#: steps (about 10 ns each, 2-core host) a direction besides its windows
+#: and row cells; the candidate engine charges them once a query.  Reading
+#: one direction's vantage windows off its row costs about 5 us of
+#: interpreter work; a candidate query holds 56 bytes a direction while it
+#: queries a vantage, and the term keeps those arrays near 120 MB under the
+#: cap
 _DIRECTION_STEPS = 500
+#: steps a direction for each vantage of the candidate engine: a vantage's
+#: windows and covered cells take 24-26 ns a direction (one-point clouds at
+#: delta = 1e-5 and 3e-6, 10-20 vantages)
+_VANTAGE_STEPS = 3
 #: steps a direction for one arc's direction mask (about 30 ns)
 _MASK_STEPS = 3
 #: cells of slack, past c*delta + reach, in the candidates' reach: it
@@ -335,9 +339,12 @@ def _vantage_windows(pts: np.ndarray, A: PointCloud, fam: LineFamily,
     its direction from a, mod pi (_kernels._direction_ranges), with rho =
     (c + _SLACK)*delta + reach: only there can its window meet a's, so every
     overlap is found and the windows keep the row engine's bits.  The work,
-    per vantage the points, the candidates and _DIRECTION_STEPS a
-    direction, plus `more`, is checked before any window is taken; the
-    candidates are counted only when the rest fits the cap."""
+    _DIRECTION_STEPS a direction once, per vantage the points, the
+    candidates and _VANTAGE_STEPS a direction, plus `more`, is checked
+    before any window is taken; the candidates are counted only when the
+    rest fits the cap.  The first vantage's ranges (48 bytes a point) are
+    kept from that count, so a one-vantage query takes them once; the
+    others take theirs again rather than hold every vantage's."""
     _kernels._check_c(c)
     px, py = np.ascontiguousarray(A.x), np.ascontiguousarray(A.y)
     rho = (c + _SLACK) * fam.delta + reach
@@ -346,16 +353,22 @@ def _vantage_windows(pts: np.ndarray, A: PointCloud, fam: LineFamily,
         return _kernels._direction_ranges(px, py, ax, ay, fam.delta, rho,
                                           fam.k1_count)
 
-    steps = len(pts) * (len(A) + _DIRECTION_STEPS * fam.k1_count) + more
+    steps = (fam.k1_count * (_DIRECTION_STEPS + len(pts) * _VANTAGE_STEPS)
+             + len(pts) * len(A) + more)
+    kept = []
     if steps <= WORK_BUDGET:
-        steps += sum(int(ranges(ax, ay)[1].sum()) for ax, ay in pts)
+        for ax, ay in pts:
+            found = ranges(ax, ay)
+            steps += int(found[1].sum())
+            kept = kept or [found]
     check_budget("line family", steps, "steps", WORK_BUDGET)
     ns, cs = -np.sin(fam.thetas), np.cos(fam.thetas)
     for ax, ay in pts:
         lo, hi = _kernels._k2_windows(ns * ax + cs * ay, fam.delta, reach,
                                       fam.k2_min, fam.k2_max)
         yield lo, hi, _kernels._candidate_windows(
-            px, py, ns, cs, fam.delta, c, lo, hi, *ranges(ax, ay),
+            px, py, ns, cs, fam.delta, c, lo, hi,
+            *(kept.pop() if kept else ranges(ax, ay)),
             fam.k2_min, fam.k2_max, _kernels._LINE_BLOCK)
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import favlab.cli
 import favlab.projections
+from favlab import _kernels
 from favlab.cli import (_ANGLE_SQUARE_STEPS, _ANGLE_STEPS, EXPERIMENTS,
                         ExperimentConfig, _FIELD_TYPES, build_parser,
                         config_from_args, main, validate)
@@ -428,6 +429,22 @@ class TestRuns:
         assert 1.0 < blob["merged"]["1"] <= 4.0
         assert blob["merged"]["1"] < blob["merged"]["2"] <= 16.0
 
+    @pytest.mark.parametrize("experiment", ["favard-scaling", "bad-angles"])
+    def test_depth_sidecars_record_workers(self, tmp_path, monkeypatch,
+                                           experiment):
+        """The depth recursion's worker count is in the sidecar, and the
+        CSV is the same bytes whatever it is."""
+        csvs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(_kernels, "_workers", lambda: workers)
+            out = tmp_path / f"w{workers}.csv"
+            assert main([experiment, "--n", "3", "--angles", "64",
+                         "--out", str(out)]) == 0
+            blob = json.loads(out.with_suffix(".json").read_text())
+            assert blob["workers"] == workers
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_generic_census_default_subword_length(self, tmp_path):
         """Without --k, L is ceil(log_s N) (at least 1): 1 at N = 4."""
         out = tmp_path / "cen.csv"
@@ -449,7 +466,7 @@ class TestRuns:
 
     def test_budget_exit_code(self, tmp_path, capsys):
         # line-scan checks the cap before it builds its chord samples; the
-        # sweep's one vantage charges 3141593 directions x 500 steps, 1.6e9
+        # sweep charges 3141593 directions x (500 + 3) steps, 1.6e9
         for argv in (["vis-delta-sweep", "--n", "2", "--delta", "1e-6"],
                      ["line-scan", "--n", "2", "--delta", "1e-300"]):
             assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 3
@@ -465,8 +482,8 @@ class TestRuns:
 
     def test_bridge_reaches_n6(self, tmp_path):
         # the family reaches x = -9.5, but each vantage windows only its
-        # candidates: 10 vantages x (4096 points + 12868 directions x 500)
-        # and 147651 candidates are 6.5e7 steps
+        # candidates: 12868 directions x (500 + 10 vantages x 3), 10
+        # vantages x 4096 points and 147651 candidates are 7.0e6 steps
         out = tmp_path / "bridge.csv"
         assert main(["bridge", "--n", "6", "--out", str(out)]) == 0
         assert len(read_csv(out)) == 11
@@ -483,13 +500,23 @@ class TestRuns:
                 ["2177", "2761", "3556", "4451", "5133", "5645", "6532",
                  "10347", "23773", "49706"])]
 
-    def test_bridge_refused_past_n8(self, tmp_path, capsys):
-        # 10 vantages x (262144 points + 823550 directions x 500), before
-        # any candidate is counted
-        assert main(["bridge", "--n", "9",
+    def test_bridge_refused_past_n9(self, tmp_path, capsys):
+        # 3294199 directions x (500 + 10 vantages x 3) and 10 vantages x
+        # 4^10 points, before any candidate is counted; n = 9 needs 4.4e8
+        # steps and its candidates, and runs
+        assert main(["bridge", "--n", "10",
                      "--out", str(tmp_path / "o.csv")]) == 3
         assert capsys.readouterr().err == (
-            f"error: line family needs {10 * (4 ** 9 + 823550 * 500)} steps; "
+            f"error: line family needs {3294199 * 530 + 10 * 4 ** 10} "
+            f"steps; cap is {WORK_BUDGET}\n")
+
+    def test_one_point_cloud_refused_at_tiny_delta(self, tmp_path, capsys):
+        # generation 0 is one point; at delta = 1e-6 its 3141593 directions
+        # x (500 + 3) steps are refused, though its candidates are few
+        assert main(["vis-delta-sweep", "--n", "0", "--delta", "1e-6",
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: line family needs {1 + 3141593 * 503} steps; "
             f"cap is {WORK_BUDGET}\n")
 
     def test_energy_capped_on_atoms(self, tmp_path, capsys):

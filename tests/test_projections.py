@@ -2,6 +2,8 @@
 pipeline."""
 
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -567,20 +569,44 @@ def test_depth_recursion_four_corner(fourcorner):
 
 
 def test_depth_blocks_do_not_change_rows(fourcorner, monkeypatch):
-    """One angle per block gives the same bits as the default blocks, on
-    the four-corner set and on an unequal-ratio system; 300 angles split
-    unevenly."""
+    """One, two or three workers, and one angle per block, give the same
+    bits as one worker with the default blocks, on the four-corner set and
+    on an unequal-ratio system; 301 angles split unevenly into chunks.  The
+    threads switch every microsecond, so that a write to another chunk's
+    columns would show."""
     skew = IFSystem((Similitude(0.5, (0.0, 0.0)), Similitude(0.3, (0.6, 0.1)),
                      Similitude(0.25, (0.2, 0.75))),
                     Square(Point2(0.0, 0.0), 1.0))
-    thetas = AngleGrid(300).thetas
-    default = [depth_measures(fourcorner, thetas, 6),
-               depth_measures(skew, thetas, 7)]
-    monkeypatch.setattr(_kernels, "_DEPTH_BLOCK", 1)
-    single = [depth_measures(fourcorner, thetas, 6),
-              depth_measures(skew, thetas, 7)]
-    for (m0, c0), (m1, c1) in zip(default, single):
-        assert np.array_equal(m0, m1) and np.array_equal(c0, c1)
+    thetas = AngleGrid(301).thetas
+
+    def rows():
+        return [depth_measures(fourcorner, thetas, 6),
+                depth_measures(skew, thetas, 7)]
+
+    monkeypatch.setattr(_kernels, "_workers", lambda: 1)
+    default = rows()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_kernels, "_workers", lambda: workers)
+            for block in (_kernels._DEPTH_BLOCK, 1):
+                monkeypatch.setattr(_kernels, "_DEPTH_BLOCK", block)
+                for (m0, c0), (m1, c1) in zip(default, rows()):
+                    assert np.array_equal(m0, m1) and np.array_equal(c0, c1)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_refused_favard_cap_starts_no_worker(fourcorner, monkeypatch):
+    """The angle-squares cap is checked before the depth workers start;
+    a run under the cap does start them."""
+    monkeypatch.setattr(_kernels, "ThreadPoolExecutor", mock.Mock(
+        side_effect=AssertionError("workers started")))
+    with pytest.raises(ResourceBudgetError):
+        favard_lengths(fourcorner, 12, AngleGrid(4096))
+    with pytest.raises(AssertionError, match="workers started"):
+        favard_lengths(fourcorner, 2, AngleGrid(8))
 
 
 def test_favard_lengths_are_the_flat_favard_lengths(fourcorner, gens,

@@ -749,18 +749,21 @@ def sorted_interval_families(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(iv=sorted_interval_families(), k=st.integers(-3, 8))
-def test_covering_count_matches_loop(iv, k):
-    assert (_covering_count_intervals(iv, 2.0 ** -k)
-            == covering_count_loop(iv, 2.0 ** -k))
+@given(iv=sorted_interval_families(),
+       ks=st.lists(st.integers(-3, 8), min_size=1, max_size=6))
+def test_covering_count_matches_loop(iv, ks):
+    """One pass over all the scales counts each scale as the loop does."""
+    scales = [2.0 ** -k for k in ks]
+    assert (_covering_count_intervals(iv, scales).tolist()
+            == [covering_count_loop(iv, eps) for eps in scales])
 
 
 def test_covering_count_matches_loop_on_projections(gens):
+    scales = [2.0 ** -k for k in range(2, 11)]
     for th in np.linspace(0.05, 3.0, 7):
         iv = project_generation(gens(5), float(th))
-        for k in range(2, 11):
-            assert (_covering_count_intervals(iv, 2.0 ** -k)
-                    == covering_count_loop(iv, 2.0 ** -k))
+        assert (_covering_count_intervals(iv, scales).tolist()
+                == [covering_count_loop(iv, eps) for eps in scales])
 
 
 class TestWellDistributed:

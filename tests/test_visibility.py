@@ -818,15 +818,17 @@ class TestCandidateEngine:
 def test_line_queries_keep_work_budget():
     """Each query over the line family refuses a stream past the work cap
     before it windows a point: directions x (points + _DIRECTION_STEPS +
-    row span + vantages) for the queries that stream count rows, and, per
-    vantage, the points and _DIRECTION_STEPS a direction, plus _MASK_STEPS
-    a direction per arc mask, for the candidate engine, whose candidates are
-    not counted once the rest is past the cap.  A one-point cloud at
+    row span + vantages) for the queries that stream count rows, and, for
+    the candidate engine, _DIRECTION_STEPS a direction once, per vantage
+    the points and _VANTAGE_STEPS a direction, plus _MASK_STEPS a
+    direction per arc mask; its candidates are not counted once the rest
+    is past the cap.  A one-point cloud at
     delta = 1e-6 is refused as well: its points, spans, windows and
     candidates alone would pass, but its 3.1e6 directions each hold array
     entries (and, on the rows, cost interpreter work)."""
     a = Point2(-1.0, 0.0)
     per_dir, per_mask = vis_mod._DIRECTION_STEPS, vis_mod._MASK_STEPS
+    per_vantage = vis_mod._VANTAGE_STEPS
     # the span: twice the cloud's radius about its box centre, in cells,
     # and 2 * DEFAULT_C + 2 cells more
     for delta, pts, r, want_width in (
@@ -840,7 +842,7 @@ def test_line_queries_keep_work_budget():
         chord = int(math.floor(2 * math.sqrt(2.0 ** 2 - 0.5 ** 2)
                                / (fam.delta / 2)))
         dirs = fam.k1_count
-        vantage = len(A) + per_dir * dirs
+        vantage = len(A) + (per_dir + per_vantage) * dirs
         queries = [
             (lambda: vis_delta([a], A, fam), vantage),
             (lambda: mass(a, (0.0, TWO_PI), A, fam),
@@ -867,9 +869,26 @@ def test_line_queries_keep_work_budget():
                                   match=f"^line family needs {work} steps; "
                                         f"cap is {WORK_BUDGET}$"):
                 query()
-    # the last cloud's mass query without the per-direction term: its one
-    # point is a candidate of at most every direction
-    assert len(A) + dirs + per_mask * dirs < WORK_BUDGET
+    # the last cloud's mass query without the per-query direction term:
+    # its one point is a candidate of at most every direction
+    assert len(A) + (1 + per_vantage + per_mask) * dirs < WORK_BUDGET
+
+
+def test_many_vantage_queries_run(gens):
+    """200 vantages at n = 6 are admitted: a query's directions are
+    charged _DIRECTION_STEPS once, and each vantage _VANTAGE_STEPS a
+    direction (170 were refused at _DIRECTION_STEPS a vantage).  Every
+    tenth count is that vantage's own query's."""
+    A = cloud_from_generation(gens(6))
+    fam = build_line_family(A.delta, 2.5)
+    rng = np.random.default_rng(7)
+    vantages = [Point2(x, y) for x, y in zip(rng.uniform(-0.4, -0.1, 200),
+                                             rng.uniform(0.1, 0.9, 200))]
+    assert 200 * vis_mod._DIRECTION_STEPS * fam.k1_count > WORK_BUDGET
+    found = vis_delta(vantages, A, fam)
+    assert len(found) == 200 and min(found) > 0
+    for a, vd in zip(vantages[::10], found[::10]):
+        assert vis_delta([a], A, fam) == [vd]
 
 
 def test_line_scan_tiny_step_hits_the_work_cap():
@@ -885,10 +904,11 @@ def test_line_scan_tiny_step_hits_the_work_cap():
 def streamed_steps(query):
     """Run query, counting the steps its streams take: the windows of the
     points and vantages, per count row its length and _DIRECTION_STEPS,
-    per vantage of the candidate engine its points, its candidates and
-    _DIRECTION_STEPS a direction, and per arc mask _MASK_STEPS, each for
-    every direction."""
+    for the candidate engine _DIRECTION_STEPS a direction once and per
+    vantage its points, its candidates and _VANTAGE_STEPS a direction, and
+    per arc mask _MASK_STEPS, each for every direction."""
     steps = 0
+    queried = False
     windows, rows = _kernels._window_blocks, _kernels._count_rows
     candidates, masks = _kernels._candidate_windows, vis_mod._direction_mask
 
@@ -905,8 +925,11 @@ def streamed_steps(query):
             yield bases, block
 
     def counting_candidates(px, py, ns, *args):
-        nonlocal steps
-        steps += px.size + ns.size * vis_mod._DIRECTION_STEPS
+        nonlocal steps, queried
+        if not queried:
+            steps += ns.size * vis_mod._DIRECTION_STEPS
+            queried = True
+        steps += px.size + ns.size * vis_mod._VANTAGE_STEPS
         for k, a, b in candidates(px, py, ns, *args):
             steps += k.size
             yield k, a, b
