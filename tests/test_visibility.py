@@ -822,10 +822,10 @@ def test_line_queries_keep_work_budget():
     the candidate engine, _DIRECTION_STEPS a direction once, per vantage
     the points and _VANTAGE_STEPS a direction, plus _MASK_STEPS a
     direction per arc mask; its candidates are not counted once the rest
-    is past the cap.  A one-point cloud at
-    delta = 1e-6 is refused as well: its points, spans, windows and
-    candidates alone would pass, but its 3.1e6 directions each hold array
-    entries (and, on the rows, cost interpreter work)."""
+    is past the cap.  A one-point cloud at delta = 1e-6 is refused as
+    well: its points, spans, windows and candidates alone would pass, but
+    its 3.1e6 directions each hold array entries (and, on the rows, cost
+    interpreter work)."""
     a = Point2(-1.0, 0.0)
     per_dir, per_mask = vis_mod._DIRECTION_STEPS, vis_mod._MASK_STEPS
     per_vantage = vis_mod._VANTAGE_STEPS
