@@ -4,6 +4,7 @@ windows of the delta-line family."""
 
 from __future__ import annotations
 
+import collections
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -93,11 +94,26 @@ _CHUNKS_PER_WORKER = 4
 
 
 def _workers() -> int:
-    """Depth workers: one per core this process may run on."""
+    """Pool workers: one per core this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:          # no affinity call off Linux
         return os.cpu_count() or 1
+
+
+def _pool_map(fn, args, ahead):
+    """Yield fn(*a) for each tuple a of args, in order, computed on
+    _workers() threads with at most `ahead` calls submitted and not yet
+    yielded, so that at most that many results are held at once.  A call's
+    exception is raised here when its result is due."""
+    with ThreadPoolExecutor(_workers()) as pool:
+        due = collections.deque()
+        for a in args:
+            if len(due) == ahead:
+                yield due.popleft().result()
+            due.append(pool.submit(fn, *a))
+        while due:
+            yield due.popleft().result()
 
 
 def _depth_measures(lam, zx, zy, corner_x, corner_y, side, thetas, n):
@@ -173,12 +189,11 @@ def _depth_measures(lam, zx, zy, corner_x, corner_y, side, thetas, n):
                 work.append((a, b, depth + 1, seg_lo[take], seg_hi[take]))
 
     if n:
-        workers = _workers()
-        k = min(thetas.size, workers * _CHUNKS_PER_WORKER)
+        k = min(thetas.size, _workers() * _CHUNKS_PER_WORKER)
         cuts = [thetas.size * i // k for i in range(k + 1)]
-        with ThreadPoolExecutor(workers) as pool:
-            # list() raises a worker's exception here
-            list(pool.map(merge_chunk, cuts[:-1], cuts[1:]))
+        # every chunk in flight at once: a chunk's results are its columns
+        for _ in _pool_map(merge_chunk, zip(cuts[:-1], cuts[1:]), k):
+            pass
     return measures, counts
 
 

@@ -264,7 +264,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
                 for name, res in cert.checks.items()]
         return rows, ["check", "passed", "margin"], {
             "certificate": json.loads(cert.to_json()),
-            "passes": cert.passed}
+            "passes": cert.passed, "workers": _kernels._workers()}
 
     if cfg.experiment == "energy":
         # deepest first, so that a refused depth costs none of the others

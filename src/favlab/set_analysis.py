@@ -90,27 +90,41 @@ def _diameter(pts: np.ndarray) -> float:
     return float(np.hypot(*(hi - lo))) or 1.0
 
 
+def _levels(A: PointCloud) -> int:
+    """Dyadic scales delta * 2^i of the ball check past its first: enough
+    that the last reaches the cloud's diameter."""
+    return max(1, math.ceil(math.log2(_diameter(A.points) / A.delta)))
+
+
 def _ball_check(A: PointCloud, alpha: float, C: float,
                 rng: np.random.Generator, n_random: int) -> CheckResult:
+    """Worst ball count against C r^alpha m, per dyadic radius, over the
+    cloud's points and seeded random centres.  cKDTree counts on
+    _kernels._workers() threads: at four-corner n=6 and 7 (C = 256) they
+    took 0.11-0.17 and 0.87-0.96 s on two, 0.13-0.22 and 1.16-1.71 s on
+    one (2-core host)."""
     pts = A.points
     m = len(pts)
     tree = cKDTree(pts)
-    diam = _diameter(pts)
-    levels = max(1, math.ceil(math.log2(diam / A.delta)))
+    levels = _levels(A)
     radii = A.delta * 2.0 ** np.arange(levels + 1)
     lo, hi = _bbox(pts)
     extra = rng.uniform(lo - A.delta, hi + A.delta,
                         size=(max(1, n_random // (levels + 1)), 2))
+    centers = np.concatenate([pts, extra])
     worst = CheckResult(True, 0.0)
     for r in radii:
-        for centers, kind in ((pts, "on-set"), (extra, "random")):
-            counts = tree.query_ball_point(centers, r, return_length=True)
-            bound = C * r ** alpha * m
+        # one query a radius: the on-set centres, then the random ones
+        every = tree.query_ball_point(centers, r, return_length=True,
+                                      workers=_kernels._workers())
+        bound = C * r ** alpha * m
+        for part, kind in ((slice(m), "on-set"), (slice(m, None), "random")):
+            counts = every[part]
             i = int(np.argmax(counts))
             margin = float(counts[i] / bound)
             if margin > worst.margin:
                 worst = CheckResult(margin <= 1.0, float(margin), {
-                    "kind": "ball", "center": centers[i].tolist(),
+                    "kind": "ball", "center": centers[part][i].tolist(),
                     "radius": float(r), "count": int(counts[i]),
                     "design": kind})
     return worst
@@ -201,6 +215,13 @@ def _strip_sums(t: np.ndarray, offsets: np.ndarray, radius: float,
 
 def _line_check(A: PointCloud, C: float, rng: np.random.Generator,
                 n_random: int) -> CheckResult:
+    """Worst strip mass of the 1/C-strips about axis and diagonal lines
+    through every point and seeded random lines, against a tenth of the
+    cloud.  It runs on one thread: its directions on the _kernels._pool_map
+    threads took 0.20-0.22 s at four-corner n=6 against 0.09-0.16 s serial
+    (0.58-0.71 against 0.43-0.57 s at n=7, 2-core host), as _strip_sums
+    steps a few offsets at a time (_BLOCK // m rows) and holds the
+    interpreter lock between those small calls."""
     pts = A.points
     m = len(pts)
     halfwidth = 1.0 / C
@@ -232,17 +253,36 @@ def _line_check(A: PointCloud, C: float, rng: np.random.Generator,
     return CheckResult(margin <= 1.0, margin, witness if margin > 0 else {})
 
 
+def _check_certifier(A: PointCloud, n_random: int) -> None:
+    """Raise ResourceBudgetError past WORK_BUDGET steps for the certifier's
+    two largest stages: the ball check's pair visits, (levels + 1) * m *
+    (m + extra centres), and the rectangle census's RECT_ORIENTATIONS *
+    RECT_CENTERS * m cells.  On their threads on a 2-core host a pair visit
+    took 1.1-1.9e-10 s and a cell 3.4-3.6e-9 s (four-corner n = 7 and 8,
+    C = 256), charged 2^-7 and 2^-2 steps of 1.2-1.7e-8 s: four-corner
+    n = 8 needs 8.2e8 steps (the two stages took 11.2 s), n = 9 about
+    1.2e10."""
+    m = len(A)
+    levels = _levels(A)
+    pairs = (levels + 1) * m * (m + max(1, n_random // (levels + 1)))
+    cells = RECT_ORIENTATIONS * RECT_CENTERS * m
+    check_budget(f"certifier on {m} points", (pairs + 32 * cells) >> 7,
+                 "steps", WORK_BUDGET)
+
+
 def check_discrete_alpha_set(A: PointCloud, alpha: float, C: float,
                              seed: int = 0,
                              n_random: int = N_RANDOM) -> SetCertificate:
     """Certify the delta-separated, cardinality-window, ball-growth, and
-    line-unconcentration conditions over a deterministic plus seeded design."""
+    line-unconcentration conditions over a deterministic plus seeded design.
+    The work is checked first by `_check_certifier`."""
     if len(A) == 0:
         raise ValueError("empty point cloud")
     if not (math.isfinite(C) and C > 0):
         raise ValueError(f"C must be positive and finite, got {C}")
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    _check_certifier(A, n_random)
     rng = np.random.default_rng(seed)
     m = len(A)
     checks: dict[str, CheckResult] = {}
@@ -337,7 +377,9 @@ def _census_counts(pts: np.ndarray, centers: np.ndarray, delta: float,
     2L+1 runs whose ends _slab_ends finds per centre; the same holds for v.
     The levels are repeated over the runs, the v levels gathered into u
     order, and one bincount per block of centres counts the (iu, iv) cells;
-    the cells at the clipped level L are sliced away.
+    the cells at the clipped level L are sliced away.  The orientations run
+    on the _kernels._pool_map threads, two a worker in flight, each with
+    buffers of its own, and come in order.
     """
     m, k, side = len(pts), len(centers), levels + 1
     b = _level_breakpoints(delta, levels)
@@ -345,12 +387,15 @@ def _census_counts(pts: np.ndarray, centers: np.ndarray, delta: float,
     t = np.concatenate([np.nextafter(-b[::-1], -np.inf), b])
     run_level = np.abs(np.arange(-levels, levels + 1))
     rows = max(1, _CENSUS_BLOCK // m)    # centres per bincount
-    ucell = (np.arange(rows)[:, None] * side + run_level) * side
-    vlevel = np.tile(run_level.astype(np.int8), rows)
-    ends = np.zeros((k, t.size + 2), dtype=np.intp)
-    ends[:, -1] = m
-    rank = np.empty(m, dtype=np.intp)
-    for j in range(RECT_ORIENTATIONS):
+    # a block's cells lie below rows * side^2, which int16 holds in the
+    # usual case (15^2 * 16 at four-corner n=6); narrow cells halve the
+    # memory traffic of the repeats, the gather and the add
+    cell_type = np.int16 if rows * side * side <= 2 ** 15 else np.intp
+    ucell = ((np.arange(rows)[:, None] * side + run_level)
+             * side).astype(cell_type)
+    vlevel = np.tile(run_level.astype(np.min_scalar_type(levels)), rows)
+
+    def orientation(j):
         phi = j * math.pi / RECT_ORIENTATIONS
         c, s = math.cos(phi), math.sin(phi)
         u = pts[:, 0] * c + pts[:, 1] * s        # along long axis
@@ -358,10 +403,13 @@ def _census_counts(pts: np.ndarray, centers: np.ndarray, delta: float,
         uc = centers[:, 0] * c + centers[:, 1] * s
         vc = -centers[:, 0] * s + centers[:, 1] * c
         ou, ov = np.argsort(u), np.argsort(v)
+        ends = np.zeros((k, t.size + 2), dtype=np.intp)
+        ends[:, -1] = m
         ends[:, 1:-1] = _slab_ends(u[ou], uc, t)
         ulen = np.diff(ends, axis=1)
         ends[:, 1:-1] = _slab_ends(v[ov], vc, t)
         vlen = np.diff(ends, axis=1)
+        rank = np.empty(m, dtype=np.intp)
         rank[ov] = np.arange(m)
         v_to_u = rank[ou]                # v rank of each u-sorted point
         counts = np.empty((k, side, side), dtype=np.int64)
@@ -372,7 +420,11 @@ def _census_counts(pts: np.ndarray, centers: np.ndarray, delta: float,
             cell += iv.reshape(r, m).take(v_to_u, axis=1).ravel()
             counts[a:a + r] = np.bincount(
                 cell, minlength=r * side * side).reshape(r, side, side)
-        yield counts[:, :levels, :levels].cumsum(axis=1).cumsum(axis=2)
+        return counts[:, :levels, :levels].cumsum(axis=1).cumsum(axis=2)
+
+    yield from _kernels._pool_map(
+        orientation, ((j,) for j in range(RECT_ORIENTATIONS)),
+        2 * _kernels._workers())
 
 
 def _rectangle_census(A: PointCloud, rng: np.random.Generator):
@@ -385,8 +437,7 @@ def _rectangle_census(A: PointCloud, rng: np.random.Generator):
     """
     pts = A.points
     m = len(pts)
-    diam = _diameter(pts)
-    levels = max(1, math.ceil(math.log2(diam / A.delta))) + 1
+    levels = _levels(A) + 1
     half = RECT_CENTERS // 2
     idx = rng.choice(m, size=min(half, m), replace=False)
     lo, hi = _bbox(pts)
@@ -422,9 +473,11 @@ def check_unrectifiable_one_set(A: PointCloud, C: float, seed: int = 0,
                        "count": int(counts[ci, i2, i1])}
         # largest kappa with frac <= r1^k r2^(1-k), a bound decreasing in
         # k; squares do not constrain it. Passing means frac <= r2, so
-        # k_r >= 0
+        # k_r >= 0.  k_r falls as the count rises, and distinct counts
+        # differ by far more than log's rounding, so each cell's least k_r
+        # is that of its largest count over the centres
         with np.errstate(divide="ignore", invalid="ignore"):
-            k_r = np.log(frac / r2) / log_ratio
+            k_r = np.log(frac.max(axis=0) / r2) / log_ratio
         kappa_min = np.minimum(kappa_min,
                                k_r.min(where=r1 < r2, initial=0.5))
     passed = worst_margin <= 1.0

@@ -445,6 +445,20 @@ class TestRuns:
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1]
 
+    def test_certify_sidecar_records_workers(self, tmp_path, monkeypatch):
+        """The certifier's worker count is in the sidecar, and the CSV and
+        the certificate are the same whatever it is."""
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(_kernels, "_workers", lambda: workers)
+            out = tmp_path / f"w{workers}.csv"
+            assert main(["certify-set", "--n", "4", "--C", "256",
+                         "--out", str(out)]) == 0
+            blob = json.loads(out.with_suffix(".json").read_text())
+            assert blob["workers"] == workers
+            runs.append((out.read_bytes(), blob["certificate"]))
+        assert runs[0] == runs[1]
+
     def test_generic_census_default_subword_length(self, tmp_path):
         """Without --k, L is ceil(log_s N) (at least 1): 1 at N = 4."""
         out = tmp_path / "cen.csv"
@@ -517,6 +531,15 @@ class TestRuns:
                      "--out", str(tmp_path / "o.csv")]) == 3
         assert capsys.readouterr().err == (
             f"error: line family needs {1 + 3141593 * 503} steps; "
+            f"cap is {WORK_BUDGET}\n")
+
+    def test_certifier_capped_on_pairs_and_cells(self, tmp_path, capsys):
+        # 4^9 squares are within the generation cap; the ball check's
+        # pairs and the census's cells at n = 9 are over the certifier's
+        assert main(["certify-set", "--n", "9",
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: certifier on {4 ** 9} points needs 11596759040 steps; "
             f"cap is {WORK_BUDGET}\n")
 
     def test_energy_capped_on_atoms(self, tmp_path, capsys):

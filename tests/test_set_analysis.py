@@ -3,6 +3,8 @@
 import json
 import math
 import re
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,10 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from favlab import set_analysis
+from favlab import _kernels, set_analysis
 from favlab.geometry import IntervalSet, Point2, Square
-from favlab.ifs import (IFSystem, ResourceBudgetError, Similitude,
-                        generate_generation)
+from favlab.ifs import (WORK_BUDGET, IFSystem, ResourceBudgetError,
+                        Similitude, generate_generation)
 from favlab.projections import project_generation
 from favlab.set_analysis import (KAPPA_GRID, RECT_CENTERS, RECT_ORIENTATIONS,
                                  CheckResult, SetCertificate,
@@ -393,6 +395,14 @@ def test_census_matches_dense_on_four_corner(gens, n):
     assert_census_matches_dense(cloud_from_generation(gens(n)), n)
 
 
+def level_tie_points():
+    """The cloud of test_census_matches_dense_on_level_ties."""
+    delta = 1 / 64
+    ts = [t for k in range(7) for t0 in [delta / 2 * 2.0 ** k]
+          for t in (np.nextafter(t0, 0.0), t0, np.nextafter(t0, 1.0))]
+    return [(0.0, 0.0)] + [(t, 0.0) for t in ts] + [(0.0, t) for t in ts]
+
+
 def test_census_matches_dense_on_level_ties():
     """At orientation 0, u = x and v = y exactly, so a centre at the origin
     puts 2|du|/delta and 2|dv|/delta on 2^k and one ulp either side, where
@@ -431,6 +441,113 @@ def test_certifier_memory_holds_no_count_table(gens):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def test_certifier_memory_bounded_on_three_workers(gens, monkeypatch):
+    """The census keeps at most two orientations a worker in flight, so
+    the memory bound holds with more workers than the host's cores, and
+    when the consumer pauses: the 64 orientations' counts alone would be
+    20 MB at n=6."""
+    monkeypatch.setattr(_kernels, "_workers", lambda: 3)
+    test_certifier_memory_holds_no_count_table(gens)
+    A = cloud_from_generation(gens(6))
+    tracemalloc.start()
+    try:
+        stream, _ = _rectangle_census(A, np.random.default_rng(3))
+        next(stream)
+        time.sleep(0.5)             # the workers run ahead, if unbounded
+        for _ in stream:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def census_at(workers, monkeypatch, A, seed):
+    monkeypatch.setattr(_kernels, "_workers", lambda: workers)
+    stream, _ = _rectangle_census(A, np.random.default_rng(seed))
+    return np.stack(list(stream))
+
+
+def test_census_same_bits_at_any_worker_count(gens, monkeypatch):
+    """The orientations come in order with the same counts on one to three
+    workers, with threads switching every microsecond so that a worker
+    writing another's buffers would show."""
+    ties = PointCloud(np.array(level_tie_points()), 1 / 64)
+    clouds = [cloud_from_generation(gens(n)) for n in range(1, 6)] + [ties]
+    want = [census_at(1, monkeypatch, A, 7) for A in clouds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3):
+            for A, counts in zip(clouds, want):
+                got = census_at(workers, monkeypatch, A, 7)
+                assert got.dtype == counts.dtype
+                assert np.array_equal(got, counts)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_census_levels_past_int8():
+    """At delta = 1e-40 a unit cloud has 135 levels, past what an int8
+    level holds; the first orientations' counts equal a direct count of
+    the points at each (iu, iv) level."""
+    pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 0.5), (0.25, 1e-38)])
+    A = PointCloud(pts, 1e-40)
+    seed = 1
+    stream, radii = _rectangle_census(A, np.random.default_rng(seed))
+    levels = len(radii)
+    assert levels > 127
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(len(pts), size=len(pts), replace=False)
+    centers = np.concatenate([pts[idx], rng.uniform(
+        pts.min(axis=0), pts.max(axis=0), size=(RECT_CENTERS - len(pts), 2))])
+    for j, counts in zip(range(4), stream):
+        phi = j * math.pi / RECT_ORIENTATIONS
+        c, s = math.cos(phi), math.sin(phi)
+        du = (pts[:, 0] * c + pts[:, 1] * s)[None] - (
+            centers[:, 0] * c + centers[:, 1] * s)[:, None]
+        dv = (-pts[:, 0] * s + pts[:, 1] * c)[None] - (
+            -centers[:, 0] * s + centers[:, 1] * c)[:, None]
+        iu = _dyadic_level(du, A.delta, levels).astype(int)
+        iv = _dyadic_level(dv, A.delta, levels).astype(int)
+        want = np.zeros((RECT_CENTERS, levels + 1, levels + 1), np.int64)
+        np.add.at(want, (np.arange(RECT_CENTERS)[:, None], iu, iv), 1)
+        want = want.cumsum(axis=1).cumsum(axis=2)[:, :levels, :levels]
+        assert np.array_equal(counts, want), j
+    stream.close()
+
+
+def test_ball_check_same_at_any_worker_count(gens, monkeypatch):
+    A = cloud_from_generation(gens(5))
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(_kernels, "_workers", lambda: workers)
+        results.append(_ball_check(A, 1.0, 64.0, np.random.default_rng(5),
+                                   2000))
+    assert results[0] == results[1]
+
+
+def test_certifier_cap_refuses_before_any_work(gens, monkeypatch):
+    """Four-corner n = 9 is refused before a tree, a census or a worker is
+    started; n = 8 is admitted."""
+    def started(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(set_analysis, "cKDTree", started)
+    monkeypatch.setattr(set_analysis, "_census_counts", started)
+    monkeypatch.setattr(_kernels, "ThreadPoolExecutor", started)
+    A = cloud_from_generation(gens(9))
+    for check in (check_unrectifiable_one_set, check_discrete_alpha_set):
+        args = (A, 256.0) if check is check_unrectifiable_one_set else (
+            A, 1.0, 256.0)
+        with pytest.raises(ResourceBudgetError, match=(
+                f"^certifier on {4 ** 9} points needs 11596759040 steps; "
+                f"cap is {WORK_BUDGET}$")):
+            check(*args)
+    set_analysis._check_certifier(cloud_from_generation(gens(8)),
+                                  set_analysis.N_RANDOM)
 
 
 @st.composite
