@@ -388,7 +388,7 @@ def _census_counts(pts: np.ndarray, centers: np.ndarray, delta: float,
     run_level = np.abs(np.arange(-levels, levels + 1))
     rows = max(1, _CENSUS_BLOCK // m)    # centres per bincount
     # a block's cells lie below rows * side^2, which int16 holds in the
-    # usual case (15^2 * 16 at four-corner n=6); narrow cells halve the
+    # usual case (15^2 * 16 at four-corner n=6); narrow cells cut the
     # memory traffic of the repeats, the gather and the add
     cell_type = np.int16 if rows * side * side <= 2 ** 15 else np.intp
     ucell = ((np.arange(rows)[:, None] * side + run_level)

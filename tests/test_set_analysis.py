@@ -539,13 +539,12 @@ def test_certifier_cap_refuses_before_any_work(gens, monkeypatch):
     monkeypatch.setattr(set_analysis, "_census_counts", started)
     monkeypatch.setattr(_kernels, "ThreadPoolExecutor", started)
     A = cloud_from_generation(gens(9))
-    for check in (check_unrectifiable_one_set, check_discrete_alpha_set):
-        args = (A, 256.0) if check is check_unrectifiable_one_set else (
-            A, 1.0, 256.0)
+    for certify in (lambda: check_unrectifiable_one_set(A, 256.0),
+                    lambda: check_discrete_alpha_set(A, 1.0, 256.0)):
         with pytest.raises(ResourceBudgetError, match=(
                 f"^certifier on {4 ** 9} points needs 11596759040 steps; "
                 f"cap is {WORK_BUDGET}$")):
-            check(*args)
+            certify()
     set_analysis._check_certifier(cloud_from_generation(gens(8)),
                                   set_analysis.N_RANDOM)
 
