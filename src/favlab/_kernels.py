@@ -24,8 +24,7 @@ def merge_intervals(lo: np.ndarray, hi: np.ndarray):
     lo <= hi for each interval, which holds because every caller builds hi
     as lo plus a non-negative length or rejects lo >= hi.
     """
-    lo = np.sort(lo)
-    hi = np.sort(hi)
+    lo, hi = np.array(lo), np.array(hi)
     k = _merge_sorted(lo, hi)
     return lo[:k].copy(), hi[:k].copy()
 
@@ -35,10 +34,12 @@ _MERGE_BLOCK = 2 ** 16
 
 
 def _merge_sorted(lo: np.ndarray, hi: np.ndarray) -> int:
-    """Merge in place the intervals whose sorted lo and sorted hi values
-    the arrays hold: the k merged intervals' lo and hi values are written,
-    in order, to the first k entries of lo and hi, and k is returned.
-    Passes of _MERGE_BLOCK entries keep the temporaries small."""
+    """Sort lo and hi in place, then merge the intervals they hold: the k
+    merged intervals' lo and hi values are written, in order, to the first
+    k entries of lo and hi, and k is returned.  Passes of _MERGE_BLOCK
+    entries keep the temporaries small."""
+    lo.sort()
+    hi.sort()
     # lo[i] > hi[i-1] + MERGE_TOL means the i intervals opening before lo[i]
     # have all closed (lo <= hi puts the i smallest hi among them), so a
     # merged interval starts at lo[i] and the one before it ends at hi[i-1].
@@ -61,11 +62,12 @@ def union_measure_np(lo: np.ndarray, hi: np.ndarray) -> float:
 
 
 def _projection_bounds(x0, y0, side, theta):
-    """Endpoints (lo, hi) of the theta-projections of the squares."""
-    c = math.cos(theta)
-    s = math.sin(theta)
-    lo = x0 * c + y0 * s + side * (min(c, 0.0) + min(s, 0.0))
-    hi = lo + side * (abs(c) + abs(s))
+    """Endpoints (lo, hi) of the theta-projections of the squares, for one
+    angle or, broadcast, for an array of them."""
+    c = np.cos(theta)
+    s = np.sin(theta)
+    lo = x0 * c + y0 * s + side * (np.minimum(c, 0.0) + np.minimum(s, 0.0))
+    hi = lo + side * (np.abs(c) + np.abs(s))
     return lo, hi
 
 
@@ -129,11 +131,8 @@ def _depth_measures(lam, zx, zy, corner_x, corner_y, side, thetas, n):
     _workers() threads, each writing only its own columns of the results.
     Returns two (n + 1, angles) arrays.
     """
-    c, s = np.cos(thetas), np.sin(thetas)
-    lo0 = corner_x * c + corner_y * s + side * (np.minimum(c, 0.0)
-                                                + np.minimum(s, 0.0))
-    hi0 = lo0 + side * (np.abs(c) + np.abs(s))
-    shift = np.outer(c, zx) + np.outer(s, zy)          # (angles, maps)
+    lo0, hi0 = _projection_bounds(corner_x, corner_y, side, thetas)
+    shift = np.outer(np.cos(thetas), zx) + np.outer(np.sin(thetas), zy)
     measures = np.empty((n + 1, thetas.size))
     counts = np.empty((n + 1, thetas.size), dtype=np.int64)
     measures[0] = hi0 - lo0

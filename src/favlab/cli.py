@@ -104,6 +104,10 @@ def _checked(cfg: ExperimentConfig) -> tuple[IFSystem | None, list[str]]:
         sys_ = None
     if cfg.n_lo < 0 or cfg.n_hi < cfg.n_lo:
         errs.append("n: need 0 <= lo <= hi")
+    elif cfg.n_lo != cfg.n_hi and cfg.experiment not in ("favard-scaling",
+                                                         "energy"):
+        errs.append(f"n: {cfg.experiment} takes one depth, got "
+                    f"{cfg.n_lo}..{cfg.n_hi}")
     if cfg.delta is not None and not cfg.delta > 0:
         errs.append("delta: must be positive")
     if cfg.angles is not None and cfg.angles < 1:

@@ -257,15 +257,16 @@ def _check_certifier(A: PointCloud, n_random: int) -> None:
     """Raise ResourceBudgetError past WORK_BUDGET steps for the certifier's
     two largest stages: the ball check's pair visits, (levels + 1) * m *
     (m + extra centres), and the rectangle census's RECT_ORIENTATIONS *
-    RECT_CENTERS * m cells.  On their threads on a 2-core host a pair visit
-    took 1.1-1.9e-10 s and a cell 3.4-3.6e-9 s (four-corner n = 7 and 8,
-    C = 256), charged 2^-7 and 2^-2 steps of 1.2-1.7e-8 s: four-corner
-    n = 8 needs 8.2e8 steps (the two stages took 11.2 s), n = 9 about
-    1.2e10."""
+    RECT_CENTERS centres, each with m point cells and a (levels + 2)^2
+    table.  On a 2-core host a pair visit took 1.1-1.9e-10 s, a point cell
+    3.4-3.6e-9 s (four-corner n = 7, 8) and a table cell 1.4-1.5e-8 s (134,
+    200 levels), charged 2^-7, 2^-2 and 1 steps of 1.2-1.7e-8 s: four-corner
+    n = 8 needs 8.2e8 steps (11.2 s), n = 9 1.2e10; past about 290 levels
+    the tables alone pass the cap."""
     m = len(A)
     levels = _levels(A)
     pairs = (levels + 1) * m * (m + max(1, n_random // (levels + 1)))
-    cells = RECT_ORIENTATIONS * RECT_CENTERS * m
+    cells = RECT_ORIENTATIONS * RECT_CENTERS * (m + 4 * (levels + 2) ** 2)
     check_budget(f"certifier on {m} points", (pairs + 32 * cells) >> 7,
                  "steps", WORK_BUDGET)
 
@@ -287,11 +288,12 @@ def check_discrete_alpha_set(A: PointCloud, alpha: float, C: float,
     m = len(A)
     checks: dict[str, CheckResult] = {}
 
+    # every point pairs with itself once and with each other point twice
     tree = cKDTree(A.points)
-    pairs = tree.query_pairs(A.delta * (1 - 1e-9))
+    pairs = (int(tree.count_neighbors(tree, A.delta * (1 - 1e-9))) - m) // 2
     checks["separation"] = CheckResult(
-        len(pairs) == 0, float(bool(pairs)),
-        {"kind": "separation", "violating_pairs": len(pairs)})
+        pairs == 0, float(pairs > 0),
+        {"kind": "separation", "violating_pairs": pairs})
 
     lo_card = A.delta ** (-alpha) / C
     hi_card = C * A.delta ** (-alpha)
@@ -508,9 +510,7 @@ def riesz_energy(A: PointCloud, s: float) -> float:
         w = A.weights
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValueError("weights must be normalized to total mass 1")
-    return float(_kernels.riesz_energy_sum(
-        np.ascontiguousarray(A.x), np.ascontiguousarray(A.y),
-        np.ascontiguousarray(w), float(s), float(A.delta)))
+    return _kernels.riesz_energy_sum(A.x, A.y, w, s, A.delta)
 
 
 def difference_measure(system: IFSystem):

@@ -41,12 +41,17 @@ _ARC_BLOCK = 2 ** 14
 class PointCloud:
     """delta-separated planar point set with optional normalized weights."""
 
-    points: np.ndarray          # (m, 2)
+    points: np.ndarray          # (m, 2), column-major: x and y contiguous
     delta: float
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.asarray(self.points, dtype=float)
+        pts = np.atleast_2d(pts) if pts.size else pts.reshape(0, 2)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"points must be an (m, 2) array, got shape "
+                             f"{pts.shape}")
+        pts = np.asfortranarray(pts)
         object.__setattr__(self, "points", pts)
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
@@ -110,9 +115,9 @@ def _arc_union(blocks, a: Point2):
         # the next block is built while this one's names still hold it
         del x0, y0, sides, starts, widths, keep, blo, bhi
         if filled > 2 * union:
-            union = filled = _fold(lo[:filled], hi[:filled])
+            union = filled = _kernels._merge_sorted(lo[:filled], hi[:filled])
     if filled > union:
-        union = _fold(lo[:filled], hi[:filled])
+        union = _kernels._merge_sorted(lo[:filled], hi[:filled])
     return _seam_joined(lo[:union], hi[:union], full)
 
 
@@ -122,14 +127,6 @@ def _grown(buf: np.ndarray, filled: int, size: int) -> np.ndarray:
     grown = np.empty(size)
     grown[:filled] = buf[:filled]
     return grown
-
-
-def _fold(lo: np.ndarray, hi: np.ndarray) -> int:
-    """Sort and merge lo and hi in place as merge_intervals does; returns
-    the number of merged intervals, now at their front."""
-    lo.sort()
-    hi.sort()
-    return _kernels._merge_sorted(lo, hi)
 
 
 def radial_projection(gen: Generation, a: Point2) -> CircularIntervalSet:
@@ -249,8 +246,7 @@ def build_line_family(delta: float, d: float) -> LineFamily:
 
 def f_delta(ell: DiscreteLine, A: PointCloud, c: float = DEFAULT_C) -> int:
     """Number of cloud points within c*delta of the line (closed)."""
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError("c must be positive and finite")
+    _kernels._check_c(c)
     th = ell.line.theta
     t = -math.sin(th) * A.x + math.cos(th) * A.y
     return int(np.count_nonzero(np.abs(t - ell.line.offset)
@@ -294,14 +290,8 @@ def counts_table(A: PointCloud, fam: LineFamily,
                  c: float = DEFAULT_C) -> np.ndarray:
     """Dense table of f_delta over the whole family; cnt[k1, k2 - k2_min]."""
     check_budget("count table", fam.n_lines, "cells", TABLE_BUDGET)
-    return _kernels.line_counts_table(
-        np.ascontiguousarray(A.x), np.ascontiguousarray(A.y),
-        fam.delta, c, fam.k1_count, fam.k2_min, fam.k2_max)
-
-
-def _points(vantages) -> np.ndarray:
-    """(m, 2) array of a sequence of Point2."""
-    return np.array([(a.x, a.y) for a in vantages], dtype=float).reshape(-1, 2)
+    return _kernels.line_counts_table(A.x, A.y, fam.delta, c, fam.k1_count,
+                                      fam.k2_min, fam.k2_max)
 
 
 def _window_sums(pts: np.ndarray, A: PointCloud, fam: LineFamily, c: float,
@@ -309,12 +299,10 @@ def _window_sums(pts: np.ndarray, A: PointCloud, fam: LineFamily, c: float,
     """Yield, per direction k1, the (m,) counts of the lines of row k1 that
     meet the cloud (count > 0) in each vantage's window |t_k1(a) - k2*delta|
     <= reach, read from one prefix sum of the streamed span row; no table
-    is kept."""
+    is kept.  The caller checks the work (_check_line_work)."""
     width = _row_width(A, fam, c)
-    _check_line_work(A, fam, width + len(pts))
-    rows = _kernels._count_rows(
-        np.ascontiguousarray(A.x), np.ascontiguousarray(A.y), fam.delta, c,
-        range(fam.k1_count), fam.k2_min, fam.k2_max)
+    rows = _kernels._count_rows(A.x, A.y, fam.delta, c, range(fam.k1_count),
+                                fam.k2_min, fam.k2_max)
     blocks = _kernels._window_blocks(
         pts[:, 0], pts[:, 1], fam.delta, reach, range(fam.k1_count),
         fam.k2_min, fam.k2_max, _kernels._block_step(len(pts)))
@@ -328,8 +316,8 @@ def _window_sums(pts: np.ndarray, A: PointCloud, fam: LineFamily, c: float,
                    - pre.take(lo - base, mode="clip"))
 
 
-def _vantage_windows(pts: np.ndarray, A: PointCloud, fam: LineFamily,
-                     c: float, reach: float, more: int):
+def _vantage_windows(vantages: Sequence[Point2], A: PointCloud,
+                     fam: LineFamily, c: float, reach: float, more: int):
     """Yield, per vantage a, (lo, hi, windows): the clipped k2 window
     [lo, hi] of the offsets with |t_k1(a) - k2*delta| <= reach of each
     direction k1, and the blocks (k1, a, b) of _kernels._candidate_windows:
@@ -346,29 +334,28 @@ def _vantage_windows(pts: np.ndarray, A: PointCloud, fam: LineFamily,
     kept from that count, so a one-vantage query takes them once; the
     others take theirs again rather than hold every vantage's."""
     _kernels._check_c(c)
-    px, py = np.ascontiguousarray(A.x), np.ascontiguousarray(A.y)
     rho = (c + _SLACK) * fam.delta + reach
 
-    def ranges(ax, ay):
-        return _kernels._direction_ranges(px, py, ax, ay, fam.delta, rho,
+    def ranges(a):
+        return _kernels._direction_ranges(A.x, A.y, a.x, a.y, fam.delta, rho,
                                           fam.k1_count)
 
-    steps = (fam.k1_count * (_DIRECTION_STEPS + len(pts) * _VANTAGE_STEPS)
-             + len(pts) * len(A) + more)
+    steps = (fam.k1_count * (_DIRECTION_STEPS + len(vantages) * _VANTAGE_STEPS)
+             + len(vantages) * len(A) + more)
     kept = []
     if steps <= WORK_BUDGET:
-        for ax, ay in pts:
-            found = ranges(ax, ay)
+        for a in vantages:
+            found = ranges(a)
             steps += int(found[1].sum())
             kept = kept or [found]
     check_budget("line family", steps, "steps", WORK_BUDGET)
     ns, cs = -np.sin(fam.thetas), np.cos(fam.thetas)
-    for ax, ay in pts:
-        lo, hi = _kernels._k2_windows(ns * ax + cs * ay, fam.delta, reach,
+    for a in vantages:
+        lo, hi = _kernels._k2_windows(ns * a.x + cs * a.y, fam.delta, reach,
                                       fam.k2_min, fam.k2_max)
         yield lo, hi, _kernels._candidate_windows(
-            px, py, ns, cs, fam.delta, c, lo, hi,
-            *(kept.pop() if kept else ranges(ax, ay)),
+            A.x, A.y, ns, cs, fam.delta, c, lo, hi,
+            *(kept.pop() if kept else ranges(a)),
             fam.k2_min, fam.k2_max, _kernels._LINE_BLOCK)
 
 
@@ -378,8 +365,7 @@ def _direction_sums(a: Point2, A: PointCloud, fam: LineFamily, c: float,
     for a caller that then takes `masks` arc masks of the directions: the
     sum of the candidates' window overlaps."""
     [(_, _, windows)] = _vantage_windows(
-        np.array([[a.x, a.y]]), A, fam, c, reach,
-        masks * _MASK_STEPS * fam.k1_count)
+        [a], A, fam, c, reach, masks * _MASK_STEPS * fam.k1_count)
     sums = np.zeros(fam.k1_count)
     for k, lo, hi in windows:
         # an empty overlap has hi < lo and adds nothing
@@ -393,8 +379,8 @@ def vis_delta(vantages: Sequence[Point2], A: PointCloud, fam: LineFamily,
     and whose c-delta tube meets the cloud: the cells of each direction's
     vantage window (at most 5) that some candidate's window covers."""
     found = []
-    for lo, hi, windows in _vantage_windows(_points(vantages), A, fam, c,
-                                            2 * fam.delta, 0):
+    near = 2 * fam.delta
+    for lo, hi, windows in _vantage_windows(vantages, A, fam, c, near, 0):
         cells = int((hi - lo).max(initial=-1)) + 1
         covered = np.zeros((fam.k1_count, max(cells, 0)), dtype=bool)
         for k, a, b in windows:
@@ -409,9 +395,9 @@ def vis_delta(vantages: Sequence[Point2], A: PointCloud, fam: LineFamily,
 def _richness_stats(A: PointCloud, fam: LineFamily, c: float):
     """f_delta_stats over every direction of the family."""
     _check_line_work(A, fam, _row_width(A, fam, c))
-    return _kernels.f_delta_stats(
-        np.ascontiguousarray(A.x), np.ascontiguousarray(A.y), fam.delta, c,
-        np.ones(fam.k1_count, dtype=bool), fam.k2_min, fam.k2_max)
+    return _kernels.f_delta_stats(A.x, A.y, fam.delta, c,
+                                  np.ones(fam.k1_count, dtype=bool),
+                                  fam.k2_min, fam.k2_max)
 
 
 def l2_norm_f(A: PointCloud, fam: LineFamily, c: float = DEFAULT_C) -> float:

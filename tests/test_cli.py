@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -63,6 +64,18 @@ class TestValidation:
     def test_reversed_range(self):
         cfg = ExperimentConfig(experiment="favard-scaling", n_lo=3, n_hi=1)
         assert any(e.startswith("n:") for e in validate(cfg))
+
+    @pytest.mark.parametrize("experiment", [
+        e for e in EXPERIMENTS if e not in ("favard-scaling", "energy")])
+    def test_range_refused_on_single_depth(self, tmp_path, capsys,
+                                           experiment):
+        """Only favard-scaling and energy report a row per depth; any other
+        experiment given a range exits 2 with one line, before any run."""
+        out = tmp_path / "o.csv"
+        assert main([experiment, "--n", "1..3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: n: {experiment} takes one depth, got 1..3\n")
+        assert not out.exists()
 
     def test_unset_angles_valid(self):
         cfg = ExperimentConfig(experiment="box-dim-sweep")
@@ -353,6 +366,62 @@ def test_sidecar_config_replays_the_run(tmp_path, experiment):
     assert replayed == {**cfg, "out": str(again)}
 
 
+#: per experiment, a small run (about 1.1 s in all, 2-core host) and the
+#: sha256 of its CSV, generated at d7062b2: a refactor that changes any
+#: experiment's output by one bit shows here
+PINNED_CSVS = {
+    "favard-scaling": (["--n", "0..6", "--angles", "1024"],
+                       "89397c51246f7a1f314ec8075b0b608c"
+                       "3534bc7318d9ed16044d55c046d2b518"),
+    "visibility-point": (["--n", "6", "--vantage=-0.5,0.25",
+                          "--vantage=0.3,-0.2"],
+                         "8dea917aaa15bcb914904dede0245fea"
+                         "72ed5570053f6078e8010348b9de1070"),
+    "vis-delta-sweep": (["--n", "5", "--vantage=-0.4,0.3"],
+                        "0ab2c345baeb3e08bc190d25c411cba5"
+                        "ae54f74cc3f1e847f2f24616cd537558"),
+    "line-scan": (["--n", "5", "--c", "1", "--lambda", "1", "--lambda",
+                   "0.5", "--lambda", "0.25", "--ifs", "DIAGONAL"],
+                  "aa6836529001cd32d38fdb81355f7bf9"
+                  "a18105124cc86c93e1145723828ea619"),
+    "certify-set": (["--n", "5", "--seed", "11", "--C", "3"],
+                    "6dc407d3e8d16879f95cfbd82e96aff1"
+                    "849b9a819e2be7f79e70bcad1f7517a4"),
+    "energy": (["--n", "1..5"],
+               "23ec21c7dc76e0cda31b8307b922d1b7"
+               "b0a98bdf870ef45ac3cbb1699e8cd70f"),
+    "box-dim-sweep": (["--n", "5", "--angles", "64"],
+                      "c1295e9b14f698c50563ee6206ec2157"
+                      "8fb295fcbd107e8a68c483462d3f32aa"),
+    "stacking": (["--n", "4", "--angles", "8"],
+                 "ea8eb4eb3bb75f20a9b04884ecbd8bf5"
+                 "109205ffbf1fa81d5aade81f03471889"),
+    "bad-angles": (["--n", "6", "--angles", "512"],
+                   "6e1cb4203f4aa30d9bbe2c8ac49798de"
+                   "13e0c2f4613baae69f194e50ce10ed20"),
+    "generic-census": (["--n", "6", "--samples", "2000", "--seed", "3"],
+                       "d81879d5ae8db6807f4f214837a46c95"
+                       "704373c67eb130fc70607e79468ae49d"),
+    "bridge": (["--n", "4", "--vantage=-3,0", "--vantage=-2.5,0"],
+               "a2adfe29ab571901613626898f13a960"
+               "b019edc4f0d55987da2a75c36d3df941"),
+}
+
+
+def test_every_experiment_csv_bytes_pinned(tmp_path):
+    """Each experiment's CSV at one small config is the same bytes as when
+    the hashes were taken; line-scan runs on the sparse diagonal IFS, where
+    its sublevel lengths are not all 0."""
+    assert set(PINNED_CSVS) == set(EXPERIMENTS)
+    diagonal = tmp_path / "diagonal.json"
+    diagonal.write_text(json.dumps(DIAGONAL_IFS))
+    for experiment, (argv, want) in PINNED_CSVS.items():
+        argv = [str(diagonal) if a == "DIAGONAL" else a for a in argv]
+        out = tmp_path / f"{experiment}.csv"
+        assert main([experiment, *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, experiment
+
+
 class TestRuns:
     def test_favard_scaling_monotone_and_deterministic(self, tmp_path):
         out = tmp_path / "fav.csv"
@@ -539,7 +608,7 @@ class TestRuns:
         assert main(["certify-set", "--n", "9",
                      "--out", str(tmp_path / "o.csv")]) == 3
         assert capsys.readouterr().err == (
-            f"error: certifier on {4 ** 9} points needs 11596759040 steps; "
+            f"error: certifier on {4 ** 9} points needs 11602403840 steps; "
             f"cap is {WORK_BUDGET}\n")
 
     def test_energy_capped_on_atoms(self, tmp_path, capsys):
@@ -625,7 +694,8 @@ class TestRuns:
         """Every experiment that builds a generation is refused at n=11,
         the first depth past 4^10 squares, by the generation's cap; energy
         meets its deepest depth first, before it sums the others."""
-        assert main([experiment, "--n", "1..11",
+        n = "1..11" if experiment == "energy" else "11"
+        assert main([experiment, "--n", n,
                      "--out", str(tmp_path / "o.csv")]) == 3
         assert capsys.readouterr().err == (
             f"error: generation 11 needs {4 ** 11} nodes; "

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from favlab import _kernels, set_analysis
 from favlab.geometry import IntervalSet, Point2, Square
@@ -542,11 +543,65 @@ def test_certifier_cap_refuses_before_any_work(gens, monkeypatch):
     for certify in (lambda: check_unrectifiable_one_set(A, 256.0),
                     lambda: check_discrete_alpha_set(A, 1.0, 256.0)):
         with pytest.raises(ResourceBudgetError, match=(
-                f"^certifier on {4 ** 9} points needs 11596759040 steps; "
+                f"^certifier on {4 ** 9} points needs 11602403840 steps; "
                 f"cap is {WORK_BUDGET}$")):
             certify()
     set_analysis._check_certifier(cloud_from_generation(gens(8)),
                                   set_analysis.N_RANDOM)
+
+
+def test_certifier_cap_charges_the_census_tables(monkeypatch):
+    """Four points at delta = 1e-300 have 997 levels: the census's 64 x 200
+    tables of 999^2 cells are refused before any tree is built, though the
+    points are few; at 1e-40 (134 levels) the tables fit the cap."""
+    def started(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(set_analysis, "cKDTree", started)
+    pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 0.5), (0.25, 1e-38)])
+    A = PointCloud(pts, 1e-300)
+    assert set_analysis._levels(A) == 997
+    with pytest.raises(ResourceBudgetError, match=(
+            f"^certifier on 4 points needs 12774426036 steps; "
+            f"cap is {WORK_BUDGET}$")):
+        check_unrectifiable_one_set(A, 256.0)
+    set_analysis._check_certifier(PointCloud(pts, 1e-40),
+                                  set_analysis.N_RANDOM)
+
+
+#: a delta whose separation radius, delta * (1 - 1e-9), is exactly 2^-4, so
+#: that grid points one step apart are a pair at exactly that radius
+SEPARATION_DELTA = 2.0 ** -4 / (1 - 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                      min_size=1, max_size=40))
+def test_separation_count_matches_pair_list(cells):
+    """The separation witness counts the pairs that query_pairs lists, on
+    grid clouds with coincident points and with pairs exactly one radius
+    apart."""
+    r = SEPARATION_DELTA * (1 - 1e-9)
+    assert r == 2.0 ** -4
+    A = PointCloud(np.array(cells) * r, SEPARATION_DELTA)
+    cert = check_discrete_alpha_set(A, 1.0, 256.0, n_random=100)
+    want = len(cKDTree(A.points).query_pairs(r))
+    assert cert.checks["separation"].witness["violating_pairs"] == want
+    assert cert.checks["separation"].passed == (want == 0)
+
+
+def test_separation_memory_on_coincident_points():
+    """1024 coincident points make 523776 violating pairs, which are
+    counted, not listed: listing them peaked at 68.7 MB."""
+    A = PointCloud(np.full((1024, 2), 0.5), 1 / 32)
+    tracemalloc.start()
+    try:
+        cert = check_discrete_alpha_set(A, 1.0, 256.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.checks["separation"].witness["violating_pairs"] == 523776
+    assert peak < 4 * 2 ** 20
 
 
 @st.composite

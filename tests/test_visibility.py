@@ -94,6 +94,33 @@ def test_point_cloud_rejects_bad_delta(delta):
         PointCloud(np.array([[0.0, 0.0]]), delta)
 
 
+@pytest.mark.parametrize("bad", [[1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]],
+                                 np.zeros((2, 2, 2)), np.zeros((4, 1))])
+def test_point_cloud_rejects_other_shapes(bad):
+    """Three coordinates are not silently cut to the point (1, 2)."""
+    with pytest.raises(ValueError, match=r"points must be an \(m, 2\) array"):
+        PointCloud(bad, 0.1)
+
+
+@pytest.mark.parametrize("empty", [[], np.empty(0), np.empty((0, 2))])
+def test_point_cloud_empty_is_zero_by_two(empty):
+    """An empty input is the cloud of no points, whose lines all have
+    richness 0."""
+    A = PointCloud(empty, 0.1)
+    assert A.points.shape == (0, 2) and len(A) == 0
+    assert A.x.size == A.y.size == 0
+    assert l2_norm_f(A, build_line_family(0.1, 1.0)) == 0.0
+
+
+def test_point_cloud_columns_contiguous():
+    """The points are held column-major, so the kernels read x and y
+    without a copy; a single point is (1, 2)."""
+    A = PointCloud(np.arange(12.0).reshape(6, 2), 0.1)
+    assert A.x.flags.c_contiguous and A.y.flags.c_contiguous
+    assert A.x.tolist() == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+    assert PointCloud([1.0, 2.0], 0.1).points.tolist() == [[1.0, 2.0]]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_point_cloud_rejects_nonfinite_points(bad):
     """A non-finite point has no line-family window; the count rows would
