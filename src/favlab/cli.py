@@ -184,6 +184,7 @@ def run(cfg: ExperimentConfig) -> int:
             "version": __version__,
             "wall_time_s": time.monotonic() - start,
             "csv": cfg.out,
+            "workers": _kernels._workers(),
             **summary,
         }
         sidecar.write_text(json.dumps(payload, indent=2))
@@ -221,8 +222,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
         rows = [[n, cfg.angles, float(favs[n])] for n in ns]
         return rows, ["n", "theta_count", "favard"], {
             "favard": {str(n): float(favs[n]) for n in ns},
-            "merged": {str(n): float(merged[n]) for n in ns},
-            "workers": _kernels._workers()}
+            "merged": {str(n): float(merged[n]) for n in ns}}
 
     if cfg.experiment == "visibility-point":
         found = streamed_visibility(
@@ -234,8 +234,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
             "arcs": [arcs for _, arcs in found]}
 
     if cfg.experiment == "vis-delta-sweep":
-        gen = generate_generation(sys_, cfg.n_hi)
-        A = cloud_from_generation(gen)
+        A = cloud_from_generation(generate_generation(sys_, cfg.n_hi))
         fam = build_line_family(cfg.delta,
                                 _enclosing_radius(sys_, cfg.vantages))
         points = [Point2(vx, vy) for vx, vy in cfg.vantages]
@@ -247,8 +246,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
         return rows, ["vantage_x", "vantage_y", "vis", "vis_delta"], {}
 
     if cfg.experiment == "line-scan":
-        gen = generate_generation(sys_, cfg.n_hi)
-        A = cloud_from_generation(gen)
+        A = cloud_from_generation(generate_generation(sys_, cfg.n_hi))
         fam = build_line_family(cfg.delta, _enclosing_radius(sys_))
         ell0 = Line(0.0, sys_.hull.corner.y - 0.5 * sys_.hull.side)
         lengths = scan_line_low_visibility(ell0, A, fam, cfg.lambdas,
@@ -257,8 +255,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
         return rows, ["lambda", "sublevel_length"], {}
 
     if cfg.experiment == "certify-set":
-        gen = generate_generation(sys_, cfg.n_hi)
-        A = cloud_from_generation(gen)
+        A = cloud_from_generation(generate_generation(sys_, cfg.n_hi))
         if cfg.alpha == 1.0:
             cert = check_unrectifiable_one_set(A, cfg.C, seed=cfg.seed)
         else:
@@ -268,7 +265,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
                 for name, res in cert.checks.items()]
         return rows, ["check", "passed", "margin"], {
             "certificate": json.loads(cert.to_json()),
-            "passes": cert.passed, "workers": _kernels._workers()}
+            "passes": cert.passed}
 
     if cfg.experiment == "energy":
         # deepest first, so that a refused depth costs none of the others
@@ -313,8 +310,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
         rows = [[float(th), sup, int(sup <= report.K)]
                 for th, sup in zip(grid.thetas, report.sups)]
         return rows, ["theta", "sup_f", "bad"], {
-            "K": report.K, "bad_measure": report.measure_estimate,
-            "workers": _kernels._workers()}
+            "K": report.K, "bad_measure": report.measure_estimate}
 
     if cfg.experiment == "generic-census":
         N = cfg.n_hi
@@ -325,8 +321,7 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
             "nongeneric_fraction": frac}
 
     if cfg.experiment == "bridge":
-        gen = generate_generation(sys_, cfg.n_hi)
-        A = cloud_from_generation(gen)
+        A = cloud_from_generation(generate_generation(sys_, cfg.n_hi))
         xs = [x for x, _ in cfg.vantages]
         fam = build_line_family(cfg.delta,
                                 _enclosing_radius(sys_, cfg.vantages))

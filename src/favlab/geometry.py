@@ -103,18 +103,21 @@ class IntervalSet:
         pairs = list(pairs)
         lo = np.array([p[0] for p in pairs], dtype=float)
         hi = np.array([p[1] for p in pairs], dtype=float)
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise GeometryError("non-finite interval endpoint")
-        if np.any(lo >= hi):
-            raise GeometryError("inverted or empty interval")
-        mlo, mhi = _kernels.merge_intervals(lo, hi)
-        return cls(mlo, mhi)
+        if np.any(lo == hi):
+            raise GeometryError("empty interval")
+        return cls.from_arrays(lo, hi)
 
     @classmethod
     def from_arrays(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalSet":
-        mlo, mhi = _kernels.merge_intervals(np.asarray(lo, float),
-                                            np.asarray(hi, float))
-        return cls(mlo, mhi)
+        """The union of the intervals [lo_i, hi_i].  Unlike from_pairs it
+        takes lo_i == hi_i: a square far below an ulp of its offset
+        projects to a zero-length interval."""
+        lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise GeometryError("non-finite interval endpoint")
+        if np.any(lo > hi):
+            raise GeometryError("inverted interval")
+        return cls(*_kernels.merge_intervals(lo, hi))
 
     @property
     def intervals(self) -> list[tuple[float, float]]:

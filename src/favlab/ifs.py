@@ -200,23 +200,28 @@ def _squares(sys: IFSystem, lam, zx, zy):
             lam * hull.side)
 
 
+def _stage_squares(sys: IFSystem, n: int, cap: int) -> int:
+    """The s^n stage-n squares as `cap` counts them: past its bit length,
+    s^bit_length, a lower bound that already exceeds the cap."""
+    if n < 0:
+        raise ValueError("generation index must be >= 0")
+    return sys.s ** min(n, cap.bit_length())
+
+
 def _check_generation(sys: IFSystem, n: int) -> None:
     """Raise ResourceBudgetError past WORK_BUDGET >> 10 = 4^10 stage-n
     squares.  Building one costs about 30 ns and 48 bytes at peak on a
     2-core host (0.035 s and 50 MB at the cap); the cap stays at 4^10
     because every experiment that takes a generation spends far more per
-    square.  Past the cap's bit length the figure reported is
-    s^bit_length, a lower bound of the s^n squares."""
+    square."""
     cap = WORK_BUDGET >> 10
-    check_budget(f"generation {n}", sys.s ** min(n, cap.bit_length()),
-                 "nodes", cap)
+    check_budget(f"generation {n}", _stage_squares(sys, n, cap), "nodes",
+                 cap)
 
 
 def generate_generation(sys: IFSystem, n: int) -> Generation:
     """All s^n stage-n squares, lexicographic in the word, checked first by
     `_check_generation`."""
-    if n < 0:
-        raise ValueError("generation index must be >= 0")
     _check_generation(sys, n)
     maps = _extended(sys, np.ones(1), np.zeros(1), np.zeros(1), n)
     return Generation(sys, n, *_squares(sys, *maps))
@@ -257,7 +262,7 @@ def subword_census(sys: IFSystem, N: int, L: int, samples: int = 100_000,
     cap = WORK_BUDGET >> 5
     # s^N and s^L are capped where the comparisons they feed are decided
     # (s >= 2): s^N > 4^6 past cap's bit length, s^L > N - L + 1 past its
-    exact = s ** min(N, cap.bit_length()) <= 4 ** 6
+    exact = _stage_squares(sys, N, cap) <= 4 ** 6
     check_budget(f"subword census of length {N}",
                  (s ** N if exact else samples) * N, "letters", cap)
     needed = s ** min(L, (N - L + 1).bit_length())

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import _kernels
 from .geometry import IntervalSet, Point2
-from .ifs import (WORK_BUDGET, Generation, IFSystem, check_budget,
-                  generate_generation)
+from .ifs import (WORK_BUDGET, Generation, IFSystem, _stage_squares,
+                  check_budget, generate_generation)
 from .visibility import streamed_visibility
 
 
@@ -99,15 +99,10 @@ def favard_lengths(sys: IFSystem, n: int, grid: AngleGrid):
     at n = 10-11 and about 6 ns at n = 7 on a 2-core host with two
     workers, counting every depth, so the cap stops a run near 13-15 s:
     n = 10 at 4096 angles or n = 11 at 1024 runs, n = 12 at 4096 does
-    not); past the cap's bit length the figure reported is s^bit_length,
-    a lower bound of s^n.  An angle counts as at least _ANGLE_SQUARES
-    squares."""
-    if n < 0:
-        raise ValueError("generation index must be >= 0")
+    not).  An angle counts as at least _ANGLE_SQUARES squares."""
     cap = WORK_BUDGET << 2
-    squares = sys.s ** min(n, cap.bit_length())
     check_budget(f"Favard lengths to generation {n}",
-                 grid.count * max(squares, _ANGLE_SQUARES),
+                 grid.count * max(_stage_squares(sys, n, cap), _ANGLE_SQUARES),
                  "angle-squares", cap)
     hull = sys.hull
     measures, counts = _kernels._depth_measures(

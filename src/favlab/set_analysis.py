@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import _kernels
 from .geometry import IntervalSet
@@ -96,16 +95,15 @@ def _levels(A: PointCloud) -> int:
     return max(1, math.ceil(math.log2(_diameter(A.points) / A.delta)))
 
 
-def _ball_check(A: PointCloud, alpha: float, C: float,
+def _ball_check(A: PointCloud, tree, alpha: float, C: float,
                 rng: np.random.Generator, n_random: int) -> CheckResult:
     """Worst ball count against C r^alpha m, per dyadic radius, over the
-    cloud's points and seeded random centres.  cKDTree counts on
-    _kernels._workers() threads: at four-corner n=6 and 7 (C = 256) they
-    took 0.11-0.17 and 0.87-0.96 s on two, 0.13-0.22 and 1.16-1.71 s on
-    one (2-core host)."""
+    cloud's points and seeded random centres.  The cKDTree of the points
+    counts on _kernels._workers() threads: at four-corner n=6 and 7 (C =
+    256) they took 0.11-0.17 and 0.87-0.96 s on two, 0.13-0.22 and
+    1.16-1.71 s on one (2-core host)."""
     pts = A.points
     m = len(pts)
-    tree = cKDTree(pts)
     levels = _levels(A)
     radii = A.delta * 2.0 ** np.arange(levels + 1)
     lo, hi = _bbox(pts)
@@ -284,6 +282,11 @@ def check_discrete_alpha_set(A: PointCloud, alpha: float, C: float,
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     _check_certifier(A, n_random)
+    # imported here, past the cap, as only the certifier and apply_diffeo
+    # build a tree: importing scipy.spatial took 0.3-0.5 s and 35 MB of
+    # peak RSS on a 2-core host, which no other experiment pays
+    from scipy.spatial import cKDTree
+
     rng = np.random.default_rng(seed)
     m = len(A)
     checks: dict[str, CheckResult] = {}
@@ -303,7 +306,7 @@ def check_discrete_alpha_set(A: PointCloud, alpha: float, C: float,
         {"kind": "cardinality", "size": m,
          "window": [lo_card, hi_card]})
 
-    checks["ball"] = _ball_check(A, alpha, C, rng, n_random)
+    checks["ball"] = _ball_check(A, tree, alpha, C, rng, n_random)
     checks["line"] = _line_check(A, C, rng, n_random)
     return SetCertificate(alpha, C, A.delta, checks, seed=seed,
                           n_random=n_random)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import Point2, Square, TWO_PI, CircularIntervalSet, IntervalSet
 from .ifs import Generation
@@ -161,6 +160,9 @@ def apply_diffeo(d: DiffeoPreset, A: PointCloud) -> PointCloud:
     image = d.forward(A.points)
     delta_new = A.delta / _inverse_jacobian_sup(d)
     if len(image) > 1:
+        # imported here, so that loading favlab does not load scipy.spatial
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(image)
         dists, _ = tree.query(image, k=2)
         actual = float(dists[:, 1].min())

@@ -23,7 +23,7 @@ from .geometry import (TWO_PI, CircularIntervalSet, GeometryError, Line,
                        Point2, _seam_joined, _seam_merged,
                        hull_arcs_of_squares)
 from .ifs import (WORK_BUDGET, Generation, IFSystem, _generation_blocks,
-                  check_budget)
+                  _stage_squares, check_budget)
 
 #: default richness-neighborhood multiplier; large enough for ambient radius
 #: d <= 2 fixtures (checked directly in the test suite)
@@ -145,14 +145,10 @@ def streamed_visibility(sys: IFSystem, n: int,
 
     The squares streamed for all the vantages are checked first against
     WORK_BUDGET >> 5 (one costs about 0.2 us on a 2-core host, so the cap
-    stops a run near 7 s); past the cap's bit length the figure reported
-    is s^bit_length, a lower bound of the s^n squares."""
-    if n < 0:
-        raise ValueError("generation index must be >= 0")
+    stops a run near 7 s)."""
     cap = WORK_BUDGET >> 5
     check_budget(f"visibility of generation {n}",
-                 len(vantages) * sys.s ** min(n, cap.bit_length()),
-                 "squares", cap)
+                 len(vantages) * _stage_squares(sys, n, cap), "squares", cap)
     found = []
     for a in vantages:
         _, lengths = _arc_union(_generation_blocks(sys, n, _ARC_BLOCK), a)
@@ -271,19 +267,16 @@ _MASK_STEPS = 3
 _SLACK = 0.25
 
 
-def _check_line_work(A: PointCloud, fam: LineFamily, more: float) -> None:
+def _check_line_work(A: PointCloud, fam: LineFamily, c: float,
+                     more: float) -> None:
     """Raise ResourceBudgetError past WORK_BUDGET for one stream of count
     rows over the line family that takes, per direction, the cloud points'
-    windows, _DIRECTION_STEPS and `more` steps: a row's span and the
-    vantages' windows."""
-    steps = fam.k1_count * (len(A) + _DIRECTION_STEPS + more)
+    windows, the span of a row (_kernels._row_width), _DIRECTION_STEPS and
+    `more` steps: the vantages' windows."""
+    width = _kernels._row_width(A.x, A.y, fam.delta, c, fam.k2_min,
+                                fam.k2_max)
+    steps = fam.k1_count * (len(A) + width + _DIRECTION_STEPS + more)
     check_budget("line family", steps, "steps", WORK_BUDGET)
-
-
-def _row_width(A: PointCloud, fam: LineFamily, c: float) -> int:
-    """Offsets spanned by each count row of the cloud (_kernels._row_width)."""
-    return _kernels._row_width(A.x, A.y, fam.delta, c, fam.k2_min,
-                               fam.k2_max)
 
 
 def counts_table(A: PointCloud, fam: LineFamily,
@@ -300,7 +293,6 @@ def _window_sums(pts: np.ndarray, A: PointCloud, fam: LineFamily, c: float,
     meet the cloud (count > 0) in each vantage's window |t_k1(a) - k2*delta|
     <= reach, read from one prefix sum of the streamed span row; no table
     is kept.  The caller checks the work (_check_line_work)."""
-    width = _row_width(A, fam, c)
     rows = _kernels._count_rows(A.x, A.y, fam.delta, c, range(fam.k1_count),
                                 fam.k2_min, fam.k2_max)
     blocks = _kernels._window_blocks(
@@ -308,7 +300,7 @@ def _window_sums(pts: np.ndarray, A: PointCloud, fam: LineFamily, c: float,
         fam.k2_min, fam.k2_max, _kernels._block_step(len(pts)))
     windows = itertools.chain.from_iterable(zip(*w) for w in blocks)
     for bases, block in rows:
-        prefix = np.zeros((len(block), width + 1), dtype=np.int64)
+        prefix = np.zeros((len(block), block.shape[1] + 1), dtype=np.int64)
         np.cumsum(block > 0, axis=1, out=prefix[:, 1:])
         for base, pre, (lo, hi) in zip(bases.tolist(), prefix, windows):
             # a window past an end of the span reads 0 or the row's total
@@ -360,17 +352,18 @@ def _vantage_windows(vantages: Sequence[Point2], A: PointCloud,
 
 
 def _direction_sums(a: Point2, A: PointCloud, fam: LineFamily, c: float,
-                    reach: float, masks: int) -> np.ndarray:
-    """Per direction, the total richness of the lines within reach of a,
-    for a caller that then takes `masks` arc masks of the directions: the
-    sum of the candidates' window overlaps."""
-    [(_, _, windows)] = _vantage_windows(
+                    reach: float,
+                    masks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per direction, the total richness of the lines within reach of a, the
+    sum of the candidates' window overlaps, and the number of those lines,
+    for a caller that then takes `masks` arc masks of the directions."""
+    [(lo, hi, windows)] = _vantage_windows(
         [a], A, fam, c, reach, masks * _MASK_STEPS * fam.k1_count)
     sums = np.zeros(fam.k1_count)
-    for k, lo, hi in windows:
-        # an empty overlap has hi < lo and adds nothing
-        sums += np.bincount(k, np.maximum(hi - lo + 1, 0), fam.k1_count)
-    return sums.astype(np.int64)
+    for k, first, last in windows:
+        # an empty overlap has last < first and adds nothing
+        sums += np.bincount(k, np.maximum(last - first + 1, 0), fam.k1_count)
+    return sums.astype(np.int64), hi - lo + 1
 
 
 def vis_delta(vantages: Sequence[Point2], A: PointCloud, fam: LineFamily,
@@ -394,7 +387,7 @@ def vis_delta(vantages: Sequence[Point2], A: PointCloud, fam: LineFamily,
 
 def _richness_stats(A: PointCloud, fam: LineFamily, c: float):
     """f_delta_stats over every direction of the family."""
-    _check_line_work(A, fam, _row_width(A, fam, c))
+    _check_line_work(A, fam, c, 0)
     return _kernels.f_delta_stats(A.x, A.y, fam.delta, c,
                                   np.ones(fam.k1_count, dtype=bool),
                                   fam.k2_min, fam.k2_max)
@@ -429,7 +422,7 @@ def mass(a: Point2, theta_set: Arc, A: PointCloud, fam: LineFamily,
          c: float = DEFAULT_C) -> int:
     """Total richness of the lines through the vantage's 2-delta ball whose
     direction lies in the arc or its antipode."""
-    sums = _direction_sums(a, A, fam, c, 2 * fam.delta, 1)
+    sums, _ = _direction_sums(a, A, fam, c, 2 * fam.delta, 1)
     return int(sums[_direction_mask(fam, theta_set)].sum())
 
 
@@ -437,14 +430,10 @@ def cone_count(a: Point2, theta_set: Arc, A: PointCloud, fam: LineFamily,
                c: float = DEFAULT_C) -> int:
     """Exact count of pairs (a', l): a' in the cloud, a' != a, both a and a'
     within c*delta of l, and the direction of l in the arc."""
-    reach = c * fam.delta
-    sums = _direction_sums(a, A, fam, c, reach, 1)
+    sums, lines = _direction_sums(a, A, fam, c, c * fam.delta, 1)
     if np.any((A.x == a.x) & (A.y == a.y)):
         # each line within reach of the vantage counts it once
-        t = -np.sin(fam.thetas) * a.x + np.cos(fam.thetas) * a.y
-        lo, hi = _kernels._k2_windows(t, fam.delta, reach, fam.k2_min,
-                                      fam.k2_max)
-        sums -= hi - lo + 1
+        sums -= lines
     return int(sums[_direction_mask(fam, theta_set, antipodal=False)].sum())
 
 
@@ -478,7 +467,7 @@ def select_intervals(a: Point2, A: PointCloud, fam: LineFamily, k: int,
     """
     if k <= 10 or k % 2:
         raise ValueError("k must be even and > 10")
-    sums = _direction_sums(a, A, fam, c, 2 * fam.delta, k)
+    sums, _ = _direction_sums(a, A, fam, c, 2 * fam.delta, k)
     width = TWO_PI / k
     arcs = [((i - 1) * width, width) for i in range(1, k + 1)]
     masses = [int(sums[_direction_mask(fam, arc)].sum()) for arc in arcs]
@@ -534,7 +523,7 @@ def scan_line_low_visibility(ell0: Line, A: PointCloud, fam: LineFamily,
     ratio = 2 * half / step                # inf for a tiny step
     n = max(1, math.floor(ratio)) if math.isfinite(ratio) else ratio
     # before the chord samples are built
-    _check_line_work(A, fam, _row_width(A, fam, c) + n)
+    _check_line_work(A, fam, c, n)
     ts = (np.arange(n) + 0.5) * step - half
     nx, ny = -math.sin(ell0.theta), math.cos(ell0.theta)
     dx, dy = math.cos(ell0.theta), math.sin(ell0.theta)

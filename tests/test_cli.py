@@ -6,9 +6,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -528,6 +532,18 @@ class TestRuns:
             runs.append((out.read_bytes(), blob["certificate"]))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("experiment", ["visibility-point",
+                                            "generic-census"])
+    def test_every_sidecar_records_workers(self, tmp_path, monkeypatch,
+                                           experiment):
+        """`run` writes the worker count into the sidecars of the
+        experiments that start no worker too."""
+        monkeypatch.setattr(_kernels, "_workers", lambda: 3)
+        out = tmp_path / "o.csv"
+        assert main([experiment, "--n", "3", "--out", str(out)]) == 0
+        assert json.loads(out.with_suffix(".json").read_text())[
+            "workers"] == 3
+
     def test_generic_census_default_subword_length(self, tmp_path):
         """Without --k, L is ceil(log_s N) (at least 1): 1 at N = 4."""
         out = tmp_path / "cen.csv"
@@ -946,3 +962,16 @@ def test_main_fuzz_keeps_exit_contract(tmp_path_factory, case):
     if int(argv[argv.index("--samples") + 1]) < 1:
         assert rc == 2
         assert extra_keys or "samples: must be >= 1" in err.getvalue()
+
+
+def test_importing_the_harness_leaves_scipy_spatial_unloaded():
+    """Only the certifier and apply_diffeo build a k-d tree, and they import
+    scipy.spatial themselves: a fresh interpreter that imports the harness
+    has not loaded it."""
+    src = str(Path(favlab.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, favlab.cli; print('scipy.spatial' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout == "False\n"

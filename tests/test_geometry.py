@@ -55,6 +55,25 @@ class TestIntervalSet:
         with pytest.raises(GeometryError):
             IntervalSet.from_pairs([(0.0, 0.0)])
 
+    @pytest.mark.parametrize("lo, hi, match", [
+        ([2.0], [1.0], "inverted"),
+        ([0.0, math.nan], [1.0, 2.0], "non-finite"),
+        ([0.0, 1.0], [math.nan, 2.0], "non-finite"),
+        ([-math.inf], [0.0], "non-finite"),
+        ([0.0], [math.inf], "non-finite")])
+    def test_from_arrays_rejects_bad_input(self, lo, hi, match):
+        """As from_pairs does: [2, 1] had measure -1, and a nan endpoint
+        was merged away into [(0.0, 2.0)]."""
+        with pytest.raises(GeometryError, match=match):
+            IntervalSet.from_arrays(np.array(lo), np.array(hi))
+
+    def test_from_arrays_takes_zero_length_intervals(self):
+        """A square far below an ulp of its offset projects to a point."""
+        s = IntervalSet.from_arrays(np.array([1e20, 0.0]),
+                                    np.array([1e20, 1.0]))
+        assert s.intervals == [(0.0, 1.0), (1e20, 1e20)]
+        assert s.measure() == 1.0
+
     def test_contains(self):
         s = IntervalSet.from_pairs([(0, 1), (2, 3)])
         assert s.contains(0.5) and s.contains(2.0) and s.contains(3.0)

@@ -124,6 +124,14 @@ class TestGenerateGeneration:
                                match=f"^generation {n} needs {4 ** 21} "):
                 build(fourcorner, n)
 
+    def test_negative_depth_refused(self, fourcorner):
+        """By the generation and by the side of its squares, which the
+        default delta goes through (the side read 1.0, the hull's)."""
+        for build in (generate_generation, IFSystem.stage_side):
+            with pytest.raises(ValueError,
+                               match="^generation index must be >= 0$"):
+                build(fourcorner, -1)
+
     def test_word_roundtrip(self, gens):
         g = gens(3)
         assert g.word_of(0) == (1, 1, 1)

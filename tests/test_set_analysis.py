@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import scipy.spatial
 from scipy.spatial import cKDTree
 
 from favlab import _kernels, set_analysis
@@ -368,7 +369,7 @@ def collinear_run(m, delta):
        n_random=st.sampled_from([1, 50, 400, 2000]))
 def test_certifier_matches_loops(A, C, seed, n_random):
     rng = np.random.default_rng(seed)
-    ball = _ball_check(A, 1.0, C, rng, n_random)
+    ball = _ball_check(A, cKDTree(A.points), 1.0, C, rng, n_random)
     line = line_check_loop(A, C, rng, n_random)
     rectangle, kappa = rectangle_loop(A, C, seed)
     alpha_cert = check_discrete_alpha_set(A, 1.0, C, seed=seed,
@@ -525,8 +526,8 @@ def test_ball_check_same_at_any_worker_count(gens, monkeypatch):
     results = []
     for workers in (1, 2):
         monkeypatch.setattr(_kernels, "_workers", lambda: workers)
-        results.append(_ball_check(A, 1.0, 64.0, np.random.default_rng(5),
-                                   2000))
+        results.append(_ball_check(A, cKDTree(A.points), 1.0, 64.0,
+                                   np.random.default_rng(5), 2000))
     assert results[0] == results[1]
 
 
@@ -536,7 +537,7 @@ def test_certifier_cap_refuses_before_any_work(gens, monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(set_analysis, "cKDTree", started)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", started)
     monkeypatch.setattr(set_analysis, "_census_counts", started)
     monkeypatch.setattr(_kernels, "ThreadPoolExecutor", started)
     A = cloud_from_generation(gens(9))
@@ -557,7 +558,7 @@ def test_certifier_cap_charges_the_census_tables(monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(set_analysis, "cKDTree", started)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", started)
     pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 0.5), (0.25, 1e-38)])
     A = PointCloud(pts, 1e-300)
     assert set_analysis._levels(A) == 997

@@ -646,9 +646,11 @@ def table_window_stream(pts, A, fam, c, reach):
 
 def table_direction_sums(a, A, fam, c, reach, masks):
     """Stand-in for the direct visibility._direction_sums that reads the
-    dense table instead."""
-    return table_window_sums(np.array([[a.x, a.y]]), counts_table(A, fam, c),
-                             fam, reach)[0]
+    dense table instead: the window sums of the counts and of ones."""
+    pts = np.array([[a.x, a.y]])
+    ones = np.ones((fam.k1_count, 2 * fam.k2_max + 1), dtype=np.int64)
+    return (table_window_sums(pts, counts_table(A, fam, c), fam, reach)[0],
+            table_window_sums(pts, ones, fam, reach)[0])
 
 
 @st.composite
@@ -701,7 +703,7 @@ class TestStreamedMatchesTable:
             for i, a in enumerate(vantages):
                 sums = table_window_sums(pts[i:i + 1], table, fam, near)[0]
                 assert np.array_equal(
-                    vis_mod._direction_sums(a, A, fam, c, near, 1), sums)
+                    vis_mod._direction_sums(a, A, fam, c, near, 1)[0], sums)
                 assert mass(a, arc, A, fam, c) == int(
                     sums[_direction_mask(fam, arc)].sum())
                 assert cone_count(a, arc, A, fam, c) == table_cone_count(
@@ -821,7 +823,7 @@ class TestCandidateEngine:
             for a in vantages:
                 for r in (2 * fam.delta, c * fam.delta):
                     assert np.array_equal(
-                        vis_mod._direction_sums(a, A, fam, c, r, 1),
+                        vis_mod._direction_sums(a, A, fam, c, r, 1)[0],
                         row_direction_sums(a, A, fam, c, r))
 
     def test_benchmark_and_bridge_vantages(self, gens):
@@ -838,7 +840,8 @@ class TestCandidateEngine:
                                                             DEFAULT_C)
         for a in vantages[::3]:
             assert np.array_equal(
-                vis_mod._direction_sums(a, A, fam, DEFAULT_C, 2 * A.delta, 1),
+                vis_mod._direction_sums(a, A, fam, DEFAULT_C, 2 * A.delta,
+                                        1)[0],
                 row_direction_sums(a, A, fam, DEFAULT_C, 2 * A.delta))
 
 
