@@ -352,8 +352,7 @@ def _vantage_windows(vantages: Sequence[Point2], A: PointCloud,
 
 
 def _direction_sums(a: Point2, A: PointCloud, fam: LineFamily, c: float,
-                    reach: float,
-                    masks: int) -> tuple[np.ndarray, np.ndarray]:
+                    reach: float, masks: int) -> tuple[np.ndarray, np.ndarray]:
     """Per direction, the total richness of the lines within reach of a, the
     sum of the candidates' window overlaps, and the number of those lines,
     for a caller that then takes `masks` arc masks of the directions."""
