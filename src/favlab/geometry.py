@@ -176,7 +176,7 @@ class CircularIntervalSet:
     def from_arcs(cls, arcs) -> "CircularIntervalSet":
         """Union of (start, length) arcs, given as any (k, 2) array-like;
         start anywhere, length in (0, 2pi]."""
-        return cls(np.column_stack(_seam_joined(*_seam_merged(arcs))))
+        return _arc_union([arcs])
 
     @property
     def arcs(self) -> tuple[tuple[float, float], ...]:
@@ -205,36 +205,67 @@ class CircularIntervalSet:
         return f"CircularIntervalSet({self.arcs!r})"
 
 
-def _seam_merged(arcs):
-    """Checked (start, length) arcs, given as any (k, 2) array-like, split
-    at the 0 = 2pi seam and merged: (lo, hi) arrays on [0, 2pi], and
-    whether one arc alone covers the circle (the arrays are then empty).
-
-    Merging the outputs of several calls again with merge_intervals gives
-    the output of one call on all the arcs, bit for bit: a merged interval
-    keeps the least lo and the greatest hi of its members, and
-    fl(hi + MERGE_TOL) grows with hi, so the gaps that split the union are
-    the same."""
-    arcs = np.asarray(arcs if hasattr(arcs, "__len__") else list(arcs),
-                      dtype=float)
-    if arcs.size == 0:
-        return np.empty(0), np.empty(0), False
-    if arcs.ndim != 2 or arcs.shape[1] != 2:
-        raise GeometryError(f"arcs of shape {arcs.shape}, not (k, 2)")
-    start, length = arcs.T
-    bad = length[~((0 < length) & (length <= TWO_PI + MERGE_TOL))]
-    if bad.size:
-        raise GeometryError(f"arc length {bad[0]} outside (0, 2pi]")
-    if not np.isfinite(start).all():
-        raise GeometryError("non-finite arc start")
-    if np.any(length >= TWO_PI - MERGE_TOL):
-        return np.empty(0), np.empty(0), True
-    s = _mod_two_pi(start)
-    e = s + length
-    wrap = e > TWO_PI
-    return (*_kernels.merge_intervals(
-        np.concatenate([s, np.zeros(np.count_nonzero(wrap))]),
-        np.concatenate([np.minimum(e, TWO_PI), e[wrap] - TWO_PI])), False)
+def _arc_union(blocks) -> CircularIntervalSet:
+    """The union of the (start, length) arcs that come in blocks, each a
+    (k, 2) array-like or a one-shot iterable of pairs: start anywhere,
+    length in (0, 2pi].  Each block is checked, split at the 0 = 2pi seam
+    and merged in place behind the running union, which takes it in once
+    the pending intervals outnumber it: memory stays O(union + block).  It
+    is one merge of all the arcs bit for bit, as a merged interval keeps
+    the least lo and the greatest hi of its members and fl(hi + MERGE_TOL)
+    grows with hi.  The set returned holds the union's columns of the
+    buffer, hi turned into lengths, with no copy."""
+    buf = np.empty((2, 0))  # lo and hi rows
+    union = filled = 0      # the union in [:union], pending ones up to filled
+    for arcs in blocks:
+        arcs = np.asarray(arcs if hasattr(arcs, "__len__") else list(arcs),
+                          dtype=float)
+        if arcs.size and (arcs.ndim != 2 or arcs.shape[1] != 2):
+            raise GeometryError(f"arcs of shape {arcs.shape}, not (k, 2)")
+        start, length = arcs.reshape(-1, 2).T
+        bad = length[~((0 < length) & (length <= TWO_PI + MERGE_TOL))]
+        if bad.size:
+            raise GeometryError(f"arc length {bad[0]} outside (0, 2pi]")
+        if not np.isfinite(start).all():
+            raise GeometryError("non-finite arc start")
+        s = _mod_two_pi(start)
+        # a whole-circle arc starts at 0: it is one interval of the union,
+        # which then measures at least 2pi - MERGE_TOL, the whole circle
+        s[length >= TWO_PI - MERGE_TOL] = 0.0
+        e = s + length
+        wrap = e > TWO_PI
+        mid = filled + s.size
+        end = mid + np.count_nonzero(wrap)
+        if end > buf.shape[1]:
+            # room for up to `union` more pending intervals, a fold's worth;
+            # the pages past `filled` stay untouched until written
+            grown = np.empty((2, end + max(union, end - filled)))
+            grown[:, :filled] = buf[:, :filled]
+            buf = grown
+        lo, hi = buf
+        lo[filled:mid] = s
+        lo[mid:end] = 0.0
+        np.minimum(e, TWO_PI, out=hi[filled:mid])
+        hi[mid:end] = e[wrap] - TWO_PI
+        filled += _kernels._merge_sorted(lo[filled:end], hi[filled:end])
+        # the next block is built while these names no longer hold this one
+        del arcs, start, length, s, e, wrap
+        if filled > 2 * union:
+            union = filled = _kernels._merge_sorted(lo[:filled], hi[:filled])
+    lo, hi = buf[:, :filled]
+    if filled > union:
+        union = _kernels._merge_sorted(lo, hi)
+    joined = (union >= 2 and lo[0] <= MERGE_TOL
+              and hi[union - 1] >= TWO_PI - MERGE_TOL)
+    arcs = buf[:, :union].T
+    arcs[:, 1] -= arcs[:, 0]
+    if float(np.sum(arcs[:, 1])) >= TWO_PI - MERGE_TOL:
+        return CircularIntervalSet.full()
+    if joined:
+        # the first arc continues the last one
+        arcs[-1, 1] += arcs[0, 1]
+        arcs = arcs[1:]
+    return CircularIntervalSet(arcs)
 
 
 def _mod_two_pi(x: np.ndarray) -> np.ndarray:
@@ -244,21 +275,6 @@ def _mod_two_pi(x: np.ndarray) -> np.ndarray:
     r = np.fmod(x, TWO_PI)
     r += TWO_PI * (r < 0)
     return r
-
-
-def _seam_joined(mlo: np.ndarray, mhi: np.ndarray, full: bool):
-    """(starts, lengths) arrays of the arcs that `_seam_merged`'s output
-    makes: one arc (0, 2pi) when they cover the circle, and the intervals
-    at the two ends of [0, 2pi] joined into one arc across the seam."""
-    lengths = mhi - mlo
-    if full or float(np.sum(lengths)) >= TWO_PI - MERGE_TOL:
-        return np.zeros(1), np.full(1, TWO_PI)
-    if (mlo.size >= 2 and mlo[0] <= MERGE_TOL
-            and mhi[-1] >= TWO_PI - MERGE_TOL):
-        # the first arc continues the last one
-        lengths[-1] += lengths[0]
-        mlo, lengths = mlo[1:], lengths[1:]
-    return mlo, lengths
 
 
 # ---------------------------------------------------------------------------

@@ -223,16 +223,16 @@ def generate_generation(sys: IFSystem, n: int) -> Generation:
     """All s^n stage-n squares, lexicographic in the word, checked first by
     `_check_generation`."""
     _check_generation(sys, n)
-    maps = _extended(sys, np.ones(1), np.zeros(1), np.zeros(1), n)
-    return Generation(sys, n, *_squares(sys, *maps))
+    [squares] = _generation_blocks(sys, n, sys.s ** n)
+    return Generation(sys, n, *squares)
 
 
 def _generation_blocks(sys: IFSystem, n: int, block: int):
     """The stage-n squares as (corner_x, corner_y, sides) blocks of at most
     max(block, 1) squares, in lexicographic word order.  A block is one
-    word prefix's composed map extended by every suffix through the float
-    operations of `generate_generation`, so the blocks concatenate to its
-    arrays bit for bit; only the prefixes' maps are held at once."""
+    word prefix's composed map extended by every suffix, so the blocks of
+    any size concatenate to the one block of `generate_generation` bit for
+    bit; only the prefixes' maps are held at once."""
     suffix = 0
     while suffix < n and sys.s ** (suffix + 1) <= block:
         suffix += 1

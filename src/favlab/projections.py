@@ -16,8 +16,8 @@ import numpy as np
 
 from . import _kernels
 from .geometry import IntervalSet, Point2
-from .ifs import (WORK_BUDGET, Generation, IFSystem, _stage_squares,
-                  check_budget, generate_generation)
+from .ifs import (WORK_BUDGET, Generation, IFSystem, _check_generation,
+                  _stage_squares, check_budget, generate_generation)
 from .visibility import streamed_visibility
 
 
@@ -89,6 +89,14 @@ def favard_length(gen: Generation, grid: AngleGrid) -> float:
 _ANGLE_SQUARES = 4096
 
 
+def _check_favard(sys: IFSystem, n: int, grid: AngleGrid) -> None:
+    """favard_lengths' cap on the grid's angle-squares."""
+    cap = WORK_BUDGET << 2
+    check_budget(f"Favard lengths to generation {n}",
+                 grid.count * max(_stage_squares(sys, n, cap), _ANGLE_SQUARES),
+                 "angle-squares", cap)
+
+
 def favard_lengths(sys: IFSystem, n: int, grid: AngleGrid):
     """Fav(K_0), ..., Fav(K_n) by the midpoint rule, and per depth the mean
     number of merged projection intervals per angle, from one pass that
@@ -100,10 +108,7 @@ def favard_lengths(sys: IFSystem, n: int, grid: AngleGrid):
     workers, counting every depth, so the cap stops a run near 13-15 s:
     n = 10 at 4096 angles or n = 11 at 1024 runs, n = 12 at 4096 does
     not).  An angle counts as at least _ANGLE_SQUARES squares."""
-    cap = WORK_BUDGET << 2
-    check_budget(f"Favard lengths to generation {n}",
-                 grid.count * max(_stage_squares(sys, n, cap), _ANGLE_SQUARES),
-                 "angle-squares", cap)
+    _check_favard(sys, n, grid)
     hull = sys.hull
     measures, counts = _kernels._depth_measures(
         np.array([m.lam for m in sys.maps]),
@@ -200,7 +205,15 @@ class BadAngleReport:
 def bad_angle_measure(sys: IFSystem, L: int,
                       grid: AngleGrid) -> BadAngleReport:
     """Angle-measure of {theta : sup of the stage-L counting function at
-    theta - pi/2 is at most 1/sqrt(Fav(J_L))}."""
+    theta - pi/2 is at most 1/sqrt(Fav(J_L))}.  Before any square is built
+    the generation's and favard_lengths' caps are checked, then WORK_BUDGET
+    on the sups' 4 steps an angle-square (47-57 ns a square at L = 8-10 on
+    a 2-core host: L = 8 runs at 4096 angles in 13.6 s, L = 9 at 1024)."""
+    _check_generation(sys, L)
+    _check_favard(sys, L, grid)
+    check_budget(f"bad angles of generation {L} over {grid.count} angles",
+                 4 * grid.count * _stage_squares(sys, L, WORK_BUDGET),
+                 "steps", WORK_BUDGET)
     gen = generate_generation(sys, L)
     fav = float(favard_lengths(sys, L, grid)[0][L])
     if fav <= 0:

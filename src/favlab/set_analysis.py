@@ -32,7 +32,8 @@ INTERVAL_BUDGET = 20_000_000
 # threshold and in cache (2^14 and more ran the dense n=6 line check at half
 # speed)
 _BLOCK = 2 ** 13
-# centre-point pairs per bincount of the rectangle census
+# centre-point pairs per bincount of the rectangle census, and table entries
+# (scales times intervals) per pass of the interval box counts
 _CENSUS_BLOCK = 2 ** 16
 # difference atoms per kernel pass of generation_energy: four-corner n=9
 # ran in 3.4 s at 2^15 on a 2-core host, 3.7-4.4 s at 2^13, 2^14 and 2^16
@@ -593,14 +594,20 @@ def _covering_count_intervals(iv: IntervalSet, scales) -> np.ndarray:
     """Per scale eps, the eps-cells meeting the interior of the union."""
     # cells are half-open [j*eps, (j+1)*eps); count those meeting the
     # interior of the union, each once: an interval's cells start past the
-    # last cell of every interval before it.  One row per scale.
+    # last cell of every interval before it.  One row per scale, and the
+    # rows in blocks of at most _CENSUS_BLOCK table entries: one block for
+    # the 11 scales of n <= 6, whose 4^6 squares make at most 4^6 intervals
     eps = np.asarray(scales, dtype=float)[:, None]
-    jmin = np.floor(iv.lo / eps).astype(np.int64)
-    jmax = (np.ceil(iv.hi / eps) - 1).astype(np.int64)
-    first = jmin.copy()
-    first[:, 1:] = np.maximum(
-        jmin[:, 1:], np.maximum.accumulate(jmax, axis=1)[:, :-1] + 1)
-    return np.maximum(jmax - first + 1, 0).sum(axis=1)
+    rows = max(1, _CENSUS_BLOCK // max(len(iv), 1))
+    counts = np.empty(len(eps), dtype=np.int64)
+    for i in range(0, len(eps), rows):
+        jmin = np.floor(iv.lo / eps[i:i + rows]).astype(np.int64)
+        jmax = (np.ceil(iv.hi / eps[i:i + rows]) - 1).astype(np.int64)
+        first = jmin.copy()
+        first[:, 1:] = np.maximum(
+            jmin[:, 1:], np.maximum.accumulate(jmax, axis=1)[:, :-1] + 1)
+        counts[i:i + rows] = np.maximum(jmax - first + 1, 0).sum(axis=1)
+    return counts
 
 
 def box_dimension_estimate(obj, scales) -> float:

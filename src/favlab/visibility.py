@@ -20,8 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .geometry import (TWO_PI, CircularIntervalSet, GeometryError, Line,
-                       Point2, _seam_joined, _seam_merged,
-                       hull_arcs_of_squares)
+                       Point2, _arc_union, hull_arcs_of_squares)
 from .ifs import (WORK_BUDGET, Generation, IFSystem, _generation_blocks,
                   _stage_squares, check_budget)
 
@@ -84,49 +83,17 @@ def cloud_from_generation(gen: Generation) -> PointCloud:
 # radial projections
 # ---------------------------------------------------------------------------
 
-def _arc_union(blocks, a: Point2):
-    """(starts, lengths) arrays of the union of the hull arcs, seen from a,
-    of the squares that come as (corner_x, corner_y, sides) blocks.
-
-    Each block's arcs are split at the seam, merged and appended to lo and
-    hi behind the running union; once these pending arcs outnumber the
-    union, both are sorted and merged in place into the new union.  Memory
-    stays O(union + block), and `_seam_merged` says why the result is the
-    one union of all the arcs bit for bit."""
-    lo = hi = np.empty(0)
-    union = filled = 0      # the union in [:union], pending arcs up to filled
-    full = False
+def _hull_arcs(blocks, a: Point2):
+    """Per (corner_x, corner_y, sides) block of squares, their (k, 2) hull
+    arcs seen from a, less those of width <= 0."""
     for x0, y0, sides in blocks:
         starts, widths = hull_arcs_of_squares(x0, y0, sides, a)
         # a square too small to part its corners' directions has a width
         # within an ulp of 0, on either side, and adds nothing to the union
         keep = widths > 0
-        blo, bhi, block_full = _seam_merged(np.column_stack(
-            (starts[keep], widths[keep])))
-        full |= block_full
-        end = filled + blo.size
-        if end > lo.size:
-            # room for up to `union` more pending arcs, one fold's worth
-            size = end + max(union, blo.size)
-            lo, hi = _grown(lo, filled, size), _grown(hi, filled, size)
-        lo[filled:end] = blo
-        hi[filled:end] = bhi
-        filled = end
-        # the next block is built while this one's names still hold it
-        del x0, y0, sides, starts, widths, keep, blo, bhi
-        if filled > 2 * union:
-            union = filled = _kernels._merge_sorted(lo[:filled], hi[:filled])
-    if filled > union:
-        union = _kernels._merge_sorted(lo[:filled], hi[:filled])
-    return _seam_joined(lo[:union], hi[:union], full)
-
-
-def _grown(buf: np.ndarray, filled: int, size: int) -> np.ndarray:
-    """A buffer of `size` entries holding buf's first `filled`; the pages
-    past them stay untouched until written."""
-    grown = np.empty(size)
-    grown[:filled] = buf[:filled]
-    return grown
+        yield np.column_stack((starts[keep], widths[keep]))
+        # the next block is built while these names no longer hold this one
+        del x0, y0, sides, starts, widths, keep
 
 
 def radial_projection(gen: Generation, a: Point2) -> CircularIntervalSet:
@@ -134,7 +101,7 @@ def radial_projection(gen: Generation, a: Point2) -> CircularIntervalSet:
     blocks = ((gen.corner_x[i:i + _ARC_BLOCK], gen.corner_y[i:i + _ARC_BLOCK],
                gen.sides[i:i + _ARC_BLOCK])
               for i in range(0, len(gen), _ARC_BLOCK))
-    return CircularIntervalSet(np.column_stack(_arc_union(blocks, a)))
+    return _arc_union(_hull_arcs(blocks, a))
 
 
 def streamed_visibility(sys: IFSystem, n: int,
@@ -151,9 +118,9 @@ def streamed_visibility(sys: IFSystem, n: int,
                  len(vantages) * _stage_squares(sys, n, cap), "squares", cap)
     found = []
     for a in vantages:
-        _, lengths = _arc_union(_generation_blocks(sys, n, _ARC_BLOCK), a)
-        # the sum that CircularIntervalSet.measure takes
-        found.append((float(np.sum(lengths)) / TWO_PI, lengths.size))
+        union = _arc_union(_hull_arcs(_generation_blocks(sys, n, _ARC_BLOCK),
+                                      a))
+        found.append((union.measure() / TWO_PI, len(union)))
     return found
 
 
@@ -322,9 +289,8 @@ def _vantage_windows(vantages: Sequence[Point2], A: PointCloud,
     _DIRECTION_STEPS a direction once, per vantage the points, the
     candidates and _VANTAGE_STEPS a direction, plus `more`, is checked
     before any window is taken; the candidates are counted only when the
-    rest fits the cap.  The first vantage's ranges (48 bytes a point) are
-    kept from that count, so a one-vantage query takes them once; the
-    others take theirs again rather than hold every vantage's."""
+    rest fits the cap, and each vantage takes its ranges (48 bytes a point)
+    again for its windows rather than hold every vantage's."""
     _kernels._check_c(c)
     rho = (c + _SLACK) * fam.delta + reach
 
@@ -334,12 +300,9 @@ def _vantage_windows(vantages: Sequence[Point2], A: PointCloud,
 
     steps = (fam.k1_count * (_DIRECTION_STEPS + len(vantages) * _VANTAGE_STEPS)
              + len(vantages) * len(A) + more)
-    kept = []
     if steps <= WORK_BUDGET:
         for a in vantages:
-            found = ranges(a)
-            steps += int(found[1].sum())
-            kept = kept or [found]
+            steps += int(ranges(a)[1].sum())
     check_budget("line family", steps, "steps", WORK_BUDGET)
     ns, cs = -np.sin(fam.thetas), np.cos(fam.thetas)
     for a in vantages:
@@ -347,7 +310,7 @@ def _vantage_windows(vantages: Sequence[Point2], A: PointCloud,
                                       fam.k2_min, fam.k2_max)
         yield lo, hi, _kernels._candidate_windows(
             A.x, A.y, ns, cs, fam.delta, c, lo, hi,
-            *(kept.pop() if kept else ranges(a)),
+            *ranges(a),
             fam.k2_min, fam.k2_max, _kernels._LINE_BLOCK)
 
 

@@ -573,6 +573,16 @@ class TestRuns:
             assert err.startswith("error: line family needs ")
             assert err.endswith(f"cap is {WORK_BUDGET}\n")
 
+    def test_bad_angle_sups_exit_3(self, tmp_path, capsys):
+        """bad-angles at n = 10 and 4096 angles meets the Favard cap
+        exactly, and its sups' 4 steps an angle-square are refused."""
+        assert main(["bad-angles", "--n", "10", "--angles", "4096",
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: bad angles of generation 10 over 4096 angles needs "
+            f"{4 * 4096 * 4 ** 10} steps; cap is {WORK_BUDGET}\n")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_bridge_reaches_n5(self, tmp_path):
         # its family reaches the vantage at x = -9.5: 1.6e7 steps
         out = tmp_path / "bridge.csv"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from favlab.geometry import (MERGE_TOL, TWO_PI, CircularIntervalSet,
                              GeometryError, IntervalSet, Line, Point2, Square,
                              dist_point_line, hull_arcs_of_squares)
-from favlab.geometry import _mod_two_pi
+from favlab.geometry import _arc_union, _mod_two_pi
 
 
 def grid_measure(pairs, lo=-5.0, hi=15.0, n=200_001):
@@ -211,6 +211,27 @@ def test_from_arcs_array_matches_loop(arcs):
     assert CircularIntervalSet.from_arcs(arcs).arcs == want
     assert CircularIntervalSet.from_arcs(
         np.array(arcs, dtype=float).reshape(-1, 2)).arcs == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(arcs=st.lists(st.tuples(ARC_STARTS, ARC_LENGTHS), max_size=30),
+       data=st.data())
+def test_arc_union_of_blocks_is_from_arcs(arcs, data):
+    """The arcs split into consecutive blocks, some of them empty and one
+    given as a one-shot iterator of pairs, streamed as a one-shot iterator
+    of blocks: their union is from_arcs's on all the arcs, bit for bit."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(arcs)),
+                                     max_size=8)))
+    bounds = [0, *cuts, len(arcs)]
+    blocks = [np.array(arcs[i:j], dtype=float).reshape(-1, 2)
+              for i, j in zip(bounds, bounds[1:])]
+    k = data.draw(st.integers(0, len(blocks) - 1))
+    blocks[k] = iter(arcs[bounds[k]:bounds[k + 1]])
+    got = _arc_union(iter(blocks))
+    want = CircularIntervalSet.from_arcs(arcs)
+    assert got.arcs == want.arcs == from_arcs_loop(arcs).arcs
+    assert (np.array(got.arcs).tobytes() == np.array(want.arcs).tobytes()
+            and got.measure() == want.measure() and len(got) == len(want))
 
 
 @settings(max_examples=200, deadline=None)

@@ -654,3 +654,23 @@ def test_angles_count_at_least_their_floor(monkeypatch, fourcorner, run, n):
         run(fourcorner, n, AngleGrid(angles))
     monkeypatch.undo()
     assert favard_lengths(fourcorner, n, AngleGrid(angles))[0].size == n + 1
+
+
+@pytest.mark.parametrize("n, angles", [(9, 2048), (10, 4096)])
+def test_bad_angle_sups_are_capped(monkeypatch, fourcorner, n, angles):
+    """The sups' 4 steps an angle-square are checked against WORK_BUDGET
+    after the Favard cap (which n = 10 at 4096 angles meets exactly) and
+    before any square, theta or Favard length is built; n = 8 at 4096
+    angles and n = 9 at 1024 sit at the cap."""
+    assert 4 * 4096 * 4 ** 8 == 4 * 1024 * 4 ** 9 == WORK_BUDGET
+    monkeypatch.setattr(projections, "generate_generation", lambda *args:
+                        pytest.fail("generation built before the cap"))
+    monkeypatch.setattr(_kernels, "_depth_measures", lambda *args:
+                        pytest.fail("Favard lengths run before the cap"))
+    monkeypatch.setattr(AngleGrid, "thetas", property(
+        lambda grid: pytest.fail("thetas built before the cap")))
+    with pytest.raises(ResourceBudgetError,
+                       match=f"^bad angles of generation {n} over {angles} "
+                             f"angles needs {4 * angles * 4 ** n} steps; "
+                             f"cap is {WORK_BUDGET}$"):
+        bad_angle_measure(fourcorner, n, AngleGrid(angles))

@@ -7,6 +7,7 @@ be measured by the benchmark (a label in BENCHMARK.json's per_layer).
 Methods are left out: their names are too common to search for.
 """
 
+import ast
 import importlib
 import inspect
 import io
@@ -92,3 +93,46 @@ def test_public_name_is_used_documented_or_measured(module, name, obj):
             or referenced_in_library(module, name, obj)), (
         f"{module.__name__}.{name} is not referenced in src/favlab, not in "
         "the README library tour and not in BENCHMARK.json's per_layer")
+
+
+def private_definitions(path):
+    """(name, first line, last line) of the module-level functions, classes
+    and constants of a source file whose names start with one underscore."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        first = min([node.lineno]
+                    + [d.lineno for d in getattr(node, "decorator_list", [])])
+        found += [(name, first, node.end_lineno) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+PRIVATE = [(path, name, first, last) for path in sorted(SRC.glob("*.py"))
+           for name, first, last in private_definitions(path)]
+
+
+def test_private_definitions_are_walked():
+    names = {f"{path.stem}.{name}" for path, name, _, _ in PRIVATE}
+    assert {"geometry._arc_union", "_kernels._merge_sorted",
+            "_kernels._MERGE_BLOCK", "visibility._ARC_BLOCK"} <= names
+
+
+@pytest.mark.parametrize("path, name, first, last", PRIVATE,
+                         ids=[f"{path.stem}.{name}"
+                              for path, name, _, _ in PRIVATE])
+def test_private_name_is_used_in_library(path, name, first, last):
+    """A private helper or constant that the library no longer uses is
+    dead code, whatever tests still reach it."""
+    assert any(name in code_names(other, range(first, last + 1)
+                                  if other == path else range(0))
+               for other in sorted(SRC.glob("*.py"))), (
+        f"{path.stem}.{name} is not referenced in src/favlab outside its "
+        "own definition")

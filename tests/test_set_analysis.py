@@ -6,6 +6,7 @@ import re
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -936,6 +937,39 @@ def test_covering_count_matches_loop_on_projections(gens):
         iv = project_generation(gens(5), float(th))
         assert (_covering_count_intervals(iv, scales).tolist()
                 == [covering_count_loop(iv, eps) for eps in scales])
+
+
+@settings(max_examples=100, deadline=None)
+@given(iv=sorted_interval_families(),
+       ks=st.lists(st.integers(-3, 8), min_size=1, max_size=6),
+       block=st.integers(1, 40))
+def test_covering_count_blocks_match_loop(iv, ks, block):
+    """Scales taken in blocks of at most `block` table entries (a scale a
+    block when a row alone is larger) count as the loop does."""
+    scales = [2.0 ** -k for k in ks]
+    with mock.patch.object(set_analysis, "_CENSUS_BLOCK", block):
+        assert (_covering_count_intervals(iv, scales).tolist()
+                == [covering_count_loop(iv, eps) for eps in scales])
+
+
+def test_covering_count_memory_is_blocked():
+    """2^17 intervals at 19 scales: the counts peak below one (scales x
+    intervals) int64 table, where the one-pass form held several."""
+    k = 2 ** 17
+    lo = np.arange(k) / k
+    iv = IntervalSet(lo, lo + 0.5 / k)
+    scales = [2.0 ** -j for j in range(2, 21)]
+    tracemalloc.start()
+    try:
+        counts = _covering_count_intervals(iv, scales)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(scales) * k * 8
+    # each 2^-j cell meets an interval for j <= 17, and past that each
+    # interval spans 2^(j-18) cells
+    assert counts.tolist() == [2 ** j if j <= 17 else k * 2 ** (j - 18)
+                               for j in range(2, 21)]
 
 
 class TestWellDistributed:
