@@ -83,8 +83,9 @@ def projection_measures(x0, y0, side, thetas) -> np.ndarray:
     return out
 
 
-#: elements of one block of _depth_measures' padded (angles x width) rows;
-#: a block of angles is halved before a depth would exceed it.  Four-corner
+#: elements of one block of _depth_measures' padded (angles x width) rows,
+#: and lo of one block of _sup_counts' (angles x squares) merges; a block
+#: of angles is halved before a depth would exceed it.  Four-corner
 #: n=0..7 at 4096 angles ran in 0.39-0.44 s at 2^16 with two workers on a
 #: 2-core host (medians of 7 runs), in 0.43-0.62 s at 2^15, 0.47-0.51 s at
 #: 2^17 and 0.57-0.66 s at 2^14 and 2^18; at 2^14 the interpreter lock,
@@ -194,6 +195,37 @@ def _depth_measures(lam, zx, zy, corner_x, corner_y, side, thetas, n):
         for _ in _pool_map(merge_chunk, zip(cuts[:-1], cuts[1:]), k):
             pass
     return measures, counts
+
+
+def _sup_counts(x0, y0, side, thetas) -> np.ndarray:
+    """Per angle, the sup of the count of the closed theta-projections of
+    the squares (x0, y0, side), which is reached at some lo.
+
+    Blocks of angles, each at most _DEPTH_BLOCK lo and as many hi, run on
+    _workers() threads.  A block's buffer row holds one angle's lo, sorted,
+    then its hi, sorted; a stable argsort of the row merges the two runs, a
+    lo before a tied hi, and the j-th lo, at merged position p_j, leaves
+    j + 1 - (p_j - j) intervals open.  Each block writes only its own
+    angles' entries of the int64 result."""
+    m = x0.size
+    rows = max(1, _DEPTH_BLOCK // m)
+    sups = np.empty(thetas.size, dtype=np.int64)
+
+    def block(a, b):
+        buf = np.concatenate(_projection_bounds(x0, y0, side,
+                                                thetas[a:b, None]), axis=1)
+        buf[:, :m].sort(axis=1)
+        buf[:, m:].sort(axis=1)
+        # row r's lo sit at the flat positions r * 2m + p_j
+        p = np.flatnonzero(np.argsort(buf, axis=1, kind="stable") < m)
+        p = p.reshape(b - a, m) - np.arange(0, buf.size, 2 * m)[:, None]
+        sups[a:b] = (np.arange(1, 2 * m, 2) - p).max(axis=1)
+
+    cuts = range(0, thetas.size, rows)
+    for _ in _pool_map(block, ((a, min(a + rows, thetas.size)) for a in cuts),
+                       2 * _workers()):
+        pass
+    return sups
 
 
 def riesz_energy_sum(px, py, w, s, floor) -> float:

@@ -10,12 +10,13 @@ byte-stable across runs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .geometry import IntervalSet, Point2
+from .geometry import GeometryError, IntervalSet, Point2
 from .ifs import (WORK_BUDGET, Generation, IFSystem, _check_generation,
                   _stage_squares, check_budget, generate_generation)
 from .visibility import streamed_visibility
@@ -33,8 +34,10 @@ class AngleGrid:
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("angle count must be >= 1")
+        if (not isinstance(self.count, numbers.Integral)
+                or isinstance(self.count, bool) or self.count < 1):
+            raise ValueError(f"angle count must be an integer >= 1, "
+                             f"got {self.count!r}")
 
     @property
     def thetas(self) -> np.ndarray:
@@ -54,15 +57,23 @@ class StackReport:
     support_measure: float
 
 
+def _check_query(gen: Generation, theta: float) -> None:
+    """Refuse what no one-angle projection query answers: an empty
+    generation or a non-finite angle."""
+    if len(gen) == 0:
+        raise ValueError("empty generation")
+    if not math.isfinite(theta):
+        raise GeometryError(f"non-finite angle {theta}")
+
+
 def _projection_bounds(gen: Generation, theta: float):
+    _check_query(gen, theta)
     return _kernels._projection_bounds(gen.corner_x, gen.corner_y, gen.sides,
                                        theta)
 
 
 def project_generation(gen: Generation, theta: float) -> IntervalSet:
     """Exact union of the per-square projection intervals at angle theta."""
-    if len(gen) == 0:
-        raise ValueError("empty generation")
     lo, hi = _projection_bounds(gen, theta)
     return IntervalSet.from_arrays(lo, hi)
 
@@ -81,11 +92,11 @@ def favard_length(gen: Generation, grid: AngleGrid) -> float:
 
 
 #: the least angle-squares an angle counts as in favard_lengths' cap, which
-#: bad_angle_measure meets too: an angle holds about 104 bytes there and
-#: costs bad_angle_measure 16-26 us of interpreter work at n <= 1, so up to
-#: 4096 squares the cap admits 2^20 angles (at n = 0: 109 MB and 0.17 s of
-#: Favard lengths, 17-27 s of bad angles on a 2-core host), not the 2^32
-#: that angles times squares alone admitted at n = 0
+#: bad_angle_measure meets too: an angle holds about 104 bytes there, so up
+#: to 4096 squares the cap admits 2^20 angles (at n = 0: 109 MB and 0.17 s
+#: of Favard lengths, 0.24 s of bad angles, and `bad-angles --n 0` with its
+#: CSV 4.0 s and 209 MB, on a 2-core host), not the 2^32 that angles times
+#: squares alone admitted at n = 0
 _ANGLE_SQUARES = 4096
 
 
@@ -185,13 +196,9 @@ def stacked_census(gen: Generation, theta: float, K: float) -> StackReport:
 def sup_projection_count(gen: Generation, theta: float) -> int:
     """Exact sup of the projection-counting step function: the count of the
     closed intervals is largest at some left endpoint."""
-    lo, hi = _projection_bounds(gen, theta)
-    # a stable sort of two sorted runs merges them, a lo before a tied hi;
-    # the j-th lo, at merged position p_j, leaves j + 1 - (p_j - j) open
-    order = np.argsort(np.concatenate((np.sort(lo), np.sort(hi))),
-                       kind="stable")
-    p = np.flatnonzero(order < lo.size)
-    return int((np.arange(1, 2 * lo.size, 2) - p).max())
+    _check_query(gen, theta)
+    return int(_kernels._sup_counts(gen.corner_x, gen.corner_y, gen.sides,
+                                    np.array([theta], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -207,8 +214,10 @@ def bad_angle_measure(sys: IFSystem, L: int,
     """Angle-measure of {theta : sup of the stage-L counting function at
     theta - pi/2 is at most 1/sqrt(Fav(J_L))}.  Before any square is built
     the generation's and favard_lengths' caps are checked, then WORK_BUDGET
-    on the sups' 4 steps an angle-square (47-57 ns a square at L = 8-10 on
-    a 2-core host: L = 8 runs at 4096 angles in 13.6 s, L = 9 at 1024)."""
+    on the sups' 4 steps an angle-square (17-37 ns a square at L = 8-10 on
+    a 2-core host with two workers: L = 8 runs at 4096 angles in 6.6 s,
+    L = 9 at 1024 in 7.3-8.1 s).  One _kernels._sup_counts call takes the
+    sups of the whole grid."""
     _check_generation(sys, L)
     _check_favard(sys, L, grid)
     check_budget(f"bad angles of generation {L} over {grid.count} angles",
@@ -220,10 +229,11 @@ def bad_angle_measure(sys: IFSystem, L: int,
         raise DegenerateError("Favard estimate is zero; threshold undefined")
     K = 1.0 / math.sqrt(fav)
     thetas = grid.thetas
-    sups = tuple(sup_projection_count(gen, (th - math.pi / 2) % math.pi)
-                 for th in thetas)
-    bad = tuple(float(th) for th, sup in zip(thetas, sups) if sup <= K)
-    return BadAngleReport(K, len(bad) * grid.spacing, bad, sups)
+    sups = _kernels._sup_counts(gen.corner_x, gen.corner_y, gen.sides,
+                                (thetas - math.pi / 2) % math.pi)
+    bad = tuple(thetas[sups <= K].tolist())
+    return BadAngleReport(K, len(bad) * grid.spacing, bad,
+                          tuple(sups.tolist()))
 
 
 def fav_upper_pipeline(sys: IFSystem, a: Point2, n: int, grid: AngleGrid):

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from favlab import _kernels, projections
-from favlab.geometry import Point2, Square
-from favlab.ifs import (WORK_BUDGET, IFSystem, ResourceBudgetError,
-                        Similitude, generate_generation, preset)
+from favlab.geometry import GeometryError, Point2, Square
+from favlab.ifs import (WORK_BUDGET, Generation, IFSystem,
+                        ResourceBudgetError, Similitude, generate_generation,
+                        preset)
 from favlab.projections import (AngleGrid, DegenerateError, bad_angle_measure,
                                 favard_length, favard_lengths,
                                 fav_upper_pipeline, hl_maximal,
@@ -483,6 +484,61 @@ def test_sup_count_matches_lexsort_sweep(gen, theta):
     assert sup_projection_count(gen, theta) == sup_by_lexsort_sweep(gen, theta)
 
 
+def sup_by_merged_runs(gen, theta):
+    """One angle's sup from its own merge: the sorted lo run, then the
+    sorted hi run, stably argsorted, so a lo goes before a tied hi."""
+    lo, hi = projection_bounds(gen, theta)
+    order = np.argsort(np.concatenate((np.sort(lo), np.sort(hi))),
+                       kind="stable")
+    p = np.flatnonzero(order < lo.size)
+    return int((np.arange(1, 2 * lo.size, 2) - p).max())
+
+
+PRESET_GENS = [generate_generation(preset(name), 3) for name in
+               ("fourcorner", "fourcorner-wide", "fourcorner-annulus")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen=st.one_of(homothety_generations(),
+                     st.sampled_from([TOUCHING, COINCIDENT, UNEQUAL,
+                                      *PRESET_GENS])),
+       thetas=st.lists(ANGLES, min_size=1, max_size=13),
+       rows=st.integers(1, 5))
+def test_sup_counts_match_lexsort_sweep(gen, thetas, rows):
+    """The kernel's sups over a grid are the per-angle sweep's, with
+    blocks of `rows` angles that split the grid unevenly, on one, two and
+    three workers.  The threads switch every microsecond, so that a write
+    to another block's entries would show."""
+    thetas = np.array(thetas)
+    want = [sup_by_lexsort_sweep(gen, th) for th in thetas]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            with mock.patch.object(_kernels, "_DEPTH_BLOCK",
+                                   rows * len(gen)), \
+                    mock.patch.object(_kernels, "_workers", lambda: workers):
+                got = _kernels._sup_counts(gen.corner_x, gen.corner_y,
+                                           gen.sides, thetas)
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("name", ["fourcorner", "fourcorner-wide",
+                                  "fourcorner-annulus"])
+@pytest.mark.parametrize("n", range(6))
+def test_bad_angle_sups_match_per_angle_oracle(grid256, name, n):
+    sys_ = preset(name)
+    g = generate_generation(sys_, n)
+    rep = bad_angle_measure(sys_, n, grid256)
+    want = [sup_by_merged_runs(g, (th - math.pi / 2) % math.pi)
+            for th in grid256.thetas]
+    assert list(rep.sups) == want
+    assert all(type(sup) is int for sup in rep.sups)
+
+
 def test_engine_matches_old_code_at_depth(gens):
     """n=5: the maximal function over the probes of every 7th square, and
     the sup.  The prefix sums carry their rounding errors, which keeps the
@@ -504,6 +560,36 @@ def test_angle_grid_contract():
     assert g.thetas[-1] < math.pi
     with pytest.raises(ValueError):
         AngleGrid(0)
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, "3", True, math.nan, math.inf,
+                                   -1, 0])
+def test_angle_grid_refuses_non_integer_count(count):
+    """2.5 angles would give 3 thetas, the last at pi, spaced pi/2.5."""
+    with pytest.raises(ValueError, match="angle count must be an integer"):
+        AngleGrid(count)
+    assert AngleGrid(np.int64(3)).thetas.size == 3
+
+
+QUERIES = {
+    "project_generation": project_generation,
+    "sup_projection_count": sup_projection_count,
+    "hl_maximal": lambda gen, theta: hl_maximal(gen, theta, 0.1),
+    "stacked_census": lambda gen, theta: stacked_census(gen, theta, 1.0)}
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_empty_generation_refused(fourcorner, query):
+    empty = Generation(fourcorner, 1, np.empty(0), np.empty(0), np.empty(0))
+    with pytest.raises(ValueError, match="^empty generation$"):
+        QUERIES[query](empty, 0.0)
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_non_finite_theta_refused(gens, query, theta):
+    with pytest.raises(GeometryError, match="^non-finite angle"):
+        QUERIES[query](gens(2), theta)
 
 
 # ---------------------------------------------------------------------------
