@@ -95,7 +95,7 @@ def favard_length(gen: Generation, grid: AngleGrid) -> float:
 #: bad_angle_measure meets too: an angle holds about 104 bytes there, so up
 #: to 4096 squares the cap admits 2^20 angles (at n = 0: 109 MB and 0.17 s
 #: of Favard lengths, 0.24 s of bad angles, and `bad-angles --n 0` with its
-#: CSV 4.0 s and 209 MB, on a 2-core host), not the 2^32 that angles times
+#: CSV 3.1-4.0 s and 209 MB, on a 2-core host), not the 2^32 that angles times
 #: squares alone admitted at n = 0
 _ANGLE_SQUARES = 4096
 
@@ -215,8 +215,8 @@ def bad_angle_measure(sys: IFSystem, L: int,
     theta - pi/2 is at most 1/sqrt(Fav(J_L))}.  Before any square is built
     the generation's and favard_lengths' caps are checked, then WORK_BUDGET
     on the sups' 4 steps an angle-square (17-37 ns a square at L = 8-10 on
-    a 2-core host with two workers: L = 8 runs at 4096 angles in 6.6 s,
-    L = 9 at 1024 in 7.3-8.1 s).  One _kernels._sup_counts call takes the
+    a 2-core host with two workers: L = 8 runs at 4096 angles in 5.7-6.6
+    s, L = 9 at 1024 in 6.0-8.1 s).  One _kernels._sup_counts call takes the
     sups of the whole grid."""
     _check_generation(sys, L)
     _check_favard(sys, L, grid)
