@@ -16,6 +16,17 @@ import numpy as np
 # gaps of size >= 4^-15.
 MERGE_TOL = 1e-12
 
+#: elements that one vectorized pass holds in one temporary: the merge's
+#: entries, a block of _depth_measures' padded (angles x width) rows or of
+#: _sup_counts' lo, a block of riesz_energy_sum's pairs, of the rectangle
+#: census's centre-point pairs and of the interval box counts' table, and
+#: a block of the Jacobian grid of transforms.  Four-corner n=0..7 depth
+#: rows at 4096 angles ran in 0.39-0.44 s at 2^16 with two workers on a
+#: 2-core host (medians of 7 runs), in 0.43-0.62 s at 2^15, 0.47-0.51 s at
+#: 2^17 and 0.57-0.66 s at 2^14 and 2^18; at 2^14 the interpreter lock,
+#: held between the many small calls, takes back the second worker's gain
+_PASS = 2 ** 16
+
 
 def merge_intervals(lo: np.ndarray, hi: np.ndarray):
     """Merge intervals into a disjoint sorted family; returns (lo, hi) arrays.
@@ -29,15 +40,11 @@ def merge_intervals(lo: np.ndarray, hi: np.ndarray):
     return lo[:k].copy(), hi[:k].copy()
 
 
-#: elements per pass of _merge_sorted
-_MERGE_BLOCK = 2 ** 16
-
-
 def _merge_sorted(lo: np.ndarray, hi: np.ndarray) -> int:
     """Sort lo and hi in place, then merge the intervals they hold: the k
     merged intervals' lo and hi values are written, in order, to the first
-    k entries of lo and hi, and k is returned.  Passes of _MERGE_BLOCK
-    entries keep the temporaries small."""
+    k entries of lo and hi, and k is returned.  Passes of _PASS entries
+    keep the temporaries small."""
     lo.sort()
     hi.sort()
     # lo[i] > hi[i-1] + MERGE_TOL means the i intervals opening before lo[i]
@@ -45,8 +52,8 @@ def _merge_sorted(lo: np.ndarray, hi: np.ndarray) -> int:
     # merged interval starts at lo[i] and the one before it ends at hi[i-1].
     # A pass over [i, j) writes below index j - 1, where no later pass reads.
     k = min(lo.size, 1)
-    for i in range(1, lo.size, _MERGE_BLOCK):
-        j = min(i + _MERGE_BLOCK, lo.size)
+    for i in range(1, lo.size, _PASS):
+        j = min(i + _PASS, lo.size)
         opens = np.flatnonzero(lo[i:j] > hi[i - 1:j - 1] + MERGE_TOL)
         hi[k - 1:k - 1 + opens.size] = hi[i - 1:j - 1][opens]
         lo[k:k + opens.size] = lo[i:j][opens]
@@ -83,14 +90,6 @@ def projection_measures(x0, y0, side, thetas) -> np.ndarray:
     return out
 
 
-#: elements of one block of _depth_measures' padded (angles x width) rows,
-#: and lo of one block of _sup_counts' (angles x squares) merges; a block
-#: of angles is halved before a depth would exceed it.  Four-corner
-#: n=0..7 at 4096 angles ran in 0.39-0.44 s at 2^16 with two workers on a
-#: 2-core host (medians of 7 runs), in 0.43-0.62 s at 2^15, 0.47-0.51 s at
-#: 2^17 and 0.57-0.66 s at 2^14 and 2^18; at 2^14 the interpreter lock,
-#: held between the many small calls, takes back the second worker's gain
-_DEPTH_BLOCK = 2 ** 16
 #: contiguous chunks of angles per depth worker, so that cheap and
 #: expensive angles even out between the workers
 _CHUNKS_PER_WORKER = 4
@@ -104,15 +103,21 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_map(fn, args, ahead):
-    """Yield fn(*a) for each tuple a of args, in order, computed on
-    _workers() threads with at most `ahead` calls submitted and not yet
-    yielded, so that at most that many results are held at once.  A call's
-    exception is raised here when its result is due."""
-    with ThreadPoolExecutor(_workers()) as pool:
+def _pool_map(fn, args):
+    """Yield fn(*a) for each tuple a of args, in order: a lone call on the
+    calling thread (a pool's start and stop took 0.3 ms, ten times the sup
+    of one angle at 16 squares), more on _workers() threads with at most
+    2 * _workers() submitted and not yet yielded, so that at most that many
+    results are held.  A call's exception is raised when its result is due."""
+    args = list(args)
+    if len(args) < 2:
+        yield from (fn(*a) for a in args)
+        return
+    workers = _workers()
+    with ThreadPoolExecutor(workers) as pool:
         due = collections.deque()
         for a in args:
-            if len(due) == ahead:
+            if len(due) == 2 * workers:
                 yield due.popleft().result()
             due.append(pool.submit(fn, *a))
         while due:
@@ -147,7 +152,7 @@ def _depth_measures(lam, zx, zy, corner_x, corner_y, side, thetas, n):
         while work:
             a, b, depth, lo, hi = work.pop()
             rows, width = lo.shape
-            if rows > 1 and rows * lam.size * width > _DEPTH_BLOCK:
+            if rows > 1 and rows * lam.size * width > _PASS:
                 h = rows // 2
                 work += [(a + h, b, depth, lo[h:], hi[h:]),
                          (a, a + h, depth, lo[:h], hi[:h])]
@@ -191,8 +196,7 @@ def _depth_measures(lam, zx, zy, corner_x, corner_y, side, thetas, n):
     if n:
         k = min(thetas.size, _workers() * _CHUNKS_PER_WORKER)
         cuts = [thetas.size * i // k for i in range(k + 1)]
-        # every chunk in flight at once: a chunk's results are its columns
-        for _ in _pool_map(merge_chunk, zip(cuts[:-1], cuts[1:]), k):
+        for _ in _pool_map(merge_chunk, zip(cuts[:-1], cuts[1:])):
             pass
     return measures, counts
 
@@ -201,15 +205,14 @@ def _sup_counts(x0, y0, side, thetas) -> np.ndarray:
     """Per angle, the sup of the count of the closed theta-projections of
     the squares (x0, y0, side), which is reached at some lo.
 
-    Blocks of angles, each at most _DEPTH_BLOCK lo and as many hi, run on
-    _workers() threads, and a lone block on the calling thread.  A block's
-    buffer row holds one angle's lo, sorted, then its hi, sorted; a stable
-    argsort of the row merges the two runs, a lo before a tied hi, and the
-    j-th lo, at merged position p_j, leaves j + 1 - (p_j - j) intervals
-    open.  Each block writes only its own angles' entries of the int64
-    result."""
+    Blocks of angles, each at most _PASS lo and as many hi, run through
+    _pool_map.  A block's buffer row holds one angle's lo, sorted, then its
+    hi, sorted; a stable argsort of the row merges the two runs, a lo
+    before a tied hi, and the j-th lo, at merged position p_j, leaves
+    j + 1 - (p_j - j) intervals open.  Each block writes only its own
+    angles' entries of the int64 result."""
     m = x0.size
-    rows = max(1, _DEPTH_BLOCK // m)
+    rows = max(1, _PASS // m)
     sups = np.empty(thetas.size, dtype=np.int64)
 
     def block(a, b):
@@ -222,15 +225,9 @@ def _sup_counts(x0, y0, side, thetas) -> np.ndarray:
         p = p.reshape(b - a, m) - np.arange(0, buf.size, 2 * m)[:, None]
         sups[a:b] = (np.arange(1, 2 * m, 2) - p).max(axis=1)
 
-    spans = [(a, min(a + rows, thetas.size))
-             for a in range(0, thetas.size, rows)]
-    if len(spans) == 1:
-        # a pool's start and stop took 0.3 ms, ten times the whole sup of
-        # one angle at 16 squares
-        block(*spans[0])
-    else:
-        for _ in _pool_map(block, spans, 2 * _workers()):
-            pass
+    for _ in _pool_map(block, ((a, min(a + rows, thetas.size))
+                               for a in range(0, thetas.size, rows))):
+        pass
     return sups
 
 
@@ -238,9 +235,9 @@ def riesz_energy_sum(px, py, w, s, floor) -> float:
     """Sum_{i != j} w_i w_j max(|p_i - p_j|, floor)^(-s), as twice i < j."""
     m = px.size
     total = 0.0
-    block = 2048
-    for a in range(0, m, block):
-        b = min(a + block, m)
+    rows = max(1, _PASS // m)
+    for a in range(0, m, rows):
+        b = min(a + rows, m)
         dx = px[a:b, None] - px[None, a:]
         dy = py[a:b, None] - py[None, a:]
         d = np.sqrt(dx * dx + dy * dy)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _kernels
-from .geometry import Line, Point2
+from .geometry import TWO_PI, Line, Point2
 from .ifs import (WORK_BUDGET, Generation, IFSystem, ResourceBudgetError,
                   check_budget, generate_generation, resolve_ifs,
                   subword_census)
@@ -146,10 +146,7 @@ def _enclosing_radius(sys_: IFSystem, extra_pts=()) -> float:
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _resolved(cfg: ExperimentConfig, sys_: IFSystem) -> ExperimentConfig:
@@ -238,11 +235,9 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
         fam = build_line_family(cfg.delta,
                                 _enclosing_radius(sys_, cfg.vantages))
         points = [Point2(vx, vy) for vx, vy in cfg.vantages]
-        rows = []
-        for a, vd in zip(points, vis_delta(points, A, fam, cfg.c)):
-            vis = (radial_projection_balls(A, cfg.delta, a).measure()
-                   / (2 * math.pi))
-            rows.append([a.x, a.y, vis, vd])
+        rows = [[a.x, a.y, radial_projection_balls(A, cfg.delta, a).measure()
+                 / TWO_PI, vd]
+                for a, vd in zip(points, vis_delta(points, A, fam, cfg.c))]
         return rows, ["vantage_x", "vantage_y", "vis", "vis_delta"], {}
 
     if cfg.experiment == "line-scan":
@@ -285,30 +280,26 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
         gen = generate_generation(sys_, n)
         _check_angles(cfg, gen)
         kmax = max(6, 2 * n)
-        scales = [2.0 ** -k for k in range(2, kmax + 1)]
-        thetas = AngleGrid(cfg.angles).thetas
-        rows = []
-        for th in thetas:
-            iv = project_generation(gen, float(th))
-            rows.append([float(th), box_dimension_estimate(iv, scales)])
-        dims = [r[1] for r in rows]
-        return rows, ["theta", "box_dim"], {"min_box_dim": min(dims)}
+        eps = [2.0 ** -k for k in range(2, kmax + 1)]
+        rows = [[th, box_dimension_estimate(project_generation(gen, th), eps)]
+                for th in AngleGrid(cfg.angles).thetas.tolist()]
+        return rows, ["theta", "box_dim"], {
+            "min_box_dim": min(dim for _, dim in rows)}
 
     if cfg.experiment == "stacking":
         gen = generate_generation(sys_, cfg.n_hi)
         _check_angles(cfg, gen)
-        rows = []
-        for th in AngleGrid(cfg.angles).thetas:
-            rep = stacked_census(gen, float(th), cfg.k)
-            rows.append([rep.n, rep.theta, rep.K, rep.stacked_fraction,
-                         rep.support_measure])
+        reps = [stacked_census(gen, th, cfg.k)
+                for th in AngleGrid(cfg.angles).thetas.tolist()]
+        rows = [[r.n, r.theta, r.K, r.stacked_fraction, r.support_measure]
+                for r in reps]
         return rows, ["n", "theta", "K", "stacked_fraction", "support"], {}
 
     if cfg.experiment == "bad-angles":
         grid = AngleGrid(cfg.angles)
         report = bad_angle_measure(sys_, cfg.n_hi, grid)
-        rows = [[float(th), sup, int(sup <= report.K)]
-                for th, sup in zip(grid.thetas, report.sups)]
+        rows = [[th, sup, int(sup <= report.K)]
+                for th, sup in zip(grid.thetas.tolist(), report.sups)]
         return rows, ["theta", "sup_f", "bad"], {
             "K": report.K, "bad_measure": report.measure_estimate}
 
@@ -326,12 +317,10 @@ def _dispatch(cfg: ExperimentConfig, sys_: IFSystem):
         fam = build_line_family(cfg.delta,
                                 _enclosing_radius(sys_, cfg.vantages))
         pairs = radial_vs_projection_bridge(A, xs, fam, cfg.c)
-        rows = []
-        for x, (vd, length) in zip(xs, pairs):
-            ratio = vd * cfg.delta / length if length > 0 else float("nan")
-            rows.append([x, vd, length, ratio])
-        return (rows, ["x", "vis_delta", "projected_length", "ratio_delta"],
-                {})
+        rows = [[x, vd, length,
+                 vd * cfg.delta / length if length > 0 else float("nan")]
+                for x, (vd, length) in zip(xs, pairs)]
+        return rows, ["x", "vis_delta", "projected_length", "ratio_delta"], {}
 
     raise AssertionError(f"unhandled experiment {cfg.experiment}")
 

@@ -129,9 +129,8 @@ class IntervalSet:
             raise GeometryError(f"non-finite interval [{lo}, {hi}]")
         if lo >= hi:
             raise GeometryError(f"inverted interval [{lo}, {hi}]")
-        mlo, mhi = _kernels.merge_intervals(
-            np.append(self._lo, lo), np.append(self._hi, hi))
-        return IntervalSet(mlo, mhi)
+        return IntervalSet(*_kernels.merge_intervals(
+            np.append(self._lo, lo), np.append(self._hi, hi)))
 
     def measure(self) -> float:
         return float(np.sum(self._hi - self._lo))

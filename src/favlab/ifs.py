@@ -274,10 +274,9 @@ def subword_census(sys: IFSystem, N: int, L: int, samples: int = 100_000,
         return len(seen) == needed
 
     if exact:
-        total = s ** N
         bad = sum(not is_generic(w)
                   for w in itertools.product(range(s), repeat=N))
-        return bad / total
+        return bad / s ** N
     rng = np.random.default_rng(seed)
     words = rng.integers(0, s, size=(samples, N))
     bad = sum(not is_generic(tuple(row)) for row in words)
@@ -294,14 +293,11 @@ def four_corner(corner: tuple[float, float] = (0.0, 0.0),
     corner squares of the hull."""
     cx, cy = corner
     q = 3.0 * side / 4.0
-    maps = []
-    for dy in (0.0, q):
-        for dx in (0.0, q):
-            # z places T_i(hull) at the corner offsets; solve z from
-            # corner/4 + z = corner + offset
-            maps.append(Similitude(0.25, (0.75 * cx + dx, 0.75 * cy + dy)))
-    # reorder to lexicographic by (dx, dy) blocks: keep (0,0),(q,0),(0,q),(q,q)
-    return IFSystem(tuple(maps), Square(Point2(cx, cy), side))
+    # z places T_i(hull) at the corner offsets, corner/4 + z = corner +
+    # offset, in the order (0,0), (q,0), (0,q), (q,q)
+    maps = tuple(Similitude(0.25, (0.75 * cx + dx, 0.75 * cy + dy))
+                 for dy in (0.0, q) for dx in (0.0, q))
+    return IFSystem(maps, Square(Point2(cx, cy), side))
 
 
 PRESETS = {

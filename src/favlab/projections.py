@@ -80,9 +80,12 @@ def project_generation(gen: Generation, theta: float) -> IntervalSet:
 
 def projection_measures(gen: Generation, thetas: np.ndarray) -> np.ndarray:
     """Union measure of the theta-projections for a whole batch of angles."""
-    return _kernels.projection_measures(
-        gen.corner_x, gen.corner_y, gen.sides,
-        np.ascontiguousarray(thetas, dtype=float))
+    thetas = np.ascontiguousarray(thetas, dtype=float)
+    if not np.isfinite(thetas).all():
+        raise GeometryError(
+            f"non-finite angle {thetas[~np.isfinite(thetas)][0]}")
+    return _kernels.projection_measures(gen.corner_x, gen.corner_y,
+                                        gen.sides, thetas)
 
 
 def favard_length(gen: Generation, grid: AngleGrid) -> float:
@@ -95,7 +98,7 @@ def favard_length(gen: Generation, grid: AngleGrid) -> float:
 #: bad_angle_measure meets too: an angle holds about 104 bytes there, so up
 #: to 4096 squares the cap admits 2^20 angles (at n = 0: 109 MB and 0.17 s
 #: of Favard lengths, 0.24 s of bad angles, and `bad-angles --n 0` with its
-#: CSV 3.1-4.0 s and 209 MB, on a 2-core host), not the 2^32 that angles times
+#: CSV 2.7-3.3 s and 201 MB, on a 2-core host), not the 2^32 that angles times
 #: squares alone admitted at n = 0
 _ANGLE_SQUARES = 4096
 

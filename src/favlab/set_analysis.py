@@ -32,9 +32,6 @@ INTERVAL_BUDGET = 20_000_000
 # threshold and in cache (2^14 and more ran the dense n=6 line check at half
 # speed)
 _BLOCK = 2 ** 13
-# centre-point pairs per bincount of the rectangle census, and table entries
-# (scales times intervals) per pass of the interval box counts
-_CENSUS_BLOCK = 2 ** 16
 # difference atoms per kernel pass of generation_energy: four-corner n=9
 # ran in 3.4 s at 2^15 on a 2-core host, 3.7-4.4 s at 2^13, 2^14 and 2^16
 _ENERGY_BLOCK = 2 ** 15
@@ -392,7 +389,7 @@ def _census_counts(pts: np.ndarray, centers: np.ndarray, delta: float,
     # fl(d) >= -b exactly when fl(d) > nextafter(-b, -inf): outermost first
     t = np.concatenate([np.nextafter(-b[::-1], -np.inf), b])
     run_level = np.abs(np.arange(-levels, levels + 1))
-    rows = max(1, _CENSUS_BLOCK // m)    # centres per bincount
+    rows = max(1, _kernels._PASS // m)   # centres per bincount
     # a block's cells lie below rows * side^2, which int16 holds in the
     # usual case (15^2 * 16 at four-corner n=6); narrow cells cut the
     # memory traffic of the repeats, the gather and the add
@@ -429,8 +426,7 @@ def _census_counts(pts: np.ndarray, centers: np.ndarray, delta: float,
         return counts[:, :levels, :levels].cumsum(axis=1).cumsum(axis=2)
 
     yield from _kernels._pool_map(
-        orientation, ((j,) for j in range(RECT_ORIENTATIONS)),
-        2 * _kernels._workers())
+        orientation, ((j,) for j in range(RECT_ORIENTATIONS)))
 
 
 def _rectangle_census(A: PointCloud, rng: np.random.Generator):
@@ -503,6 +499,8 @@ def riesz_energy(A: PointCloud, s: float) -> float:
     on points far closer than that: on a 2-map generation of ratio 0.1 at
     n = 4 it is 1.8e-14 relative off the exact sum at s = 2, where
     generation_energy, built from the difference measure, is 2.2e-16 off.
+    Its m(m - 1)/2 pairs, about 10 ns each on a 2-core host, are checked
+    against WORK_BUDGET first, so the cap stops a run near 11 s.
     """
     if not s > 0:
         raise ValueError("s must be positive")
@@ -514,6 +512,9 @@ def riesz_energy(A: PointCloud, s: float) -> float:
         w = A.weights
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValueError("weights must be normalized to total mass 1")
+    m = len(A)
+    check_budget(f"Riesz energy of {m} points", m * (m - 1) // 2, "pairs",
+                 WORK_BUDGET)
     return _kernels.riesz_energy_sum(A.x, A.y, w, s, A.delta)
 
 
@@ -595,10 +596,10 @@ def _covering_count_intervals(iv: IntervalSet, scales) -> np.ndarray:
     # cells are half-open [j*eps, (j+1)*eps); count those meeting the
     # interior of the union, each once: an interval's cells start past the
     # last cell of every interval before it.  One row per scale, and the
-    # rows in blocks of at most _CENSUS_BLOCK table entries: one block for
-    # the 11 scales of n <= 6, whose 4^6 squares make at most 4^6 intervals
+    # rows in blocks of at most _PASS table entries: one block for the 11
+    # scales of n <= 6, whose 4^6 squares make at most 4^6 intervals
     eps = np.asarray(scales, dtype=float)[:, None]
-    rows = max(1, _CENSUS_BLOCK // max(len(iv), 1))
+    rows = max(1, _kernels._PASS // max(len(iv), 1))
     counts = np.empty(len(eps), dtype=np.int64)
     for i in range(0, len(eps), rows):
         jmin = np.floor(iv.lo / eps[i:i + rows]).astype(np.int64)
@@ -617,6 +618,8 @@ def box_dimension_estimate(obj, scales) -> float:
     factor of at least 16.
     """
     scales = sorted(float(s) for s in scales)
+    if not all(math.isfinite(s) and s > 0 for s in scales):
+        raise ValueError(f"scales must be positive and finite, got {scales}")
     if len(scales) < 3:
         raise ValueError("need at least 3 scales")
     if scales[-1] / scales[0] < 16:
@@ -657,6 +660,8 @@ def check_well_distributed(positions, weights, delta: float, kappa: float,
         raise ValueError(f"delta must be positive and finite, got {delta}")
     pos = np.asarray(positions, dtype=float).ravel()
     w = np.asarray(weights, dtype=float).ravel()
+    if not (np.isfinite(pos).all() and np.isfinite(w).all()):
+        raise ValueError("positions and weights must be finite")
     if abs(float(w.sum()) - 1.0) > 1e-9:
         raise ValueError("weights must be normalized to total mass 1")
     if not (0 < tau < 1) or not (0 < kappa):

@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _kernels
 from .geometry import Point2, Square, TWO_PI, CircularIntervalSet, IntervalSet
 from .ifs import Generation
 from .visibility import DEFAULT_C, LineFamily, PointCloud, vis_delta
@@ -132,16 +133,18 @@ PROJECTIVE_T = DiffeoPreset("projectiveT", _projective_forward,
 
 def _inverse_jacobian_sup(d: DiffeoPreset) -> float:
     """Sup of the operator norm of the inverse differential, sampled on a
-    dense grid over the declared domain."""
+    dense n x n grid over the declared domain, _PASS // n rows a pass."""
     c = d.domain.corner
     n = max(2, int(math.ceil(d.domain.side / JACOBIAN_GRID_STEP)) + 1)
     xs = np.linspace(c.x, c.x + d.domain.side, n)
     ys = np.linspace(c.y, c.y + d.domain.side, n)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    jac = d.jacobian(pts)
-    inv = np.linalg.inv(jac)
-    return float(np.linalg.norm(inv, ord=2, axis=(1, 2)).max())
+    rows = max(1, _kernels._PASS // n)
+    sup = 0.0
+    for a in range(0, n, rows):
+        pts = np.stack(np.meshgrid(xs, ys[a:a + rows]), axis=-1).reshape(-1, 2)
+        inv = np.linalg.inv(d.jacobian(pts))
+        sup = max(sup, float(np.linalg.norm(inv, ord=2, axis=(1, 2)).max()))
+    return sup
 
 
 def jacobian_norms(d: DiffeoPreset, pts: np.ndarray) -> np.ndarray:

@@ -58,8 +58,9 @@ class PointCloud:
             raise ValueError("delta must be positive and finite")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
-            if w.shape != (len(pts),) or np.any(w < 0):
-                raise ValueError("weights must be nonnegative, one per point")
+            if w.shape != (len(pts),) or not np.all(np.isfinite(w) & (w >= 0)):
+                raise ValueError("weights must be finite and nonnegative, "
+                                 "one per point")
             object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:

@@ -14,6 +14,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -985,3 +986,12 @@ def test_importing_the_harness_leaves_scipy_spatial_unloaded():
          "import sys, favlab.cli; print('scipy.spatial' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout == "False\n"
+
+
+def test_csv_writes_numpy_floats_as_their_values(tmp_path):
+    """The csv module writes a float, numpy's too, as its repr value; the
+    per-value repr wrote np.float64(0.1) under numpy 2."""
+    path = tmp_path / "rows.csv"
+    favlab.cli._write_csv(str(path), ["a", "b", "c"],
+                          [[np.float64(0.1), 0.1, 3]])
+    assert path.read_bytes() == b"a,b,c\r\n0.1,0.1,3\r\n"

@@ -7,6 +7,8 @@ integer outputs must match bit for bit.
 """
 
 import hashlib
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -82,7 +84,7 @@ class TestFrozenValues:
 
 
 def test_riesz_half_sum_matches_full_sum():
-    # 2100 points span two 2048-row blocks; coincident points hit the floor
+    # 2100 points take 68 passes of 31 rows; coincident points hit the floor
     rng = np.random.default_rng(3)
     px = rng.uniform(0, 1, 2100)
     py = rng.uniform(0, 1, 2100)
@@ -172,7 +174,7 @@ def test_merge_passes_match_argsort_merge(family, block):
     merge as one pass does."""
     lo, hi = family
     want_lo, want_hi = argsort_merge(lo, hi)
-    with mock.patch.object(_kernels, "_MERGE_BLOCK", block):
+    with mock.patch.object(_kernels, "_PASS", block):
         got_lo, got_hi = _kernels.merge_intervals(lo, hi)
     assert np.array_equal(got_lo, want_lo)
     assert np.array_equal(got_hi, want_hi)
@@ -343,3 +345,61 @@ def test_stats_consistent_with_table(m, seed, delta, c_mult, d, data):
     for j, count in enumerate(hist):
         lo = 2.0 ** (j - 1) if j > 0 else 0.0
         assert count == np.count_nonzero((pos > lo) & (pos <= 2.0 ** j))
+
+
+# ---------------------------------------------------------------------------
+# the ordered pool of the vectorized kernels
+# ---------------------------------------------------------------------------
+
+def test_pool_map_runs_a_lone_call_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(_kernels, "ThreadPoolExecutor", mock.Mock(
+        side_effect=AssertionError("pool started")))
+    got = list(_kernels._pool_map(threading.get_ident, [()]))
+    assert got == [threading.get_ident()]
+
+
+def test_pool_map_yields_in_call_order(monkeypatch):
+    """Later calls finish first; their results still come in call order."""
+    monkeypatch.setattr(_kernels, "_workers", lambda: 3)
+
+    def late(i):
+        time.sleep(0.002 * (8 - i))
+        return i
+
+    assert list(_kernels._pool_map(late, ((i,) for i in range(8)))) == list(
+        range(8))
+
+
+def test_pool_map_raises_a_call_error_when_its_result_is_due(monkeypatch):
+    monkeypatch.setattr(_kernels, "_workers", lambda: 2)
+
+    def call(i):
+        if i == 2:
+            raise KeyError(i)
+        return i
+
+    got = []
+    with pytest.raises(KeyError):
+        for result in _kernels._pool_map(call, ((i,) for i in range(6))):
+            got.append(result)
+    assert got == [0, 1]
+
+
+def test_pool_map_holds_at_most_two_calls_a_worker(monkeypatch):
+    """A consumer that pauses after each result sees at most 2 * workers
+    calls submitted and not yet yielded: in the pause every submitted call
+    has run, so the calls run count those submitted."""
+    monkeypatch.setattr(_kernels, "_workers", lambda: 2)
+    ran = []
+
+    def call(i):
+        ran.append(i)
+        return i
+
+    ahead = []
+    for got, _ in enumerate(_kernels._pool_map(call,
+                                               ((i,) for i in range(12))), 1):
+        time.sleep(0.05)            # the workers run ahead, if unbounded
+        ahead.append(len(ran) - got)
+    assert 1 <= max(ahead) <= 4
+    assert sorted(ran) == list(range(12))

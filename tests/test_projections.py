@@ -515,7 +515,7 @@ def test_sup_counts_match_lexsort_sweep(gen, thetas, rows):
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 3):
-            with mock.patch.object(_kernels, "_DEPTH_BLOCK",
+            with mock.patch.object(_kernels, "_PASS",
                                    rows * len(gen)), \
                     mock.patch.object(_kernels, "_workers", lambda: workers):
                 got = _kernels._sup_counts(gen.corner_x, gen.corner_y,
@@ -590,6 +590,13 @@ def test_empty_generation_refused(fourcorner, query):
 def test_non_finite_theta_refused(gens, query, theta):
     with pytest.raises(GeometryError, match="^non-finite angle"):
         QUERIES[query](gens(2), theta)
+
+
+def test_projection_measures_refuse_non_finite_angles(gens):
+    """The batch query refuses what the one-angle queries do, where it
+    returned nan with RuntimeWarnings."""
+    with pytest.raises(GeometryError, match="^non-finite angle nan$"):
+        projection_measures(gens(2), [0.5, math.nan, math.inf])
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +683,8 @@ def test_depth_blocks_do_not_change_rows(fourcorner, monkeypatch):
     try:
         for workers in (1, 2, 3):
             monkeypatch.setattr(_kernels, "_workers", lambda: workers)
-            for block in (_kernels._DEPTH_BLOCK, 1):
-                monkeypatch.setattr(_kernels, "_DEPTH_BLOCK", block)
+            for block in (_kernels._PASS, 1):
+                monkeypatch.setattr(_kernels, "_PASS", block)
                 for (m0, c0), (m1, c1) in zip(default, rows()):
                     assert np.array_equal(m0, m1) and np.array_equal(c0, c1)
     finally:

@@ -122,7 +122,7 @@ PRIVATE = [(path, name, first, last) for path in sorted(SRC.glob("*.py"))
 def test_private_definitions_are_walked():
     names = {f"{path.stem}.{name}" for path, name, _, _ in PRIVATE}
     assert {"geometry._arc_union", "_kernels._merge_sorted",
-            "_kernels._MERGE_BLOCK", "visibility._ARC_BLOCK"} <= names
+            "_kernels._PASS", "visibility._ARC_BLOCK"} <= names
 
 
 @pytest.mark.parametrize("path, name, first, last", PRIVATE,

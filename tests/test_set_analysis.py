@@ -716,6 +716,48 @@ class TestRieszEnergy:
         with pytest.raises(ValueError, match="empty point cloud"):
             riesz_energy(PointCloud(np.empty((0, 2)), 0.01), 1.0)
 
+    def test_pair_cap_refuses_before_any_sum(self, gens, monkeypatch):
+        """Four-corner n=8 has 2.1e9 pairs, past WORK_BUDGET, and is refused
+        before the kernel runs; n=7 (1.3e8 pairs) reaches it."""
+        monkeypatch.setattr(_kernels, "riesz_energy_sum", mock.Mock(
+            side_effect=AssertionError("summed")))
+        with pytest.raises(ResourceBudgetError, match="pairs"):
+            riesz_energy(cloud_from_generation(gens(8)), 1.0)
+        with pytest.raises(AssertionError, match="summed"):
+            riesz_energy(cloud_from_generation(gens(7)), 1.0)
+
+    def test_memory_is_a_few_passes(self, gens):
+        """Four-corner n=6 (4096 points) peaks under 16 MiB: a pass holds
+        _kernels._PASS pairs a temporary, where 2048-row blocks held 64 MiB
+        each."""
+        A = cloud_from_generation(gens(6))
+        tracemalloc.start()
+        try:
+            riesz_energy(A, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
+NON_FINITE_INPUTS = {
+    "cloud weights": lambda x: PointCloud(np.zeros((2, 2)), 0.01,
+                                          weights=[x, 1.0]),
+    "measure weights": lambda x: check_well_distributed(
+        [0.1, 0.2], [x, 1.0], 0.01, 0.5, 0.5),
+    "measure positions": lambda x: check_well_distributed(
+        [x, 0.2], [0.5, 0.5], 0.01, 0.5, 0.5),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", sorted(NON_FINITE_INPUTS))
+def test_non_finite_weights_and_positions_refused(where, x):
+    """A nan weight passed the sign and mass checks, and made riesz_energy
+    nan and a well-distribution check pass with a worst mass of 0."""
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_INPUTS[where](x)
+
 
 def homothety_system(lam, zs, corner=(0.0, 0.0), side=1.0):
     return IFSystem(tuple(Similitude(lam, z) for z in zs),
@@ -887,6 +929,14 @@ class TestBoxDimension:
         with pytest.raises(TypeError):
             box_dimension_estimate([(0, 1)], [0.5, 0.25, 1 / 32])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -0.25])
+    def test_non_finite_or_non_positive_scale_refused(self, bad):
+        """Refused before the power-of-two check, where round(inf) raised
+        an OverflowError."""
+        A = PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]), 0.1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            box_dimension_estimate(A, [0.5, 0.25, 1 / 32, bad])
+
     def test_degenerate_raises(self):
         A = PointCloud(np.array([[0.3, 0.3]]), 0.001)
         with pytest.raises(UndefinedDimensionError):
@@ -947,7 +997,7 @@ def test_covering_count_blocks_match_loop(iv, ks, block):
     """Scales taken in blocks of at most `block` table entries (a scale a
     block when a row alone is larger) count as the loop does."""
     scales = [2.0 ** -k for k in ks]
-    with mock.patch.object(set_analysis, "_CENSUS_BLOCK", block):
+    with mock.patch.object(_kernels, "_PASS", block):
         assert (_covering_count_intervals(iv, scales).tolist()
                 == [covering_count_loop(iv, eps) for eps in scales])
 

@@ -2,9 +2,11 @@
 radial/projection bridge."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 from favlab.geometry import Point2, Square
 from favlab.transforms import (POLAR, PROJECTIVE_T, DomainError,
@@ -129,6 +131,21 @@ class TestApplyDiffeo:
         B = apply_diffeo(PROJECTIVE_T, A)
         assert len(B) == len(A)
         assert 0 < B.delta < A.delta
+
+
+    def test_jacobian_grid_memory_is_blocked(self):
+        """The 1901 x 1901 Jacobian grid of PROJECTIVE_T is taken in passes
+        of about _kernels._PASS points: two points peak under 32 MiB, where
+        the whole grid held about 410 MiB."""
+        A = PointCloud(np.array([[2.0, 3.0], [5.0, 7.0]]), 0.01)
+        assert scipy.spatial.cKDTree     # loaded before the trace
+        tracemalloc.start()
+        try:
+            apply_diffeo(PROJECTIVE_T, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestPolarVisibility:
