@@ -132,7 +132,6 @@ class TestApplyDiffeo:
         assert len(B) == len(A)
         assert 0 < B.delta < A.delta
 
-
     def test_jacobian_grid_memory_is_blocked(self):
         """The 1901 x 1901 Jacobian grid of PROJECTIVE_T is taken in passes
         of about _kernels._PASS points: two points peak under 32 MiB, where
