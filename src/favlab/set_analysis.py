@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,10 +97,15 @@ def _levels(A: PointCloud) -> int:
 def _ball_check(A: PointCloud, tree, alpha: float, C: float,
                 rng: np.random.Generator, n_random: int) -> CheckResult:
     """Worst ball count against C r^alpha m, per dyadic radius, over the
-    cloud's points and seeded random centres.  The cKDTree of the points
-    counts on _kernels._workers() threads: at four-corner n=6 and 7 (C =
-    256) they took 0.11-0.17 and 0.87-0.96 s on two, 0.13-0.22 and
-    1.16-1.71 s on one (2-core host)."""
+    cloud's points and seeded random centres.  The radii stop at the first
+    whose bound leaves m / (C r^alpha m) <= the worst margin so far: no
+    count exceeds m and the bound grows with r, so no larger radius can
+    raise it.  At four-corner n = 6 to 8, C = 256, that skips the two
+    largest radii, the dearest queries: n = 7 and 8 took 0.65-0.70 and
+    5.0-5.3 s against 0.97-1.03 and 9.2-10.2 s with every radius queried.
+    The cKDTree of the points counts on _kernels._workers() threads: with
+    every radius, n=6 and 7 took 0.11-0.17 and 0.87-0.96 s on two,
+    0.13-0.22 and 1.16-1.71 s on one (2-core host)."""
     pts = A.points
     m = len(pts)
     levels = _levels(A)
@@ -110,10 +116,12 @@ def _ball_check(A: PointCloud, tree, alpha: float, C: float,
     centers = np.concatenate([pts, extra])
     worst = CheckResult(True, 0.0)
     for r in radii:
+        bound = C * r ** alpha * m
+        if m / bound <= worst.margin:
+            break
         # one query a radius: the on-set centres, then the random ones
         every = tree.query_ball_point(centers, r, return_length=True,
                                       workers=_kernels._workers())
-        bound = C * r ** alpha * m
         for part, kind in ((slice(m), "on-set"), (slice(m, None), "random")):
             counts = every[part]
             i = int(np.argmax(counts))
@@ -174,17 +182,18 @@ def _strip_windows(ts: np.ndarray, offsets: np.ndarray, radius: float,
     return lo, clo, np.where(full, chi, clo), hi
 
 
-def _strip_sums(t: np.ndarray, offsets: np.ndarray, radius: float,
-                halfwidth: float, block: np.ndarray) -> np.ndarray:
+def _strip_sums(order: np.ndarray, ts: np.ndarray, offsets: np.ndarray,
+                radius: float, halfwidth: float, windows,
+                block: np.ndarray) -> np.ndarray:
     """Per offset, the strip mass of all points, summed in a row of the
-    zeroed (rows, m) block.  Only the points in the offset's _strip_windows
-    range are evaluated and scattered into the row in their original order,
-    so it sums the same values in the same places as a dense row would."""
+    zeroed (rows, m) block.  ts are the projections sorted by order, and
+    windows the offsets' _strip_windows ranges in ts.  Only the points in
+    an offset's range are evaluated and scattered into the row in their
+    original order, so it sums the same values in the same places as a
+    dense row would."""
     rows, m = block.shape
     flat = block.reshape(-1)
-    order = np.argsort(t)
-    ts = t[order]
-    lo, clo, chi, hi = _strip_windows(ts, offsets, radius, halfwidth)
+    lo, clo, chi, hi = windows
     whole = _strip_masses(np.zeros(1), radius, halfwidth)[0]
     ends = np.zeros(offsets.size + 1, dtype=np.int64)
     np.cumsum(hi - lo, out=ends[1:])     # window points of offsets before
@@ -213,9 +222,18 @@ def _line_check(A: PointCloud, C: float, rng: np.random.Generator,
                 n_random: int) -> CheckResult:
     """Worst strip mass of the 1/C-strips about axis and diagonal lines
     through every point and seeded random lines, against a tenth of the
-    cloud.  It runs on one thread: its directions on the _kernels._pool_map
-    threads took 0.20-0.22 s at four-corner n=6 against 0.09-0.16 s serial
-    (0.58-0.71 against 0.43-0.57 s at n=7, 2-core host), as _strip_sums
+    cloud.
+
+    Each direction's projections are sorted once and windowed for all of
+    its offsets, and exact masses are summed only where the window holds at
+    least `top` points, top the largest mass so far: a point adds at most 1
+    to a strip's mass, so a skipped strip can neither reach nor tie it.  At
+    four-corner n = 6, 7 and 8 (C = 256) that sums 503 of 13,241, 1064 of
+    19,876 and 2442 of 40,265 strips, and the check took 0.03-0.04,
+    0.09-0.11 and 0.47-0.67 s against 0.12, 0.50-0.51 and 2.2-3.0 s with
+    every strip summed, on a 2-core host.  It runs on one thread: its
+    directions on the _kernels._pool_map threads took 0.20-0.22 s at n=6
+    against 0.09-0.16 s serial, with every strip summed, as _strip_sums
     steps a few offsets at a time (_BLOCK // m rows) and holds the
     interpreter lock between those small calls."""
     pts = A.points
@@ -228,7 +246,7 @@ def _line_check(A: PointCloud, C: float, rng: np.random.Generator,
     n_theta = max(1, int(math.sqrt(n_random)))
     random_thetas = rng.uniform(0, math.pi, n_theta)
     scale = _diameter(pts)
-    best = []                            # (theta, offset, mass) per direction
+    top, margin, witness = 0.0, 0.0, {}
     for theta in fixed_thetas + random_thetas.tolist():
         t = -math.sin(theta) * pts[:, 0] + math.cos(theta) * pts[:, 1]
         if theta in fixed_thetas:
@@ -237,16 +255,23 @@ def _line_check(A: PointCloud, C: float, rng: np.random.Generator,
             center = 0.5 * (t.min() + t.max())
             offsets = rng.uniform(center - scale, center + scale,
                                   n_random // n_theta)
-        masses = _strip_sums(t, offsets, A.delta, halfwidth, block)
+        order = np.argsort(t)
+        ts = t[order]
+        windows = _strip_windows(ts, offsets, A.delta, halfwidth)
+        # the slack covers a mass that arccos rounds an ulp over 1
+        keep = np.flatnonzero((windows[3] - windows[0]) * (1 + 1e-9) >= top)
+        if keep.size == 0:
+            continue
+        masses = _strip_sums(order, ts, offsets[keep], A.delta, halfwidth,
+                             [w[keep] for w in windows], block)
         i = int(np.argmax(masses))
-        best.append((theta, offsets[i], masses[i]))
-    best = np.array(best)
-    margins = best[:, 2] / bound
-    k = int(np.argmax(margins))          # first direction on ties
-    margin = float(margins[k])
-    theta, offset, mass = best[k].tolist()
-    witness = {"kind": "line", "theta": theta, "offset": offset, "mass": mass}
-    return CheckResult(margin <= 1.0, margin, witness if margin > 0 else {})
+        top = max(top, float(masses[i]))
+        if masses[i] / bound > margin:       # the first direction on ties
+            margin = float(masses[i] / bound)
+            witness = {"kind": "line", "theta": theta,
+                       "offset": float(offsets[keep[i]]),
+                       "mass": float(masses[i])}
+    return CheckResult(margin <= 1.0, margin, witness)
 
 
 def _check_certifier(A: PointCloud, n_random: int) -> None:
@@ -258,7 +283,10 @@ def _check_certifier(A: PointCloud, n_random: int) -> None:
     3.4-3.6e-9 s (four-corner n = 7, 8) and a table cell 1.4-1.5e-8 s (134,
     200 levels), charged 2^-7, 2^-2 and 1 steps of 1.2-1.7e-8 s: four-corner
     n = 8 needs 8.2e8 steps (11.2 s), n = 9 1.2e10; past about 290 levels
-    the tables alone pass the cap."""
+    the tables alone pass the cap.  It charges every radius, though the
+    ball check skips those that cannot raise its margin, so it
+    over-charges: four-corner n = 8 certifies in 9.2-9.7 s of process wall
+    (C = 256), and n = 9 is still refused."""
     m = len(A)
     levels = _levels(A)
     pairs = (levels + 1) * m * (m + max(1, n_random // (levels + 1)))
@@ -279,6 +307,10 @@ def check_discrete_alpha_set(A: PointCloud, alpha: float, C: float,
         raise ValueError(f"C must be positive and finite, got {C}")
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if (not isinstance(n_random, numbers.Integral)
+            or isinstance(n_random, bool) or n_random < 1):
+        raise ValueError(f"n_random must be an integer >= 1, "
+                         f"got {n_random!r}")
     _check_certifier(A, n_random)
     # imported here, past the cap, as only the certifier and apply_diffeo
     # build a tree: importing scipy.spatial took 0.3-0.5 s and 35 MB of

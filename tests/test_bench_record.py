@@ -47,6 +47,29 @@ def test_diff_flags_only_metrics_past_their_bound():
     assert "CHECKS FAILED" not in text
 
 
+def test_diff_leaves_overlapping_runs_unresolved():
+    """Three runs a side: medians 1.3 times apart over overlapping runs
+    read as unresolved, and runs that all lie past the bound as worse."""
+    def runs(rev, day, values):
+        rec = record(rev, f"2026-01-0{day}T00:00:00+00:00")
+        rec["workloads"]["certify"]["metrics"]["wall_s"] = {
+            "unit": "s", **bench_record.summarise(values)}
+        return rec
+
+    old = runs("aaaaaaa", 1, [1.0, 1.1, 1.5])
+    (row,) = bench_record.diff_records(
+        old, runs("bbbbbbb", 2, [1.2, 1.43, 1.6]), LIMITS)
+    assert row["ratio"] == pytest.approx(1.3)
+    assert row["unresolved"] and not row["worse"]
+    text = bench_record.format_diff([row])
+    assert "UNRESOLVED" in text and "WORSE" not in text
+    assert "unpaired" in text and "--pairs" in text
+    (row,) = bench_record.diff_records(
+        old, runs("ccccccc", 3, [1.9, 2.0, 2.1]), LIMITS)
+    assert row["worse"] and not row["unresolved"]
+    assert "UNRESOLVED" not in bench_record.format_diff([row])
+
+
 def test_diff_reports_failed_checks():
     old = record("aaaaaaa", "2026-01-01T00:00:00+00:00", wall_s=10.0)
     new = record("bbbbbbb", "2026-01-02T00:00:00+00:00", correct=False,

@@ -110,6 +110,22 @@ class TestAlphaSetCertifier:
         with pytest.raises(ValueError, match="alpha must be positive"):
             check_discrete_alpha_set(A, alpha, 4.0)
 
+    @pytest.mark.parametrize("n_random", [0, -1, 2.5, True, "10"])
+    def test_rejects_bad_n_random(self, gens, monkeypatch, n_random):
+        """0, -1 and 2.5 used to fail deep in numpy and True ran as 1; the
+        refusal comes before the work cap."""
+        def capped(*args):
+            raise AssertionError("work cap reached")
+
+        monkeypatch.setattr(set_analysis, "_check_certifier", capped)
+        A = cloud_from_generation(gens(2))
+        for certify in (check_discrete_alpha_set, check_unrectifiable_one_set):
+            args = (A, 1.0, 256.0) if certify is check_discrete_alpha_set \
+                else (A, 256.0)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"n_random must be an integer >= 1, got {n_random!r}")):
+                certify(*args, n_random=n_random)
+
     def test_json_roundtrip(self, gens):
         A = cloud_from_generation(gens(3))
         cert = check_discrete_alpha_set(A, 1.0, 256.0, seed=5)
@@ -532,6 +548,69 @@ def test_ball_check_same_at_any_worker_count(gens, monkeypatch):
     assert results[0] == results[1]
 
 
+class RecordingTree:
+    """A cKDTree that records the radius of each ball query."""
+
+    def __init__(self, points):
+        self.tree = cKDTree(points)
+        self.radii = []
+
+    def query_ball_point(self, x, r, **kwargs):
+        self.radii.append(float(r))
+        return self.tree.query_ball_point(x, r, **kwargs)
+
+
+def ball_check_loop(A, alpha, C, rng, n_random):
+    """The ball check with every dyadic radius queried."""
+    pts = A.points
+    m = len(pts)
+    levels = set_analysis._levels(A)
+    lo, hi = _bbox(pts)
+    extra = rng.uniform(lo - A.delta, hi + A.delta,
+                        size=(max(1, n_random // (levels + 1)), 2))
+    centers = np.concatenate([pts, extra])
+    tree = cKDTree(pts)
+    worst = CheckResult(True, 0.0)
+    for r in A.delta * 2.0 ** np.arange(levels + 1):
+        every = tree.query_ball_point(centers, r, return_length=True)
+        bound = C * r ** alpha * m
+        for part, kind in ((slice(m), "on-set"), (slice(m, None), "random")):
+            counts = every[part]
+            i = int(np.argmax(counts))
+            margin = float(counts[i] / bound)
+            if margin > worst.margin:
+                worst = CheckResult(margin <= 1.0, margin, {
+                    "kind": "ball", "center": centers[part][i].tolist(),
+                    "radius": float(r), "count": int(counts[i]),
+                    "design": kind})
+    return worst
+
+
+def test_ball_check_skips_radii_that_cannot_raise_the_margin(gens):
+    """At four-corner n=4, C=256, a count of 1 at radius delta gives margin
+    1/256, and at radius 1 even all 256 points give no more."""
+    A = cloud_from_generation(gens(4))
+    tree = RecordingTree(A.points)
+    got = _ball_check(A, tree, 1.0, 256.0, np.random.default_rng(0), 10_000)
+    assert tree.radii and max(tree.radii) < 1
+    assert got == ball_check_loop(A, 1.0, 256.0, np.random.default_rng(0),
+                                  10_000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(A=small_clouds(), alpha=st.sampled_from([0.5, 1.0, 2.0]),
+       C=st.one_of(st.floats(0.01, 20.0), st.floats(1.0, 1000.0)),
+       seed=st.integers(0, 2**31),
+       n_random=st.sampled_from([1, 50, 400, 2000]))
+def test_ball_check_matches_every_radius(A, alpha, C, seed, n_random):
+    tree = RecordingTree(A.points)
+    got = _ball_check(A, tree, alpha, C, np.random.default_rng(seed),
+                      n_random)
+    assert got == ball_check_loop(A, alpha, C, np.random.default_rng(seed),
+                                  n_random)
+    assert tree.radii == [A.delta * 2.0 ** k for k in range(len(tree.radii))]
+
+
 def test_certifier_cap_refuses_before_any_work(gens, monkeypatch):
     """Four-corner n = 9 is refused before a tree, a census or a worker is
     started; n = 8 is admitted."""
@@ -670,6 +749,59 @@ def test_line_check_matches_loop_on_four_corner(gens, n, C):
     A = cloud_from_generation(gens(n))
     assert _line_check(A, C, np.random.default_rng(n), 2000) == \
         line_check_loop(A, C, np.random.default_rng(n), 2000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=strip_windows_cases())
+def test_strip_mass_of_one_point_is_at_most_one(case):
+    """The line check skips a strip whose window holds fewer points than
+    the best mass so far, as no point adds more than 1 to a mass."""
+    ts, offsets, radius, halfwidth = case
+    for off in offsets:
+        assert (_strip_masses(np.abs(ts - off), radius, halfwidth)
+                <= 1 + 1e-12).all()
+
+
+def slope_line(m):
+    """m points on a line of slope -1/2, which no axis or diagonal strip
+    holds."""
+    x = np.arange(m) / m
+    return PointCloud(np.stack([x, -x / 2], axis=1), 1 / (2 * m))
+
+
+def line_and_noise(m):
+    """m points on a line of slope -1/2 and m / 2 uniform points."""
+    x = np.arange(m) / m
+    noise = np.random.default_rng(7).uniform(0, 1, (m // 2, 2))
+    return PointCloud(np.concatenate([np.stack([x, 0.3 - x / 2], axis=1),
+                                      noise]), 1 / (4 * m))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("A, C", [(slope_line(200), 8.0),
+                                  (line_and_noise(200), 16.0)],
+                         ids=["slope-line", "line-and-noise"])
+def test_line_check_matches_loop_on_random_witnesses(A, C, seed):
+    """The witness is a random-direction strip, found after the axis and
+    diagonal strips have set a best mass that skips most random strips."""
+    got = _line_check(A, C, np.random.default_rng(seed), 2000)
+    assert got.witness["theta"] not in (0.0, math.pi / 4, math.pi / 2,
+                                        3 * math.pi / 4)
+    assert got == line_check_loop(A, C, np.random.default_rng(seed), 2000)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_line_check_keeps_the_first_of_tied_directions(seed):
+    """A horizontal and a vertical run of 9 points, 1/16 apart: the strips
+    about both runs hold 9 whole masses of exactly 1, and the horizontal
+    one, the first direction, is the witness."""
+    run = np.arange(1, 10) / 16
+    pts = np.concatenate([np.stack([run, np.zeros(9)], axis=1),
+                          np.stack([np.zeros(9), run], axis=1)])
+    A = PointCloud(pts, 1 / 256)
+    got = _line_check(A, 64.0, np.random.default_rng(seed), 400)
+    assert got.witness["theta"] == 0.0 and got.witness["mass"] == 9.0
+    assert got == line_check_loop(A, 64.0, np.random.default_rng(seed), 400)
 
 
 class TestRieszEnergy:

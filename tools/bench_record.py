@@ -14,8 +14,11 @@ seeds) and, per workload and end-to-end metric, the median, min and max of the k
 and the runs themselves: the host's speed drifts between runs, so the
 spread is part of the result.
 
-It then prints the difference from the newest earlier record in `bench/`
-and flags every metric that is worse than its bound in BENCHMARK.json.
+It then prints the difference from the newest earlier record in `bench/`.
+That record was taken at another time, so a metric is flagged WORSE only
+when every new run is worse than every old run by more than its bound in
+BENCHMARK.json, and UNRESOLVED when only the medians are; `--pairs`
+settles either.
 
 With `--pairs P` it instead compares the `--checkout` (the parent) with
 this checkout (the head) on one workload and seed: P pairs of runs, the
@@ -285,9 +288,11 @@ def newest_earlier(bench_dir: Path, record: dict) -> Path | None:
 
 def diff_records(old: dict, new: dict, limits: dict) -> list[dict]:
     """One row per workload and metric present in both records and in
-    `limits` (metric name -> (bound, better)); `worse` is set when the new
-    median is worse than the old one by more than the metric's bound,
-    `failed` when a new run failed an output check."""
+    `limits` (metric name -> (bound, better)).  The two records were taken
+    at different times, and the host's speed drifts between them, so
+    `worse` is set only when every new run is worse than every old run by
+    more than the metric's bound, and `unresolved` when only the medians
+    are; `failed` is set when a new run failed an output check."""
     rows = []
     for workload, w_new in new["workloads"].items():
         w_old = old["workloads"].get(workload)
@@ -297,25 +302,33 @@ def diff_records(old: dict, new: dict, limits: dict) -> list[dict]:
             if name not in w_old["metrics"] or name not in limits:
                 continue
             bound, better = limits[name]
-            before, after = w_old["metrics"][name]["median"], m_new["median"]
+            m_old = w_old["metrics"][name]
+            before, after = m_old["median"], m_new["median"]
             if better == "lower":
-                worse = after > before * (1 + bound)
+                worse = m_new["min"] > m_old["max"] * (1 + bound)
+                medians = after > before * (1 + bound)
             else:
-                worse = after < before * (1 - bound)
+                worse = m_new["max"] < m_old["min"] * (1 - bound)
+                medians = after < before * (1 - bound)
             rows.append({"workload": workload, "metric": name,
                          "old": before, "new": after,
                          "ratio": after / before if before else None,
                          "bound": bound, "worse": worse,
+                         "unresolved": medians and not worse,
                          "failed": not w_new["correct"]})
     return rows
 
 
 def format_diff(rows: list[dict]) -> str:
-    lines = [f"  {'workload':11s} {'metric':12s} {'old':>10s} {'new':>10s} "
+    lines = ["  unpaired records, medians shown; a gain or a regression is "
+             "settled by --pairs",
+             f"  {'workload':11s} {'metric':12s} {'old':>10s} {'new':>10s} "
              f"{'new/old':>8s}"]
     for r in rows:
         ratio = "-" if r["ratio"] is None else f"{r['ratio']:.3f}"
         flag = f"  WORSE than bound {r['bound']:g}" if r["worse"] else ""
+        flag += (f"  UNRESOLVED: median past bound {r['bound']:g}, runs "
+                 f"overlap" if r["unresolved"] else "")
         flag += "  CHECKS FAILED" if r["failed"] else ""
         lines.append(f"  {r['workload']:11s} {r['metric']:12s} "
                      f"{r['old']:10.4f} {r['new']:10.4f} {ratio:>8s}{flag}")
